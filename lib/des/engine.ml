@@ -119,9 +119,8 @@ let alloc_slot t =
 
 (* Recycling clears the action cell so a fired event's closure (and
    whatever it captures) is collectable immediately, not when the slot
-   happens to be overwritten — the pooled analogue of the Heap.pop
-   vacated-slot fix. The generation bump invalidates outstanding
-   handles. *)
+   happens to be overwritten. The generation bump invalidates
+   outstanding handles. *)
 let free_slot t slot =
   Array.unsafe_set t.actions slot nop;
   Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);

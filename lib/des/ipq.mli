@@ -3,7 +3,8 @@
     The engine's event queue. Both backing stores are plain [int array]s,
     so pushes and pops allocate nothing after warm-up and each ordering
     decision is one machine-word compare — no comparator closure and no
-    option boxing on the hot path (contrast with the generic {!Heap}).
+    option boxing on the hot path, unlike a generic heap over boxed
+    elements.
 
     The engine packs (time, seq) into a single key, making keys unique
     and the heap order total; this module itself tolerates duplicate

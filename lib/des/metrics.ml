@@ -1,13 +1,3 @@
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let create name = { name; value = 0 }
-  let name t = t.name
-  let incr ?(by = 1) t = t.value <- t.value + by
-  let value t = t.value
-  let reset t = t.value <- 0
-end
-
 (* Growable float buffer; Dynarray only lands in OCaml 5.2. *)
 module Buf = struct
   type t = { mutable data : float array; mutable len : int }
@@ -85,19 +75,4 @@ module Histogram = struct
     t.sum_sq <- 0.0;
     t.mn <- infinity;
     t.mx <- neg_infinity
-end
-
-module Series = struct
-  type t = { name : string; mutable entries : (int * float) list; mutable len : int }
-
-  let create name = { name; entries = []; len = 0 }
-  let name t = t.name
-
-  let add t ~time v =
-    t.entries <- (time, v) :: t.entries;
-    t.len <- t.len + 1
-
-  let length t = t.len
-  let to_list t = List.rev t.entries
-  let last t = match t.entries with [] -> None | e :: _ -> Some e
 end

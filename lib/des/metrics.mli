@@ -1,18 +1,7 @@
 (** Measurement primitives shared by all experiments.
 
-    Counters count discrete events, histograms summarise value
-    distributions (latencies, hop counts), and series record time-stamped
-    samples for plotting sweeps. All are cheap enough to leave enabled. *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val name : t -> string
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-  val reset : t -> unit
-end
+    Histograms summarise value distributions (latencies, hop counts);
+    cheap enough to leave enabled. Counters live in the obs registry. *)
 
 module Histogram : sig
   type t
@@ -33,17 +22,4 @@ module Histogram : sig
       0 when empty. *)
 
   val reset : t -> unit
-end
-
-module Series : sig
-  type t
-
-  val create : string -> t
-  val name : t -> string
-  val add : t -> time:int -> float -> unit
-  val length : t -> int
-  val to_list : t -> (int * float) list
-  (** In insertion (time) order. *)
-
-  val last : t -> (int * float) option
 end

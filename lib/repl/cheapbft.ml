@@ -75,48 +75,27 @@ let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
 let fresh_entry _ =
   { request = no_request; batch = []; commit_votes = Quorum.empty; executed = false }
 
-let log_retention = 256
-
 type replica = {
-  id : int;
-  n : int;
+  core : msg Replica.t;
   f : int;
-  engine : Engine.t;
-  fabric : msg Transport.fabric;
   config : config;
-  behavior : Behavior.t;
-  app : App.t;
   trinc : Trinc.t;
   keychain : Keychain.t;
-  stats : Stats.t;
   mutable view : int;
   mutable is_active : bool;
   mutable transitioned : bool;
   mutable last_exec_counter : int64;
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
-  pending : (Hash.t, Types.request) Hashtbl.t;
-  mutable rid_last : int array;  (* client -> last rid, min_int = none *)
-  mutable rid_result : int64 array;
-  timers : Engine.handle Digest_map.t;
   mono : Monotonic.checker;
   baseline_pending : bool array;  (* per-signer counter resync after transition *)
   vc_rounds : Quorum.Rounds.t;
   mutable vc_voted : int;
-  all_ids : int array;
-  all_others : int array;  (* everyone but self *)
   initial_active_others : int array;  (* ids 0..f minus self *)
   initial_passive : int array;  (* ids f+1..n-1 *)
-  mcast : (src:int -> dsts:int array -> n:int -> msg -> unit) option;
-      (* fabric multicast, resolved once; None = per-destination sends *)
   mutable gap_drops : int;
   mutable last_shipped : int64;
   repeat_counts : (int * int, int) Hashtbl.t;  (* (client, rid) -> cached-reply resends *)
-  chk : int;  (* resoc_check session, -1 when checking is off *)
-  mutable online : bool;
-  cp : Checkpoint.t option;  (* active-set checkpoint certificates, None = legacy *)
-  mutable recover_timer : Engine.handle option;
-  mutable batcher : Batcher.t option;  (* primary-side batching, None = legacy *)
 }
 
 type t = {
@@ -142,20 +121,26 @@ let message_name = function
   | Fetch_state _ -> "fetch-state"
   | State_chunk _ -> "state-chunk"
 
-(* Forward bound for overflow pruning on the legacy path: anything this far
-   past the execution frontier is an outlier that will never execute. *)
-let prune_margin = 1 lsl 15
-
 let primary_of ~view ~n = view mod n
 
-let is_primary (r : replica) = primary_of ~view:r.view ~n:r.n = r.id
+let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
+
+let kit =
+  {
+    Replica.request = (fun request -> Request request);
+    reply = (fun reply -> Reply reply);
+    reply_of = (function Reply reply -> Some reply | _ -> None);
+    checkpoint_vote = (fun seq digest -> Checkpoint_vote { seq; digest });
+    fetch_state = (fun have -> Fetch_state { have });
+    state_chunk = (fun chunk -> State_chunk chunk);
+  }
 
 let empty_ids : int array = [||]
 
 (* The replicas that participate in agreement right now: the initial f+1
    active ones, or everyone after a transition. Activeness is tracked per
    replica, so views during/after the transition stay consistent. *)
-let active_others r = if r.transitioned then r.all_others else r.initial_active_others
+let active_others r = if r.transitioned then r.core.peer_ids else r.initial_active_others
 
 let passive_ids (r : replica) = if r.transitioned then empty_ids else r.initial_passive
 
@@ -163,170 +148,42 @@ let passive_ids (r : replica) = if r.transitioned then empty_ids else r.initial_
    transition: f+1 of 2f+1. Either way the count is f+1. *)
 let commit_quorum (r : replica) = r.f + 1
 
-let send (r : replica) ~dst msg =
-  let now = Engine.now r.engine in
-  if r.online && not (Behavior.is_crashed r.behavior ~now) then
-    match Behavior.active_strategy r.behavior ~now with
-    | Some Behavior.Silent -> ()
-    | Some (Behavior.Delay d) ->
-      ignore
-        (Engine.schedule r.engine ~delay:d (fun () -> r.fabric.Transport.send ~src:r.id ~dst msg))
-    | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-      r.fabric.Transport.send ~src:r.id ~dst msg
-
-(* Fan-outs take the fabric's tree multicast when the replica was built
-   with one: a single behaviour gate, then one injection that forks in
-   the network instead of [Array.length to_] unicasts. *)
-let broadcast r ~to_ msg =
-  match r.mcast with
-  | Some mc ->
-    let now = Engine.now r.engine in
-    if r.online && not (Behavior.is_crashed r.behavior ~now) then (
-      match Behavior.active_strategy r.behavior ~now with
-      | Some Behavior.Silent -> ()
-      | Some (Behavior.Delay d) ->
-        ignore
-          (Engine.schedule r.engine ~delay:d (fun () ->
-               mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg))
-      | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-        mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg)
-  | None ->
-    for i = 0 to Array.length to_ - 1 do
-      send r ~dst:(Array.unsafe_get to_ i) msg
-    done
-
-let cancel_request_timer r digest =
-  let i = Digest_map.index r.timers digest in
-  if i >= 0 then begin
-    Engine.cancel r.engine (Digest_map.value_at r.timers i);
-    Digest_map.remove_at r.timers i
-  end
-
-(* Any replica that sees a request starve votes to transition/rotate. *)
-let start_vc_timer r digest =
-  if not (Digest_map.mem r.timers digest) then
-    Digest_map.set r.timers digest
-      (Engine.schedule r.engine ~delay:r.config.vc_timeout (fun () ->
-           Digest_map.remove r.timers digest;
-           if Hashtbl.mem r.pending digest then begin
-             (* Escalate past views whose primary never answered: repeated
-                timeouts propose ever-higher views until a live primary is
-                reached. *)
-             let new_view = max r.view r.vc_voted + 1 in
-             r.vc_voted <- new_view;
-             broadcast r ~to_:r.all_ids (Activate { new_view })
-           end))
-
-let reply_to_client r (request : Types.request) result =
-  let corrupt =
-    match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-    | Some Behavior.Corrupt_execution -> true
-    | Some _ | None -> false
-  in
-  let result = if corrupt then Int64.logxor result 0xBADBADL else result in
-  send r ~dst:request.Types.client
-    (Reply { Types.client = request.Types.client; rid = request.Types.rid; result; replica = r.id })
-
-let rid_slot r client =
-  let len = Array.length r.rid_last in
-  if client >= len then begin
-    let ncap = ref (max 8 (2 * len)) in
-    while client >= !ncap do
-      ncap := 2 * !ncap
-    done;
-    let nlast = Array.make !ncap min_int in
-    Array.blit r.rid_last 0 nlast 0 len;
-    let nresult = Array.make !ncap 0L in
-    Array.blit r.rid_result 0 nresult 0 len;
-    r.rid_last <- nlast;
-    r.rid_result <- nresult
-  end;
-  client
-
-let rid_reset r = Array.fill r.rid_last 0 (Array.length r.rid_last) min_int
-
-let rid_table_list r =
-  let acc = ref [] in
-  for c = Array.length r.rid_last - 1 downto 0 do
-    if r.rid_last.(c) <> min_int then acc := (c, (r.rid_last.(c), r.rid_result.(c))) :: !acc
-  done;
-  !acc
+(* Any replica that sees a request starve votes to transition/rotate:
+   repeated timeouts propose ever-higher views until a live primary is
+   reached. Unlike the other protocols this fires on an offline replica
+   too; its Activate is muted by the send gate. *)
+let on_expire r () =
+  let new_view = max r.view r.vc_voted + 1 in
+  r.vc_voted <- new_view;
+  Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
 
 (* One agreed counter carries one request or (batching on) a whole batch;
    the attestation binds one digest either way. *)
 let entry_digest (e : entry) =
   if e.batch != [] then Types.batch_digest e.batch else Types.request_digest e.request
 
-(* Execute one request of an agreed counter: reply-cache dedup, execute,
-   retire the pending entry and its view-change timer, answer the client. *)
-let exec_one r (request : Types.request) =
-  let client = request.Types.client and rid = request.Types.rid in
-  let c = rid_slot r client in
-  let result =
-    if r.rid_last.(c) <> min_int && rid <= r.rid_last.(c) then r.rid_result.(c)
-    else begin
-      let result = App.execute r.app request.Types.payload in
-      r.rid_last.(c) <- rid;
-      r.rid_result.(c) <- result;
-      result
-    end
-  in
-  let digest = Types.request_digest request in
-  Hashtbl.remove r.pending digest;
-  cancel_request_timer r digest;
-  reply_to_client r request result
-
 let rec try_execute r =
   let next = Int64.add r.last_exec_counter 1L in
   let next_i = Int64.to_int next in
-  let gate_ok =
-    match r.cp with
-    | Some cp when not !Checkpoint.test_ignore_watermarks -> next_i <= Checkpoint.high cp
-    | Some _ | None -> true
-  in
   let slot = Slot_ring.slot r.log next_i in
-  if gate_ok && slot >= 0 then begin
+  if Replica.below_high r.core next_i && slot >= 0 then begin
     let e = Slot_ring.entry r.log slot in
     if (not e.executed) && Quorum.reached e.commit_votes ~threshold:(commit_quorum r) then begin
       e.executed <- true;
       r.last_exec_counter <- next;
-      (match r.cp with
-      | Some cp when r.chk >= 0 ->
-        Check.exec_window ~session:r.chk ~replica:r.id ~seq:next_i ~low:(Checkpoint.low cp)
-          ~high:(Checkpoint.high cp)
-          ~faulty:(Behavior.is_faulty r.behavior)
-      | Some _ | None -> ());
-      if r.chk >= 0 then begin
-        Check.commit ~session:r.chk ~replica:r.id ~view:r.view ~seq:next_i
+      Replica.check_window r.core ~seq:next_i;
+      if r.core.chk >= 0 then begin
+        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.view ~seq:next_i
           ~digest:(entry_digest e)
           ~signers:(Quorum.count e.commit_votes)
           ~quorum:(commit_quorum r)
-          ~faulty:(Behavior.is_faulty r.behavior);
-        if e.batch != [] then begin
-          let len = List.length e.batch in
-          List.iteri
-            (fun pos (req : Types.request) ->
-              Check.batch_commit ~session:r.chk ~replica:r.id ~view:r.view ~seq:next_i ~pos ~len
-                ~client:req.Types.client ~rid:req.Types.rid
-                ~faulty:(Behavior.is_faulty r.behavior))
-            e.batch
-        end
+          ~faulty:(Replica.faulty r.core);
+        if e.batch != [] then Replica.check_batch r.core ~view:r.view ~seq:next_i e.batch
       end;
-      if e.batch != [] then List.iter (exec_one r) e.batch else exec_one r e.request;
-      (match r.batcher with Some b -> Batcher.kick b | None -> ());
-      (match r.cp with
-      | None ->
-        Slot_ring.release r.log (next_i - log_retention);
-        Slot_ring.prune_outside r.log ~low:(next_i - log_retention) ~high:(next_i + prune_margin)
-      | Some cp -> (
-        match
-          Checkpoint.note_exec cp ~seq:next_i ~state:(App.state r.app) ~rid_last:r.rid_last
-            ~rid_result:r.rid_result
-        with
-        | None -> ()
-        | Some d ->
-          broadcast r ~to_:(active_others r) (Checkpoint_vote { seq = next_i; digest = d });
-          on_cp_advance r cp (Checkpoint.note_vote cp ~seq:next_i ~digest:d ~voter:r.id)));
+      if e.batch != [] then List.iter (Replica.execute r.core) e.batch
+      else Replica.execute r.core e.request;
+      Replica.kick r.core;
+      on_cp_advance r (Replica.after_exec r.core r.log ~seq:next_i ~voters:(active_others r));
       try_execute r
     end
   end
@@ -334,152 +191,51 @@ let rec try_execute r =
 (* A new stable checkpoint: truncate the log below the low watermark (the
    certificate now proves everything up to it) and retry execution in case
    the high watermark was the only obstacle. *)
-and on_cp_advance r cp prev =
+and on_cp_advance r prev =
   if prev >= 0 then begin
-    let lo = Checkpoint.low cp in
-    for seq = prev + 1 to lo do
-      Slot_ring.release r.log seq
-    done;
-    Slot_ring.prune_outside r.log ~low:(lo + 1) ~high:(Checkpoint.high cp + prune_margin);
-    r.stats.Stats.checkpoints <- r.stats.Stats.checkpoints + 1;
+    Replica.stabilized r.core r.log ~prev;
     try_execute r
   end
 
-let cancel_recover_timer r =
-  match r.recover_timer with
-  | Some h ->
-    Engine.cancel r.engine h;
-    r.recover_timer <- None
-  | None -> ()
+let executed_batch (e : entry) =
+  if e.executed && (e.request != no_request || e.batch != []) then
+    if e.batch != [] then e.batch else [ e.request ]
+  else []
 
-(* Fetch the latest certified checkpoint from the peers, re-asking on a
-   request-timeout cadence until a transfer installs. Only actives hold
-   stable certificates, but the rejoiner does not know who is active, so
-   it asks everyone; passives simply have nothing to serve. *)
-let start_recovery (r : replica) cp =
-  Checkpoint.begin_recovery cp ~now:(Engine.now r.engine);
-  let rec arm () =
-    cancel_recover_timer r;
-    r.recover_timer <-
-      Some
-        (Engine.schedule r.engine ~delay:r.config.request_timeout (fun () ->
-             r.recover_timer <- None;
-             if r.online && Checkpoint.recovering cp then begin
-               broadcast r ~to_:r.all_others (Fetch_state { have = Checkpoint.low cp });
-               arm ()
-             end))
-  in
-  broadcast r ~to_:r.all_others (Fetch_state { have = Checkpoint.low cp });
-  arm ()
-
-let maybe_catchup r cp =
-  if Checkpoint.needs_catchup cp && not (Checkpoint.recovering cp) then start_recovery r cp
-
-(* The executed log suffix strictly above [from], ascending and gapless;
-   stops early at the first missing or unexecuted counter. *)
-let log_suffix (r : replica) ~from =
-  let acc = ref [] in
-  let seq = ref (from + 1) in
-  let continue = ref true in
-  while !continue && !seq <= Int64.to_int r.last_exec_counter do
-    let slot = Slot_ring.slot r.log !seq in
-    if slot >= 0 then begin
-      let e = Slot_ring.entry r.log slot in
-      if e.executed && (e.request != no_request || e.batch != []) then begin
-        acc := (!seq, if e.batch != [] then e.batch else [ e.request ]) :: !acc;
-        incr seq
-      end
-      else continue := false
-    end
-    else continue := false
-  done;
-  List.rev !acc
-
+(* Only actives hold stable certificates; a rejoiner asks everyone (it
+   does not know who is active) and passives have nothing to serve. *)
 let on_fetch_state r ~src ~have =
-  match r.cp with
-  | None -> ()
-  | Some cp when r.is_active -> (
-    match Checkpoint.serve cp ~view:r.view ~have ~suffix:(log_suffix r ~from:(Checkpoint.low cp)) with
-    | Some chunks -> List.iter (fun c -> send r ~dst:src (State_chunk c)) chunks
-    | None -> ())
-  | Some _ -> ()
+  match r.core.cp with
+  | Some cp when r.is_active ->
+    Replica.serve r.core cp ~src ~have ~view:r.view
+      ~suffix:
+        (Replica.log_suffix r.log ~from:(Checkpoint.low cp)
+           ~upto:(Int64.to_int r.last_exec_counter) ~batch:executed_batch)
+  | Some _ | None -> ()
 
 let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.cp with
-  | None -> ()
+  match r.core.cp with
   | Some cp when r.is_active ->
-    let prev = Checkpoint.note_vote cp ~seq ~digest ~voter:src in
-    on_cp_advance r cp prev;
-    maybe_catchup r cp
-  | Some _ -> ()
+    on_cp_advance r (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
+    Replica.maybe_catchup r.core cp
+  | Some _ | None -> ()
 
-(* Install a completed, verified transfer: adopt the certified state and
-   reply cache, replay the log suffix (no client replies — the group
-   already answered), and rejoin in the role the serving view implies:
-   after a transition everyone is active, before it the initial split
-   stands. The TrInc counter is trusted hardware and survived the wipe,
-   so peers re-baseline this signer instead of seeing a replay. *)
-let install_transfer (r : replica) cp (c : Checkpoint.completion) =
-  cancel_recover_timer r;
-  let prev_low = Checkpoint.low cp in
+(* Install a completed, verified transfer and rejoin in the role the
+   serving view implies: after a transition everyone is active, before it
+   the initial split stands. The TrInc counter is trusted hardware and
+   survived the wipe, so peers re-baseline this signer instead of seeing
+   a replay. *)
+let install_transfer (r : replica) (c : Checkpoint.completion) =
   r.view <- max r.view c.Checkpoint.c_view;
   r.vc_voted <- max r.vc_voted r.view;
   if c.Checkpoint.c_view > 0 then begin
     r.transitioned <- true;
     r.is_active <- true
   end;
-  App.set_state r.app c.Checkpoint.c_state;
-  rid_reset r;
-  List.iter
-    (fun (client, rid, result) ->
-      let i = rid_slot r client in
-      r.rid_last.(i) <- rid;
-      r.rid_result.(i) <- result)
-    c.Checkpoint.c_rids;
-  r.last_exec_counter <- Int64.of_int c.Checkpoint.c_cert.Checkpoint.cp_seq;
-  Checkpoint.install cp c;
-  List.iter
-    (fun (seq, reqs) ->
-      List.iter
-        (fun (req : Types.request) ->
-          let i = rid_slot r req.Types.client in
-          if not (r.rid_last.(i) <> min_int && req.Types.rid <= r.rid_last.(i)) then begin
-            let result = App.execute r.app req.Types.payload in
-            r.rid_last.(i) <- req.Types.rid;
-            r.rid_result.(i) <- result
-          end)
-        reqs;
-      r.last_exec_counter <- Int64.of_int seq)
-    c.Checkpoint.c_suffix;
+  r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
   r.last_shipped <- r.last_exec_counter;
-  for s = prev_low + 1 to Int64.to_int r.last_exec_counter do
-    Slot_ring.release r.log s
-  done;
-  Slot_ring.prune_outside r.log ~low:(Checkpoint.low cp + 1)
-    ~high:(Checkpoint.high cp + prune_margin);
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  r.stats.Stats.state_transfers <- r.stats.Stats.state_transfers + 1;
-  r.stats.Stats.transfer_bytes <- r.stats.Stats.transfer_bytes + c.Checkpoint.c_bytes;
-  r.stats.Stats.transfer_cycles <- r.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed;
   try_execute r
-
-let on_state_chunk r ~src chunk =
-  match r.cp with
-  | None -> ()
-  | Some cp -> (
-    match Checkpoint.feed cp ~src ~now:(Engine.now r.engine) chunk with
-    | None -> ()
-    | Some c ->
-      if r.chk >= 0 then
-        Check.transfer_applied ~session:r.chk ~replica:r.id
-          ~seq:c.Checkpoint.c_cert.Checkpoint.cp_seq
-          ~claimed:c.Checkpoint.c_cert.Checkpoint.cp_digest ~actual:c.Checkpoint.c_actual
-          ~faulty:(Behavior.is_faulty r.behavior);
-      if
-        (c.Checkpoint.c_valid || !Checkpoint.test_unverified_transfer)
-        && Int64.compare (Int64.of_int c.Checkpoint.c_cert.Checkpoint.cp_seq) r.last_exec_counter
-           > 0
-      then install_transfer r cp c)
 
 let attestation_digest digest = Hash.combine (Hash.of_string "cheap-stmt") digest
 
@@ -537,8 +293,8 @@ let send_own_commit r ~view ~request ~(primary_cert : Trinc.attestation) =
   match make_cert r digest with
   | Error _ -> ()
   | Ok cert ->
-    ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:r.id);
-    broadcast r ~to_:(active_others r) (Commit { view; request; primary_cert; cert });
+    ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:r.core.id);
+    Replica.broadcast r.core ~to_:(active_others r) (Commit { view; request; primary_cert; cert });
     try_execute r
 
 let send_own_commit_b r ~view ~requests ~(primary_cert : Trinc.attestation) =
@@ -546,8 +302,8 @@ let send_own_commit_b r ~view ~requests ~(primary_cert : Trinc.attestation) =
   match make_cert r digest with
   | Error _ -> ()
   | Ok cert ->
-    ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:r.id);
-    broadcast r ~to_:(active_others r) (Commit_b { view; requests; primary_cert; cert });
+    ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
+    Replica.broadcast r.core ~to_:(active_others r) (Commit_b { view; requests; primary_cert; cert });
     try_execute r
 
 let order_request r (request : Types.request) =
@@ -557,8 +313,8 @@ let order_request r (request : Types.request) =
     | Error _ -> ()
     | Ok cert ->
       Digest_map.set r.ordered digest 0;
-      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:r.id);
-      broadcast r ~to_:(active_others r) (Prepare { view = r.view; request; cert });
+      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:r.core.id);
+      Replica.broadcast r.core ~to_:(active_others r) (Prepare { view = r.view; request; cert });
       try_execute r
 
 (* Batched ordering: one TrInc attestation covers the whole list (the
@@ -573,8 +329,8 @@ let order_batch r (requests : Types.request list) =
       List.iter
         (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) 0)
         requests;
-      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:r.id);
-      broadcast r ~to_:(active_others r) (Prepare_b { view = r.view; requests; cert });
+      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
+      Replica.broadcast r.core ~to_:(active_others r) (Prepare_b { view = r.view; requests; cert });
       try_execute r
 
 (* Actives ship attested state to the passive set periodically; one sender
@@ -583,55 +339,32 @@ let ship_updates r =
   if is_primary r && (not r.transitioned) && Int64.compare r.last_exec_counter r.last_shipped > 0
   then begin
     r.last_shipped <- r.last_exec_counter;
-    let rid_table = rid_table_list r in
+    let rid_table = Replica.rid_table r.core in
     let passive = passive_ids r in
     for i = 0 to Array.length passive - 1 do
-      send r ~dst:passive.(i)
-        (Update { view = r.view; upto = r.last_exec_counter; state = App.state r.app; rid_table })
+      Replica.send r.core ~dst:passive.(i)
+        (Update { view = r.view; upto = r.last_exec_counter; state = App.state r.core.app; rid_table })
     done
   end
 
 let adopt_new_view r ~view ~base ~state ~rid_table =
-  (match r.batcher with Some b -> Batcher.clear b | None -> ());
-  (match r.cp with
-  | Some cp ->
-    cancel_recover_timer r;
-    Checkpoint.rebase cp ~seq:(Int64.to_int base)
-  | None -> ());
   r.view <- view;
   r.vc_voted <- max r.vc_voted view;
   r.transitioned <- true;
   r.is_active <- true;
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
-  App.set_state r.app state;
   r.last_exec_counter <- base;
-  rid_reset r;
-  List.iter
-    (fun (client, (rid, result)) ->
-      let c = rid_slot r client in
-      r.rid_last.(c) <- rid;
-      r.rid_result.(c) <- result)
-    rid_table;
-  Digest_map.iter (fun _ h -> Engine.cancel r.engine h) r.timers;
-  Digest_map.reset r.timers;
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  Hashtbl.iter (fun digest _ -> start_vc_timer r digest) r.pending
+  Replica.adopt r.core ~state ~rid_table ~seq:(Int64.to_int base)
 
 let become_primary r ~view =
-  let rid_table = rid_table_list r in
-  let state = App.state r.app in
+  let rid_table = Replica.rid_table r.core in
+  let state = App.state r.core.app in
   let base = fst (Resoc_hw.Register.read (Trinc.counter_register r.trinc)) in
   adopt_new_view r ~view ~base ~state ~rid_table;
-  broadcast r ~to_:r.all_others (New_view { view; base; state; rid_table });
-  let pending = Hashtbl.fold (fun _ req acc -> req :: acc) r.pending [] in
-  let pending =
-    List.sort
-      (fun (a : Types.request) b ->
-        compare (a.Types.client, a.Types.rid) (b.Types.client, b.Types.rid))
-      pending
-  in
-  List.iter (order_request r) pending
+  Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; base; state; rid_table });
+  List.iter (order_request r) (Replica.pending_sorted r.core)
 
 let on_activate r ~src ~new_view =
   if new_view > r.view then begin
@@ -641,10 +374,10 @@ let on_activate r ~src ~new_view =
     if voters >= r.f + 1 then begin
       if r.vc_voted < new_view then begin
         r.vc_voted <- new_view;
-        broadcast r ~to_:r.all_ids (Activate { new_view })
+        Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
       end;
-      if primary_of ~view:new_view ~n:r.n = r.id then begin
-        r.stats.Stats.view_changes <- r.stats.Stats.view_changes + 1;
+      if primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
+        Replica.view_changed r.core ~view:new_view;
         become_primary r ~view:new_view
       end
     end
@@ -661,58 +394,55 @@ let note_repeat r ~client ~rid =
     let new_view = r.view + 1 in
     if new_view > r.vc_voted then begin
       r.vc_voted <- new_view;
-      broadcast r ~to_:r.all_ids (Activate { new_view })
+      Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
     end
   end
 
 let on_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  let client = request.Types.client in
-  let c = rid_slot r client in
-  if r.rid_last.(c) <> min_int && request.Types.rid <= r.rid_last.(c) then begin
-    note_repeat r ~client ~rid:request.Types.rid;
-    reply_to_client r request r.rid_result.(c)
+  if Replica.executed r.core request then begin
+    note_repeat r ~client:request.Types.client ~rid:request.Types.rid;
+    Replica.reply_cached r.core request
   end
   else begin
-    let was_pending = Hashtbl.mem r.pending digest in
-    Hashtbl.replace r.pending digest request;
+    let digest = Types.request_digest request in
+    let was_pending = Replica.admit r.core request digest in
     (* Every replica — the primary included — watches the request: in the
        all-active configuration a single silent active denies the quorum,
        and someone must call for the transition. *)
-    start_vc_timer r digest;
+    Replica.watch r.core digest;
     if is_primary r && r.is_active then (
-      match r.batcher with
+      match r.core.batcher with
       | Some b ->
         (* Retransmissions of a request already buffered (still pending)
            or already ordered must not enter a second batch. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
       | None -> order_request r request)
-    else send r ~dst:(primary_of ~view:r.view ~n:r.n) (Request request)
+    else Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request)
   end
 
 let on_prepare r ~src ~view ~request ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && src = primary_of ~view ~n:r.n
+  if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
      && cert.Trinc.signer = src
   then begin
     let digest = Types.request_digest request in
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
-      Hashtbl.replace r.pending digest request;
+      Hashtbl.replace r.core.pending digest request;
       ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:src);
       send_own_commit r ~view ~request ~primary_cert:cert
     end
-    else if Hashtbl.mem r.pending digest then start_vc_timer r digest
+    else if Hashtbl.mem r.core.pending digest then Replica.watch r.core digest
   end
 
 let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && src = primary_of ~view ~n:r.n
+  if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
      && cert.Trinc.signer = src && requests <> []
   then begin
     let digest = Types.batch_digest requests in
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
       List.iter
-        (fun (req : Types.request) -> Hashtbl.replace r.pending (Types.request_digest req) req)
+        (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
         requests;
       ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:src);
       send_own_commit_b r ~view ~requests ~primary_cert:cert
@@ -721,14 +451,14 @@ let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
       List.iter
         (fun (req : Types.request) ->
           let d = Types.request_digest req in
-          if Hashtbl.mem r.pending d then start_vc_timer r d)
+          if Hashtbl.mem r.core.pending d then Replica.watch r.core d)
         requests
   end
 
 let on_commit r ~src ~view ~request ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && cert.Trinc.signer = src
-     && primary_cert.Trinc.signer = primary_of ~view ~n:r.n
+     && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
   then begin
     let digest = Types.request_digest request in
     if verify_cert r ~digest primary_cert && verify_cert r ~digest cert
@@ -745,7 +475,7 @@ let on_commit r ~src ~view ~request ~(primary_cert : Trinc.attestation)
 let on_commit_b r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && cert.Trinc.signer = src
-     && primary_cert.Trinc.signer = primary_of ~view ~n:r.n
+     && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
      && requests <> []
   then begin
     let digest = Types.batch_digest requests in
@@ -763,36 +493,27 @@ let on_commit_b r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
 let on_update r ~view ~upto ~state ~rid_table =
   if (not r.is_active) && view >= r.view && Int64.compare upto r.last_exec_counter > 0 then begin
     r.last_exec_counter <- upto;
-    App.set_state r.app state;
-    rid_reset r;
-    List.iter
-      (fun (client, (rid, result)) ->
-        let c = rid_slot r client in
-        r.rid_last.(c) <- rid;
-        r.rid_result.(c) <- result)
-      rid_table;
+    App.set_state r.core.app state;
+    Replica.import_rid_table r.core rid_table;
     (* Requests the actives already served are no longer pending here. *)
-    let served (req : Types.request) =
-      let c = req.Types.client in
-      c < Array.length r.rid_last && r.rid_last.(c) <> min_int && req.Types.rid <= r.rid_last.(c)
-    in
     let stale =
-      Hashtbl.fold (fun digest req acc -> if served req then digest :: acc else acc) r.pending []
+      Hashtbl.fold
+        (fun digest req acc -> if Replica.executed r.core req then digest :: acc else acc)
+        r.core.pending []
     in
     List.iter
       (fun digest ->
-        Hashtbl.remove r.pending digest;
-        cancel_request_timer r digest)
+        Hashtbl.remove r.core.pending digest;
+        Replica.cancel_timer r.core digest)
       stale
   end
 
 let on_new_view r ~src ~view ~base ~state ~rid_table =
-  if view > r.view && src = primary_of ~view ~n:r.n then
+  if view > r.view && src = primary_of ~view ~n:r.core.n then
     adopt_new_view r ~view ~base ~state ~rid_table
 
 let handle (r : replica) ~src msg =
-  let now = Engine.now r.engine in
-  if r.online && not (Behavior.is_crashed r.behavior ~now) then
+  if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
     | Prepare { view; request; cert } -> on_prepare r ~src ~view ~request ~cert
@@ -807,177 +528,99 @@ let handle (r : replica) ~src msg =
     | Reply _ -> ()
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk -> on_state_chunk r ~src chunk
+    | State_chunk chunk ->
+      Replica.on_state_chunk r.core ~src ~last_exec:(Int64.to_int r.last_exec_counter) chunk
+        ~install:(install_transfer r)
 
-let make_replica engine fabric config keychain stats ~id ~behavior ~chk =
-  let n = n_replicas config in
-  let f = config.f in
+let spec (config : config) =
   {
-    id;
-    n;
-    f;
-    engine;
-    fabric;
-    config;
-    behavior;
-    app = App.accumulator ();
-    trinc =
-      Trinc.create ~id ~key:(Keychain.component keychain id) ~protection:config.trinc_protection;
-    keychain;
-    stats;
-    view = 0;
-    is_active = id <= config.f;
-    transitioned = false;
-    last_exec_counter = 0L;
-    log = Slot_ring.create ~capacity:(2 * log_retention) ~fresh:fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-    pending = Hashtbl.create 16;
-    rid_last = Array.make (n + config.n_clients) min_int;
-    rid_result = Array.make (n + config.n_clients) 0L;
-    timers = Digest_map.create ~capacity:16 ();
-    mono = Monotonic.create ();
-    baseline_pending = Array.make n false;
-    vc_rounds = Quorum.Rounds.create ~n ();
-    vc_voted = 0;
-    gap_drops = 0;
-    last_shipped = 0L;
-    repeat_counts = Hashtbl.create 8;
-    all_ids = Array.init n Fun.id;
-    all_others = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
-    initial_active_others =
-      (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
-       Array.of_list act);
-    initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
-    mcast = (if config.multicast then fabric.Transport.multicast else None);
-    chk;
-    online = true;
-    cp =
-      (match config.checkpoint with
-      | Some c -> Some (Checkpoint.create c ~obs:(Engine.obs engine) ~quorum:(config.f + 1))
-      | None -> None);
-    recover_timer = None;
-    batcher = None;
+    Replica.label = "Cheapbft";
+    protocol = "cheapbft";
+    n = n_replicas config;
+    n_clients = config.n_clients;
+    client_quorum = config.f + 1;
+    request_timeout = config.request_timeout;
+    watch_delay = config.vc_timeout;
+    checkpoint = config.checkpoint;
+    cp_quorum = config.f + 1;
+    multicast = config.multicast;
+    spans = false;
+    count_views = false;
   }
 
-(* Built after the replica record so the pipeline gate can read the live
-   sequencing state: the TrInc counter is the sequence number here, so
-   in-flight instances = attested counter − execution frontier, and no
-   attestation may step past the checkpoint high watermark. *)
-let attach_batcher engine (r : replica) =
-  match r.config.batching with
-  | Some b when Batcher.active b ->
-    let attested () = Int64.to_int (fst (Register.read (Trinc.counter_register r.trinc))) in
-    let ready () =
-      let a = attested () in
-      a - Int64.to_int r.last_exec_counter < b.Types.pipeline_depth
-      &&
-      match r.cp with
-      | Some cp when not !Checkpoint.test_ignore_watermarks -> a + 1 <= Checkpoint.high cp
-      | Some _ | None -> true
-    in
-    let occupancy () = attested () - Int64.to_int r.last_exec_counter in
-    r.batcher <-
-      Some (Batcher.create ~engine ~cfg:b ~seal:(fun reqs -> order_batch r reqs) ~ready ~occupancy)
-  | Some _ | None -> ()
+let make_replica (config : config) keychain (core : msg Replica.t) =
+  let id = core.Replica.id and n = core.Replica.n and f = config.f in
+  let r =
+    {
+      core;
+      f;
+      config;
+      trinc =
+        Trinc.create ~id ~key:(Keychain.component keychain id) ~protection:config.trinc_protection;
+      keychain;
+      view = 0;
+      is_active = id <= f;
+      transitioned = false;
+      last_exec_counter = 0L;
+      log = Replica.create_log fresh_entry;
+      ordered = Digest_map.create ~capacity:64 ();
+      mono = Monotonic.create ();
+      baseline_pending = Array.make n false;
+      vc_rounds = Quorum.Rounds.create ~n ();
+      vc_voted = 0;
+      initial_active_others =
+        (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
+         Array.of_list act);
+      initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
+      gap_drops = 0;
+      last_shipped = 0L;
+      repeat_counts = Hashtbl.create 8;
+    }
+  in
+  core.Replica.on_expire <- on_expire r;
+  r
 
 let start engine fabric config ?behaviors () =
-  let n = n_replicas config in
-  Quorum.check_n n "Cheapbft.start";
-  let chk = if !Check.enabled then Check.new_session ~protocol:"cheapbft" else -1 in
-  let behaviors =
-    match behaviors with
-    | Some b ->
-      if Array.length b <> n then invalid_arg "Cheapbft.start: behaviors must cover every replica";
-      b
-    | None -> Array.make n Behavior.honest
-  in
-  if fabric.Transport.n_endpoints < n + config.n_clients then
-    invalid_arg "Cheapbft.start: fabric too small";
-  let keychain = Keychain.create ~master:config.keychain_master ~n in
-  let stats = Stats.create () in
-  let replicas =
-    Array.init n (fun id ->
-        make_replica engine fabric config keychain stats ~id ~behavior:behaviors.(id) ~chk)
+  Quorum.check_n (n_replicas config) "Cheapbft.start";
+  let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
+  let spec = spec config in
+  let replicas, stats =
+    Replica.start engine fabric kit spec ?behaviors (make_replica config keychain)
   in
   Array.iter
     (fun r ->
-      attach_batcher engine r;
-      fabric.Transport.set_handler r.id (fun ~src msg -> handle r ~src msg);
+      (* The TrInc counter is the sequence number here: in-flight
+         instances = attested counter minus the execution frontier. *)
+      Replica.attach_batcher r.core config.batching ~seal:(order_batch r)
+        ~in_flight:(fun () ->
+          Int64.to_int (fst (Register.read (Trinc.counter_register r.trinc)))
+          - Int64.to_int r.last_exec_counter)
+        ~frontier:(fun () -> Int64.to_int r.last_exec_counter);
+      fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg);
       Engine.every engine ~period:config.update_period (fun () -> ship_updates r))
     replicas;
-  let clients =
-    Array.init config.n_clients (fun i ->
-        Client.create engine fabric ~id:(n + i) ~n_replicas:n ~quorum:(config.f + 1)
-          ~retry_timeout:config.request_timeout ~stats
-          ~to_msg:(fun request -> Request request)
-          ~of_msg:(function Reply reply -> Some reply | _ -> None)
-          ())
-  in
+  let clients = Replica.clients engine fabric kit spec ~stats in
   { engine; config; replicas; clients; shared_stats = stats; keychain }
 
-let submit t ~client ~payload =
-  if client < 0 || client >= Array.length t.clients then
-    invalid_arg "Cheapbft.submit: unknown client";
-  Client.submit t.clients.(client) ~payload
+let submit t ~client ~payload = Replica.submit "Cheapbft" t.clients ~client ~payload
 
 let stats t = t.shared_stats
 
 let view t ~replica = t.replicas.(replica).view
-let replica_state t ~replica = App.state t.replicas.(replica).app
+let replica_state t ~replica = App.state t.replicas.(replica).core.app
 let active t ~replica = t.replicas.(replica).is_active
 let transitioned t = Array.exists (fun r -> r.transitioned) t.replicas
 let trinc t ~replica = t.replicas.(replica).trinc
 
-let replica_online t ~replica = t.replicas.(replica).online
+let replica_online t ~replica = t.replicas.(replica).core.online
 
-let set_offline t ~replica =
-  let r = t.replicas.(replica) in
-  if r.online then begin
-    r.online <- false;
-    (match r.batcher with Some b -> Batcher.clear b | None -> ());
-    cancel_recover_timer r;
-    Digest_map.iter (fun _ h -> Engine.cancel t.engine h) r.timers;
-    Digest_map.reset r.timers
-  end
-
-(* Legacy model: free state copy from the most advanced online peer. *)
-let legacy_rejoin t (r : replica) =
-  let best = ref None in
-  Array.iter
-    (fun (peer : replica) ->
-      if peer.id <> r.id && peer.online then
-        match !best with
-        | Some (b : replica) when Int64.compare b.last_exec_counter peer.last_exec_counter >= 0 ->
-          ()
-        | Some _ | None -> best := Some peer)
-    t.replicas;
-  match !best with
-  | Some peer ->
-    r.view <- peer.view;
-    r.vc_voted <- max r.vc_voted peer.view;
-    r.transitioned <- peer.transitioned;
-    r.is_active <- (if peer.transitioned then true else r.id <= r.f);
-    r.last_exec_counter <- peer.last_exec_counter;
-    App.set_state r.app (App.state peer.app);
-    rid_reset r;
-    for c = 0 to Array.length peer.rid_last - 1 do
-      if peer.rid_last.(c) <> min_int then begin
-        let i = rid_slot r c in
-        r.rid_last.(i) <- peer.rid_last.(c);
-        r.rid_result.(i) <- peer.rid_result.(c)
-      end
-    done;
-    Slot_ring.reset r.log;
-    Digest_map.reset r.ordered;
-    Hashtbl.reset r.pending;
-    Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-  | None -> ()
+let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
 let set_online t ~replica =
   let r = t.replicas.(replica) in
-  if not r.online then begin
-    r.online <- true;
-    match r.cp with
+  if not r.core.online then begin
+    r.core.online <- true;
+    match r.core.cp with
     | Some cp ->
       (* Rejuvenation wiped the replica's untrusted state (the TrInc
          counter is hardware and persists): rejoin by certified
@@ -985,17 +628,28 @@ let set_online t ~replica =
       r.view <- 0;
       r.vc_voted <- 0;
       r.transitioned <- false;
-      r.is_active <- r.id <= r.f;
+      r.is_active <- r.core.id <= r.f;
       r.last_exec_counter <- 0L;
       r.last_shipped <- 0L;
-      App.set_state r.app 0L;
-      rid_reset r;
       Slot_ring.reset r.log;
       Digest_map.reset r.ordered;
-      Hashtbl.reset r.pending;
       Hashtbl.reset r.repeat_counts;
       Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-      Checkpoint.reset cp;
-      start_recovery r cp
-    | None -> legacy_rejoin t r
+      Replica.rejoin_wiped r.core cp
+    | None -> (
+      (* Legacy model: free state copy from the most advanced online peer. *)
+      match
+        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core)
+          ~progress:(fun p -> Int64.to_int p.last_exec_counter)
+      with
+      | Some peer ->
+        r.view <- peer.view;
+        r.vc_voted <- max r.vc_voted peer.view;
+        r.transitioned <- peer.transitioned;
+        r.is_active <- (if peer.transitioned then true else r.core.id <= r.f);
+        r.last_exec_counter <- peer.last_exec_counter;
+        Slot_ring.reset r.log;
+        Digest_map.reset r.ordered;
+        Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
+      | None -> ())
   end

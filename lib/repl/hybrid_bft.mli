@@ -77,8 +77,9 @@ module type S = sig
     batch_window : int;
         (** 0 (default): order each request immediately. Positive: the
             primary buffers requests for this many cycles (or until
-            [max_batch]) and certifies the whole batch with ONE certificate
-            — the standard BFT throughput lever (ablation A8). *)
+            [max_batch]) on the shared {!Batcher}, with no pipeline bound,
+            and certifies the whole batch with ONE certificate — the
+            standard BFT throughput lever (ablation A8). *)
     max_batch : int;
     checkpoint : Checkpoint.config option;
         (** Certified checkpointing + state transfer with an f+1 quorum
@@ -95,8 +96,7 @@ module type S = sig
             When active it supersedes the legacy [batch_window]/[max_batch]
             fields and additionally bounds in-flight agreement instances by
             [pipeline_depth] and the checkpoint high watermark. [None]
-            (the default) keeps the legacy behaviour byte-identical —
-            including the A8 ablation's window sweep. *)
+            (the default) keeps the legacy behaviour byte-identical. *)
   }
 
   val default_config : config

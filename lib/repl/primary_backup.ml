@@ -40,27 +40,11 @@ let default_config =
 let n_replicas config = config.n_backups + 1
 
 type replica = {
-  id : int;
-  n : int;
-  engine : Engine.t;
-  fabric : msg Transport.fabric;
+  core : msg Replica.t;  (* no pending requests or request timers here *)
   config : config;
-  behavior : Behavior.t;
-  app : App.t;
-  stats : Stats.t;
   mutable epoch : int;
   mutable seq : int;  (* primary: updates shipped; backup: updates applied *)
   mutable last_heartbeat : int;
-  mutable rid_last : int array;  (* client -> last rid, min_int = none *)
-  mutable rid_result : int64 array;
-  peer_ids : int array;  (* everyone but self *)
-  mcast : (src:int -> dsts:int array -> n:int -> msg -> unit) option;
-      (* fabric multicast, resolved once; None = per-destination sends *)
-  chk : int;  (* resoc_check session, -1 when checking is off *)
-  mutable online : bool;
-  cp : Checkpoint.t option;  (* checkpoint certificates, None = legacy *)
-  mutable recover_timer : Engine.handle option;
-  mutable batcher : Batcher.t option;  (* primary-side batching, None = legacy *)
   buffered : (int * int, unit) Hashtbl.t;  (* (client, rid) parked in the batcher *)
 }
 
@@ -85,39 +69,17 @@ let message_name = function
 
 let primary_of ~epoch ~n = epoch mod n
 
-let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.n = r.id
+let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
 
-let alive (r : replica) = not (Behavior.is_crashed r.behavior ~now:(Engine.now r.engine))
-
-let send (r : replica) ~dst msg =
-  if r.online && alive r then
-    match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-    | Some Behavior.Silent -> ()
-    | Some (Behavior.Delay d) ->
-      ignore
-        (Engine.schedule r.engine ~delay:d (fun () -> r.fabric.Transport.send ~src:r.id ~dst msg))
-    | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-      r.fabric.Transport.send ~src:r.id ~dst msg
-
-(* Fan-outs to the peer set take the fabric's tree multicast when the
-   replica was built with one: a single behaviour gate, then one
-   injection that forks in the network instead of per-peer unicasts. *)
-let broadcast r ~to_ msg =
-  match r.mcast with
-  | Some mc ->
-    if r.online && alive r then (
-      match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-      | Some Behavior.Silent -> ()
-      | Some (Behavior.Delay d) ->
-        ignore
-          (Engine.schedule r.engine ~delay:d (fun () ->
-               mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg))
-      | Some Behavior.Equivocate | Some Behavior.Corrupt_execution | None ->
-        mc ~src:r.id ~dsts:to_ ~n:(Array.length to_) msg)
-  | None ->
-    for i = 0 to Array.length to_ - 1 do
-      send r ~dst:(Array.unsafe_get to_ i) msg
-    done
+let kit =
+  {
+    Replica.request = (fun request -> Request request);
+    reply = (fun reply -> Reply reply);
+    reply_of = (function Reply reply -> Some reply | _ -> None);
+    checkpoint_vote = (fun seq digest -> Checkpoint_vote { seq; digest });
+    fetch_state = (fun have -> Fetch_state { have });
+    state_chunk = (fun chunk -> State_chunk chunk);
+  }
 
 (* Both ends of an Update derive the same digest from its payload, so the
    checker can compare primary and backup commits at one (epoch, seq) slot. *)
@@ -136,84 +98,24 @@ let update_b_digest ~state ~(replies : (int * int * int64) list) =
     (Hash.combine (Hash.of_string "pb-update-b") state)
     replies
 
-let rid_slot r client =
-  let len = Array.length r.rid_last in
-  if client >= len then begin
-    let ncap = ref (max 8 (2 * len)) in
-    while client >= !ncap do
-      ncap := 2 * !ncap
-    done;
-    let nlast = Array.make !ncap min_int in
-    Array.blit r.rid_last 0 nlast 0 len;
-    let nresult = Array.make !ncap 0L in
-    Array.blit r.rid_result 0 nresult 0 len;
-    r.rid_last <- nlast;
-    r.rid_result <- nresult
-  end;
-  client
-
-let rid_reset r = Array.fill r.rid_last 0 (Array.length r.rid_last) min_int
-
-let cancel_recover_timer r =
-  match r.recover_timer with
-  | Some h ->
-    Engine.cancel r.engine h;
-    r.recover_timer <- None
-  | None -> ()
-
-(* Fetch the latest certified checkpoint, re-asking on a request-timeout
-   cadence until a transfer installs. Only the primary holds a stable
-   certificate (quorum 1: its own vote), but the rejoiner asks everyone. *)
-let start_recovery (r : replica) cp =
-  Checkpoint.begin_recovery cp ~now:(Engine.now r.engine);
-  let fetch () = broadcast r ~to_:r.peer_ids (Fetch_state { have = Checkpoint.low cp }) in
-  let rec arm () =
-    cancel_recover_timer r;
-    r.recover_timer <-
-      Some
-        (Engine.schedule r.engine ~delay:r.config.request_timeout (fun () ->
-             r.recover_timer <- None;
-             if r.online && Checkpoint.recovering cp then begin
-               fetch ();
-               arm ()
-             end))
-  in
-  fetch ();
-  arm ()
-
-let maybe_catchup r cp =
-  if Checkpoint.needs_catchup cp && not (Checkpoint.recovering cp) then start_recovery r cp
-
 (* Primary-side checkpointing: at every boundary the primary digests its
    state, announces the vote (so backups track stability and detect
    falling behind), and — the quorum being 1 in the crash-pair model —
    immediately stabilises its own certificate. *)
 let note_boundary r =
-  match r.cp with
+  match r.core.cp with
   | None -> ()
   | Some cp -> (
-    if r.chk >= 0 then
-      Check.exec_window ~session:r.chk ~replica:r.id ~seq:r.seq ~low:(Checkpoint.low cp)
-        ~high:(Checkpoint.high cp)
-        ~faulty:(Behavior.is_faulty r.behavior);
+    Replica.check_window r.core ~seq:r.seq;
     match
-      Checkpoint.note_exec cp ~seq:r.seq ~state:(App.state r.app) ~rid_last:r.rid_last
-        ~rid_result:r.rid_result
+      Checkpoint.note_exec cp ~seq:r.seq ~state:(App.state r.core.app) ~rid_last:r.core.rid_last
+        ~rid_result:r.core.rid_result
     with
     | None -> ()
     | Some d ->
-      broadcast r ~to_:r.peer_ids (Checkpoint_vote { seq = r.seq; digest = d });
-      if Checkpoint.note_vote cp ~seq:r.seq ~digest:d ~voter:r.id >= 0 then
-        r.stats.Stats.checkpoints <- r.stats.Stats.checkpoints + 1)
-
-let reply_now r ~client ~rid ~result =
-  let corrupt =
-    match Behavior.active_strategy r.behavior ~now:(Engine.now r.engine) with
-    | Some Behavior.Corrupt_execution -> true
-    | Some _ | None -> false
-  in
-  let result = if corrupt then Int64.logxor result 0xBADBADL else result in
-  send r ~dst:client (Reply { Types.client = client; rid; result; replica = r.id })
+      Replica.broadcast r.core ~to_:r.core.peer_ids (Checkpoint_vote { seq = r.seq; digest = d });
+      if Checkpoint.note_vote cp ~seq:r.seq ~digest:d ~voter:r.core.id >= 0 then
+        r.core.stats.Stats.checkpoints <- r.core.stats.Stats.checkpoints + 1)
 
 (* Batched primary path ([config.batching], the [Batcher.seal] callback):
    execute the whole batch in arrival order, bump the sequence number
@@ -227,47 +129,34 @@ let exec_batch r (requests : Types.request list) =
   if requests <> [] && is_primary r then begin
     let replies =
       List.map
-        (fun (req : Types.request) ->
-          let client = req.Types.client and rid = req.Types.rid in
-          let c = rid_slot r client in
-          let result =
-            if r.rid_last.(c) <> min_int && rid <= r.rid_last.(c) then r.rid_result.(c)
-            else begin
-              let result = App.execute r.app req.Types.payload in
-              r.rid_last.(c) <- rid;
-              r.rid_result.(c) <- result;
-              result
-            end
-          in
-          (client, rid, result))
+        (fun (req : Types.request) -> (req.Types.client, req.Types.rid, Replica.apply r.core req))
         requests
     in
     r.seq <- r.seq + 1;
-    let state = App.state r.app in
-    if r.chk >= 0 then begin
-      Check.commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq
+    let state = App.state r.core.app in
+    if r.core.chk >= 0 then begin
+      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq
         ~digest:(update_b_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
+        ~faulty:(Replica.faulty r.core);
       let len = List.length replies in
       List.iteri
         (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq ~pos ~len
-            ~client ~rid
-            ~faulty:(Behavior.is_faulty r.behavior))
+          Check.batch_commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq ~pos
+            ~len ~client ~rid
+            ~faulty:(Replica.faulty r.core))
         replies
     end;
-    broadcast r ~to_:r.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
+    Replica.broadcast r.core ~to_:r.core.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
     note_boundary r;
-    List.iter (fun (client, rid, result) -> reply_now r ~client ~rid ~result) replies
+    List.iter (fun (client, rid, result) -> Replica.reply r.core ~client ~rid result) replies
   end
 
 let on_request r (request : Types.request) =
   if is_primary r then begin
     let client = request.Types.client and rid = request.Types.rid in
-    let c = rid_slot r client in
-    let cached = r.rid_last.(c) <> min_int && rid <= r.rid_last.(c) in
-    match r.batcher with
+    let cached = Replica.executed r.core request in
+    match r.core.batcher with
     | Some b when not cached ->
       (* Retransmissions of a request already parked in the batcher must
          not enter a second batch. *)
@@ -277,95 +166,93 @@ let on_request r (request : Types.request) =
       end
     | Some _ | None ->
       let result =
-        if cached then r.rid_result.(c)
+        if cached then r.core.rid_result.(client)
         else begin
-          let result = App.execute r.app request.Types.payload in
-          r.rid_last.(c) <- rid;
-          r.rid_result.(c) <- result;
+          let result = Replica.apply r.core request in
           r.seq <- r.seq + 1;
-          if r.chk >= 0 then
-            Check.commit ~session:r.chk ~replica:r.id ~view:r.epoch ~seq:r.seq
-              ~digest:(update_digest ~state:(App.state r.app) ~client ~rid ~result)
+          if r.core.chk >= 0 then
+            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq
+              ~digest:(update_digest ~state:(App.state r.core.app) ~client ~rid ~result)
               ~signers:(-1) ~quorum:1
-              ~faulty:(Behavior.is_faulty r.behavior);
+              ~faulty:(Replica.faulty r.core);
           (* Ship the new state to the standbys. *)
-          broadcast r ~to_:r.peer_ids
-            (Update { epoch = r.epoch; seq = r.seq; state = App.state r.app; client; rid; result });
+          Replica.broadcast r.core ~to_:r.core.peer_ids
+            (Update { epoch = r.epoch; seq = r.seq; state = App.state r.core.app; client; rid; result });
           note_boundary r;
           result
         end
       in
-      reply_now r ~client ~rid ~result
+      Replica.reply r.core ~client ~rid result
   end
 
 let on_update r ~epoch ~seq ~state ~client ~rid ~result =
   if epoch >= r.epoch && seq > r.seq then begin
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
-    App.set_state r.app state;
-    if r.chk >= 0 then
-      Check.commit ~session:r.chk ~replica:r.id ~view:epoch ~seq
+    App.set_state r.core.app state;
+    if r.core.chk >= 0 then
+      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:epoch ~seq
         ~digest:(update_digest ~state ~client ~rid ~result)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
-    let c = rid_slot r client in
-    r.rid_last.(c) <- rid;
-    r.rid_result.(c) <- result;
-    (match r.cp with
+        ~faulty:(Replica.faulty r.core);
+    Replica.record r.core ~client ~rid result;
+    (match r.core.cp with
     | None -> ()
     | Some cp ->
       (* Landing exactly on a boundary lets the backup match the
          primary's vote; a skipped boundary (gap in the update stream)
          instead trips the catch-up path when the vote arrives. *)
       ignore
-        (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.rid_last ~rid_result:r.rid_result))
+        (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.core.rid_last
+           ~rid_result:r.core.rid_result))
   end
 
 let on_update_b r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
   if epoch >= r.epoch && seq > r.seq then begin
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
-    App.set_state r.app state;
-    if r.chk >= 0 then begin
-      Check.commit ~session:r.chk ~replica:r.id ~view:epoch ~seq
+    App.set_state r.core.app state;
+    if r.core.chk >= 0 then begin
+      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:epoch ~seq
         ~digest:(update_b_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
-        ~faulty:(Behavior.is_faulty r.behavior);
+        ~faulty:(Replica.faulty r.core);
       let len = List.length replies in
       List.iteri
         (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:r.chk ~replica:r.id ~view:epoch ~seq ~pos ~len ~client ~rid
-            ~faulty:(Behavior.is_faulty r.behavior))
+          Check.batch_commit ~session:r.core.chk ~replica:r.core.id ~view:epoch ~seq ~pos ~len
+            ~client ~rid
+            ~faulty:(Replica.faulty r.core))
         replies
     end;
     List.iter
       (fun (client, rid, result) ->
-        let c = rid_slot r client in
+        let c = Replica.rid_slot r.core client in
         (* Reply-cache hits sealed into a batch carry their old rid; never
            regress the cache below what this backup already recorded. *)
-        if r.rid_last.(c) = min_int || rid > r.rid_last.(c) then begin
-          r.rid_last.(c) <- rid;
-          r.rid_result.(c) <- result
-        end)
+        if r.core.rid_last.(c) = min_int || rid > r.core.rid_last.(c) then
+          Replica.record r.core ~client ~rid result)
       replies;
-    (match r.cp with
+    (match r.core.cp with
     | None -> ()
     | Some cp ->
-      ignore (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.rid_last ~rid_result:r.rid_result))
+      ignore
+        (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.core.rid_last
+           ~rid_result:r.core.rid_result))
   end
 
 let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.cp with
+  match r.core.cp with
   | None -> ()
   | Some cp ->
     if Checkpoint.note_vote cp ~seq ~digest ~voter:src >= 0 then
-      r.stats.Stats.checkpoints <- r.stats.Stats.checkpoints + 1;
-    maybe_catchup r cp
+      r.core.stats.Stats.checkpoints <- r.core.stats.Stats.checkpoints + 1;
+    Replica.maybe_catchup r.core cp
 
 let on_fetch_state r ~src ~have =
-  match r.cp with
+  match r.core.cp with
   | None -> ()
-  | Some cp -> (
+  | Some cp ->
     (* Self-stabilize at the execution tip before serving: Updates carry
        full state but no replayable log, so serving the last periodic
        boundary would restore a wiped primary behind the backups and make
@@ -374,62 +261,30 @@ let on_fetch_state r ~src ~have =
        certificate (the quorum is 1). The transfer then needs no log
        suffix: Meta + reply-cache chunks reconstruct the replica. *)
     if (not (Checkpoint.recovering cp)) && r.seq > Checkpoint.low cp then
-      Checkpoint.force_stable cp ~seq:r.seq ~state:(App.state r.app) ~rid_last:r.rid_last
-        ~rid_result:r.rid_result ~voter:r.id;
-    match Checkpoint.serve cp ~view:r.epoch ~have ~suffix:[] with
-    | Some chunks -> List.iter (fun c -> send r ~dst:src (State_chunk c)) chunks
-    | None -> ())
+      Checkpoint.force_stable cp ~seq:r.seq ~state:(App.state r.core.app)
+        ~rid_last:r.core.rid_last ~rid_result:r.core.rid_result ~voter:r.core.id;
+    Replica.serve r.core cp ~src ~have ~view:r.epoch ~suffix:[]
 
-let install_transfer (r : replica) cp (c : Checkpoint.completion) =
-  cancel_recover_timer r;
+let install_transfer (r : replica) (c : Checkpoint.completion) =
   r.epoch <- max r.epoch c.Checkpoint.c_view;
-  App.set_state r.app c.Checkpoint.c_state;
-  rid_reset r;
-  List.iter
-    (fun (client, rid, result) ->
-      let i = rid_slot r client in
-      r.rid_last.(i) <- rid;
-      r.rid_result.(i) <- result)
-    c.Checkpoint.c_rids;
-  r.seq <- c.Checkpoint.c_cert.Checkpoint.cp_seq;
-  r.last_heartbeat <- Engine.now r.engine;
-  Checkpoint.install cp c;
-  r.stats.Stats.state_transfers <- r.stats.Stats.state_transfers + 1;
-  r.stats.Stats.transfer_bytes <- r.stats.Stats.transfer_bytes + c.Checkpoint.c_bytes;
-  r.stats.Stats.transfer_cycles <- r.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed
-
-let on_state_chunk r ~src chunk =
-  match r.cp with
-  | None -> ()
-  | Some cp -> (
-    match Checkpoint.feed cp ~src ~now:(Engine.now r.engine) chunk with
-    | None -> ()
-    | Some c ->
-      if r.chk >= 0 then
-        Check.transfer_applied ~session:r.chk ~replica:r.id
-          ~seq:c.Checkpoint.c_cert.Checkpoint.cp_seq
-          ~claimed:c.Checkpoint.c_cert.Checkpoint.cp_digest ~actual:c.Checkpoint.c_actual
-          ~faulty:(Behavior.is_faulty r.behavior);
-      if
-        (c.Checkpoint.c_valid || !Checkpoint.test_unverified_transfer)
-        && c.Checkpoint.c_cert.Checkpoint.cp_seq > r.seq
-      then install_transfer r cp c)
+  r.seq <- Replica.install r.core c;
+  r.last_heartbeat <- Engine.now r.core.engine
 
 let on_heartbeat r ~epoch =
   if epoch >= r.epoch then begin
     r.epoch <- max r.epoch epoch;
-    r.last_heartbeat <- Engine.now r.engine
+    r.last_heartbeat <- Engine.now r.core.engine
   end
 
 let on_promote r ~epoch =
   if epoch > r.epoch then begin
     r.epoch <- epoch;
-    r.last_heartbeat <- Engine.now r.engine;
-    if is_primary r then r.stats.Stats.view_changes <- r.stats.Stats.view_changes + 1
+    r.last_heartbeat <- Engine.now r.core.engine;
+    if is_primary r then Replica.view_changed r.core ~view:epoch
   end
 
 let handle (r : replica) ~src msg =
-  if r.online && alive r then
+  if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
     | Update { epoch; seq; state; client; rid; result } ->
@@ -440,61 +295,55 @@ let handle (r : replica) ~src msg =
     | Reply _ -> ()
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk -> on_state_chunk r ~src chunk
+    | State_chunk chunk ->
+      Replica.on_state_chunk r.core ~src ~last_exec:r.seq chunk
+        ~install:(install_transfer r)
 
 (* Primary duty: periodic heartbeats. Backup duty: watch for silence; the
    next-in-line backup promotes itself when the detector fires. Ranks stagger
    the takeover so two backups don't promote simultaneously. *)
 let start_timers (r : replica) =
-  Engine.every r.engine ~period:r.config.heartbeat_period (fun () ->
-      if r.online && alive r then
-        if is_primary r then broadcast r ~to_:r.peer_ids (Heartbeat { epoch = r.epoch })
+  Engine.every r.core.engine ~period:r.config.heartbeat_period (fun () ->
+      if Replica.live r.core then
+        if is_primary r then
+          Replica.broadcast r.core ~to_:r.core.peer_ids (Heartbeat { epoch = r.epoch })
         else begin
-          let silence = Engine.now r.engine - r.last_heartbeat in
+          let n = r.core.n in
+          let silence = Engine.now r.core.engine - r.last_heartbeat in
           (* The smallest future epoch whose primary is this replica; the
              extra stagger lets closer-ranked backups claim first, so a dead
              next-in-line does not wedge the failover chain. *)
           let mine =
-            let offset = ((r.id - (r.epoch + 1)) mod r.n + r.n) mod r.n in
+            let offset = ((r.core.id - (r.epoch + 1)) mod n + n) mod n in
             r.epoch + 1 + offset
           in
           let rank = mine - r.epoch - 1 in
           if silence > r.config.detection_timeout + (rank * r.config.heartbeat_period) then begin
             r.epoch <- mine;
-            r.stats.Stats.view_changes <- r.stats.Stats.view_changes + 1;
-            r.last_heartbeat <- Engine.now r.engine;
-            broadcast r ~to_:r.peer_ids (Promote { epoch = mine })
+            Replica.view_changed r.core ~view:mine;
+            r.last_heartbeat <- Engine.now r.core.engine;
+            Replica.broadcast r.core ~to_:r.core.peer_ids (Promote { epoch = mine })
           end
         end)
 
-let make_replica engine fabric config stats ~id ~behavior ~chk =
-  let n = n_replicas config in
+let spec (config : config) =
   {
-    id;
-    n;
-    engine;
-    fabric;
-    config;
-    behavior;
-    app = App.accumulator ();
-    stats;
-    epoch = 0;
-    seq = 0;
-    last_heartbeat = 0;
-    rid_last = Array.make (n + config.n_clients) min_int;
-    rid_result = Array.make (n + config.n_clients) 0L;
-    peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
-    mcast = (if config.multicast then fabric.Transport.multicast else None);
-    chk;
-    online = true;
-    cp =
-      (match config.checkpoint with
-      | Some c -> Some (Checkpoint.create c ~obs:(Engine.obs engine) ~quorum:1)
-      | None -> None);
-    recover_timer = None;
-    batcher = None;
-    buffered = Hashtbl.create 16;
+    Replica.label = "Primary_backup";
+    protocol = "primary_backup";
+    n = n_replicas config;
+    n_clients = config.n_clients;
+    client_quorum = 1;
+    request_timeout = config.request_timeout;
+    watch_delay = 0;  (* no request timers: failover is heartbeat-driven *)
+    checkpoint = config.checkpoint;
+    cp_quorum = 1;
+    multicast = config.multicast;
+    spans = false;
+    count_views = false;
   }
+
+let make_replica config core =
+  { core; config; epoch = 0; seq = 0; last_heartbeat = 0; buffered = Hashtbl.create 16 }
 
 (* The primary executes and replies the moment it seals, so there is no
    in-flight agreement to bound: the pipeline gate is trivially open and
@@ -502,7 +351,7 @@ let make_replica engine fabric config stats ~id ~behavior ~chk =
 let attach_batcher engine (r : replica) =
   match r.config.batching with
   | Some b when Batcher.active b ->
-    r.batcher <-
+    r.core.batcher <-
       Some
         (Batcher.create ~engine ~cfg:b
            ~seal:(fun reqs -> exec_batch r reqs)
@@ -511,42 +360,18 @@ let attach_batcher engine (r : replica) =
   | Some _ | None -> ()
 
 let start engine fabric config ?behaviors () =
-  let n = n_replicas config in
-  let chk = if !Check.enabled then Check.new_session ~protocol:"primary_backup" else -1 in
-  let behaviors =
-    match behaviors with
-    | Some b ->
-      if Array.length b <> n then
-        invalid_arg "Primary_backup.start: behaviors must cover every replica";
-      b
-    | None -> Array.make n Behavior.honest
-  in
-  if fabric.Transport.n_endpoints < n + config.n_clients then
-    invalid_arg "Primary_backup.start: fabric too small";
-  let stats = Stats.create () in
-  let replicas =
-    Array.init n (fun id -> make_replica engine fabric config stats ~id ~behavior:behaviors.(id) ~chk)
-  in
+  let spec = spec config in
+  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
   Array.iter
     (fun r ->
       attach_batcher engine r;
-      fabric.Transport.set_handler r.id (fun ~src msg -> handle r ~src msg);
+      fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg);
       start_timers r)
     replicas;
-  let clients =
-    Array.init config.n_clients (fun i ->
-        Client.create engine fabric ~id:(n + i) ~n_replicas:n ~quorum:1
-          ~retry_timeout:config.request_timeout ~stats
-          ~to_msg:(fun request -> Request request)
-          ~of_msg:(function Reply reply -> Some reply | _ -> None)
-          ())
-  in
+  let clients = Replica.clients engine fabric kit spec ~stats in
   { engine; config; replicas; clients; shared_stats = stats }
 
-let submit t ~client ~payload =
-  if client < 0 || client >= Array.length t.clients then
-    invalid_arg "Primary_backup.submit: unknown client";
-  Client.submit t.clients.(client) ~payload
+let submit t ~client ~payload = Replica.submit "Primary_backup" t.clients ~client ~payload
 
 let stats t = t.shared_stats
 
@@ -554,63 +379,39 @@ let epoch t ~replica = t.replicas.(replica).epoch
 
 let current_primary t =
   let best = Array.fold_left (fun acc r -> if r.epoch > acc.epoch then r else acc) t.replicas.(0) t.replicas in
-  primary_of ~epoch:best.epoch ~n:best.n
+  primary_of ~epoch:best.epoch ~n:best.core.n
 
-let replica_state t ~replica = App.state t.replicas.(replica).app
+let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
-let set_replica_state t ~replica state = App.set_state t.replicas.(replica).app state
+let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core.app state
 
-let replica_online t ~replica = t.replicas.(replica).online
+let replica_online t ~replica = t.replicas.(replica).core.online
 
 let set_offline t ~replica =
   let r = t.replicas.(replica) in
-  if r.online then begin
-    r.online <- false;
-    (match r.batcher with Some b -> Batcher.clear b | None -> ());
-    Hashtbl.reset r.buffered;
-    cancel_recover_timer r
-  end
-
-(* Legacy model: free state copy from the most advanced online peer. *)
-let legacy_rejoin t (r : replica) =
-  let best = ref None in
-  Array.iter
-    (fun (peer : replica) ->
-      if peer.id <> r.id && peer.online then
-        match !best with
-        | Some (b : replica) when b.seq >= peer.seq -> ()
-        | Some _ | None -> best := Some peer)
-    t.replicas;
-  match !best with
-  | Some peer ->
-    r.epoch <- peer.epoch;
-    r.seq <- peer.seq;
-    App.set_state r.app (App.state peer.app);
-    rid_reset r;
-    for c = 0 to Array.length peer.rid_last - 1 do
-      if peer.rid_last.(c) <> min_int then begin
-        let i = rid_slot r c in
-        r.rid_last.(i) <- peer.rid_last.(c);
-        r.rid_result.(i) <- peer.rid_result.(c)
-      end
-    done;
-    r.last_heartbeat <- Engine.now r.engine
-  | None -> ()
+  Replica.set_offline r.core;
+  Hashtbl.reset r.buffered
 
 let set_online t ~replica =
   let r = t.replicas.(replica) in
-  if not r.online then begin
-    r.online <- true;
-    r.last_heartbeat <- Engine.now r.engine;
-    match r.cp with
+  if not r.core.online then begin
+    r.core.online <- true;
+    r.last_heartbeat <- Engine.now r.core.engine;
+    match r.core.cp with
     | Some cp ->
       (* Rejuvenation wiped the replica: rejoin by certified transfer
          instead of a free peer copy. *)
       r.epoch <- 0;
       r.seq <- 0;
-      App.set_state r.app 0L;
-      rid_reset r;
-      Checkpoint.reset cp;
-      start_recovery r cp
-    | None -> legacy_rejoin t r
+      Replica.rejoin_wiped r.core cp
+    | None -> (
+      (* Legacy model: free state copy from the most advanced online peer. *)
+      match
+        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core) ~progress:(fun p -> p.seq)
+      with
+      | Some peer ->
+        r.epoch <- peer.epoch;
+        r.seq <- peer.seq;
+        r.last_heartbeat <- Engine.now r.core.engine
+      | None -> ())
   end

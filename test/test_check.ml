@@ -284,6 +284,36 @@ let test_mutant_batch_duplicate () =
             Alcotest.(check bool) "names batch atomicity" true
               (contains ~sub:"batch atomicity" msg)))
 
+(* MinBFT's legacy [batch_window]: the primary receives every request
+   once from the client and once per forwarding backup, and each copy
+   must land in at most one batch. Every Prepare on the wire is checked
+   for a repeated (client, rid), and the checker for atomicity. *)
+let test_legacy_window_no_duplicates () =
+  with_check (fun () ->
+      let engine = Engine.create ~seed:13L () in
+      let config = { Minbft.default_config with n_clients = 8; batch_window = 50; max_batch = 16 } in
+      let n = Minbft.n_replicas config in
+      let hub = Transport.hub engine ~n:(n + 8) () in
+      let repeated = ref 0 in
+      let send ~src ~dst msg =
+        (match msg with
+        | Minbft.Prepare { requests; _ } ->
+          let ids = List.map (fun (r : Resoc_repl.Types.request) -> (r.client, r.rid)) requests in
+          if List.length (List.sort_uniq compare ids) <> List.length ids then incr repeated
+        | _ -> ());
+        hub.Transport.send ~src ~dst msg
+      in
+      let sys = Minbft.start engine { hub with Transport.send } config () in
+      for c = 0 to 7 do
+        for i = 1 to 10 do
+          Minbft.submit sys ~client:c ~payload:(Int64.of_int ((c * 100) + i))
+        done
+      done;
+      Engine.run ~until:600_000 engine;
+      Alcotest.(check int) "every request completes" 80 (Minbft.stats sys).Stats.completed;
+      Alcotest.(check int) "no batch repeats a request" 0 !repeated;
+      Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0))
+
 (* --- transparency ------------------------------------------------------- *)
 
 let minbft_fingerprint ~seed ~count =
@@ -448,6 +478,8 @@ let () =
           Alcotest.test_case "broken quorum flagged" `Quick test_mutant_broken_quorum;
           Alcotest.test_case "usig re-issue flagged" `Quick test_mutant_usig_reissue;
           Alcotest.test_case "batch duplicate flagged" `Quick test_mutant_batch_duplicate;
+          Alcotest.test_case "legacy window batches each request once" `Quick
+            test_legacy_window_no_duplicates;
         ] );
       ( "transparency",
         [ Alcotest.test_case "BENCH json identical" `Quick test_bench_json_transparent ] );

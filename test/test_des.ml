@@ -1,65 +1,75 @@
 open Resoc_des
 
-(* --- Heap --- *)
+(* --- Heap: the engine's event queue --- *)
+
+(* Drain [Ipq] keys in pop order. *)
+let pop q =
+  if Ipq.is_empty q then None
+  else begin
+    let k = Ipq.min_key q in
+    Ipq.remove_min q;
+    Some k
+  end
+
+let ipq_of keys =
+  let q = Ipq.create () in
+  List.iter (fun k -> Ipq.add q k k) keys;
+  q
+
+let drain q =
+  let rec go acc = match pop q with None -> List.rev acc | Some x -> go (x :: acc) in
+  go []
 
 let test_heap_ordering () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain [])
+  let q = ipq_of [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ] in
+  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (drain q)
 
 let test_heap_empty () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop none" None (Heap.pop h)
+  let q = Ipq.create () in
+  Alcotest.(check bool) "is_empty" true (Ipq.is_empty q);
+  Alcotest.check_raises "min_key" (Invalid_argument "Ipq.min_key: empty queue") (fun () ->
+      ignore (Ipq.min_key q));
+  Alcotest.(check (option int)) "pop none" None (pop q)
 
 let test_heap_peek_stable () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  List.iter (Heap.add h) [ 4; 2; 9 ];
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "size unchanged" 3 (Heap.size h)
+  let q = ipq_of [ 4; 2; 9 ] in
+  Alcotest.(check int) "peek min" 2 (Ipq.min_key q);
+  Alcotest.(check int) "size unchanged" 3 (Ipq.size q)
 
 let test_heap_interleaved () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Heap.add h 5;
-  Heap.add h 1;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Heap.add h 0;
-  Heap.add h 7;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 7" (Some 7) (Heap.pop h)
+  let q = ipq_of [ 5; 1 ] in
+  Alcotest.(check (option int)) "pop 1" (Some 1) (pop q);
+  Ipq.add q 0 0;
+  Ipq.add q 7 7;
+  Alcotest.(check (option int)) "pop 0" (Some 0) (pop q);
+  Alcotest.(check (option int)) "pop 5" (Some 5) (pop q);
+  Alcotest.(check (option int)) "pop 7" (Some 7) (pop q)
 
 let test_heap_pop_releases () =
-  (* Popped payloads must not stay pinned by the heap's backing array:
-     the vacated slot is overwritten on every pop and the array dropped
-     when the heap drains. *)
-  let h = Heap.create ~leq:(fun (a, _) (b, _) -> a <= b) in
+  (* A fired event's closure (and what it captures) must not stay pinned
+     by the engine's pooled queue: the slot's action cell is cleared as
+     soon as the event pops. *)
+  let e = Engine.create ~seed:1L () in
   let weaks = Weak.create 4 in
   for i = 0 to 3 do
     let payload = ref (1000 + i) in
     Weak.set weaks i (Some payload);
-    Heap.add h (i, payload)
+    ignore (Engine.schedule e ~delay:(i + 1) (fun () -> incr payload))
   done;
-  for _ = 0 to 3 do
-    ignore (Heap.pop h)
-  done;
+  Engine.run e;
   Gc.full_major ();
   for i = 0 to 3 do
     Alcotest.(check bool)
       (Printf.sprintf "payload %d collected" i)
       false (Weak.check weaks i)
-  done
+  done;
+  (* The engine itself stays live across the collection above. *)
+  Alcotest.(check int) "clock" 4 (Engine.now (Sys.opaque_identity e))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
     QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~leq:(fun a b -> a <= b) in
-      List.iter (Heap.add h) xs;
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
+    (fun xs -> drain (ipq_of xs) = List.sort compare xs)
 
 (* --- Rng --- *)
 
@@ -396,14 +406,6 @@ let prop_ipq_model =
 
 (* --- Metrics --- *)
 
-let test_counter () =
-  let c = Metrics.Counter.create "c" in
-  Metrics.Counter.incr c;
-  Metrics.Counter.incr ~by:4 c;
-  Alcotest.(check int) "value" 5 (Metrics.Counter.value c);
-  Metrics.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Metrics.Counter.value c)
-
 let test_histogram_stats () =
   let h = Metrics.Histogram.create "h" in
   List.iter (Metrics.Histogram.add h) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
@@ -456,18 +458,6 @@ let test_histogram_empty () =
   let h = Metrics.Histogram.create "h" in
   Alcotest.(check (float 0.0)) "mean empty" 0.0 (Metrics.Histogram.mean h);
   Alcotest.(check (float 0.0)) "percentile empty" 0.0 (Metrics.Histogram.percentile h 50.0)
-
-let test_series () =
-  let s = Metrics.Series.create "s" in
-  Metrics.Series.add s ~time:1 1.5;
-  Metrics.Series.add s ~time:2 2.5;
-  Alcotest.(check int) "length" 2 (Metrics.Series.length s);
-  Alcotest.(check (list (pair int (float 1e-9)))) "order" [ (1, 1.5); (2, 2.5) ] (Metrics.Series.to_list s);
-  (match Metrics.Series.last s with
-   | Some (t, v) ->
-     Alcotest.(check int) "last time" 2 t;
-     Alcotest.(check (float 1e-9)) "last value" 2.5 v
-   | None -> Alcotest.fail "expected last")
 
 (* --- Trace --- *)
 
@@ -556,12 +546,10 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
           Alcotest.test_case "histogram percentile" `Quick test_histogram_percentile;
           Alcotest.test_case "percentile small n" `Quick test_percentile_small_n;
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
-          Alcotest.test_case "series" `Quick test_series;
         ] );
       qsuite "metrics-prop" [ prop_percentile_oracle ];
       ( "trace",

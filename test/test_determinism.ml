@@ -4,8 +4,11 @@
    slot-ring/bitset rewrite and pinned as an expectation: the E3 (BFT on
    the NoC), E4 (passive vs active under a primary crash) and E9 (hybrid
    complexity crossover) summary numbers must stay bit-identical across
-   purely structural changes to lib/repl. Floats are compared by their
-   IEEE-754 bit patterns, so even a 1-ulp drift fails.
+   purely structural changes to lib/repl. The second group pins the paths
+   the shared replica core serves for every protocol: batching, checkpoint
+   wipe-and-rejoin, legacy free-copy rejoin, Byzantine PBFT primaries,
+   CheapBFT in the E3/E4 shapes and MinBFT over NoC multicast. Floats are
+   compared by their IEEE-754 bit patterns, so even a 1-ulp drift fails.
 
    If a PR changes these values it changed protocol behaviour, not just
    data layout — that needs an explicit expectation refresh plus a
@@ -73,10 +76,210 @@ let e9_summary () =
     (bits (Complexity.p_fail_circuit p ~complexity:8))
     (bits (Complexity.p_fail_software_hybrid p ~complexity:8))
 
+(* --- paths through the shared replica core --- *)
+
+module Transport = Resoc_repl.Transport
+module Cheapbft = Resoc_repl.Cheapbft
+module Primary_backup = Resoc_repl.Primary_backup
+
+(* Closed-loop burst on a hub; [churn] takes [replica] offline and back
+   online at the given cycles. Every replica's final state is reported so
+   a rejoin that lands on the wrong state shows up. *)
+let run_summary ~engine ~n ~submit ~stats ~messages ~state ~set_offline ~set_online ?churn
+    ~clients ~per_client () =
+  Generator.burst ~n_per_client:per_client ~n_clients:clients ~submit;
+  (match churn with
+  | Some (replica, off, on) ->
+    ignore (Engine.schedule engine ~delay:off (fun () -> set_offline ~replica));
+    ignore (Engine.schedule engine ~delay:on (fun () -> set_online ~replica))
+  | None -> ());
+  Engine.run ~until:1_000_000 engine;
+  let s : Stats.t = stats () in
+  Printf.sprintf
+    "completed=%d submitted=%d retx=%d wrong=%d vc=%d ckpt=%d xfer=%d xbytes=%d msgs=%d mean=%s \
+     p99=%s states=%s"
+    s.Stats.completed s.Stats.submitted s.Stats.retransmissions s.Stats.wrong_replies
+    s.Stats.view_changes s.Stats.checkpoints s.Stats.state_transfers s.Stats.transfer_bytes
+    (messages ()) (bits (Histogram.mean s.Stats.latency))
+    (bits (Histogram.percentile s.Stats.latency 99.0))
+    (String.concat "," (List.init n (fun replica -> Int64.to_string (state ~replica))))
+
+let group_summary ?churn ?(clients = 4) ?(per_client = 200) spec =
+  let engine = Engine.create ~seed:7L () in
+  let group = Group.build engine (Group.Hub { latency = 5 }) { spec with Group.n_clients = clients } in
+  run_summary ~engine ~n:group.Group.n_replicas ~submit:group.Group.submit
+    ~stats:group.Group.stats ~messages:group.Group.messages
+    ~state:(fun ~replica -> group.Group.replica_state ~replica)
+    ~set_offline:group.Group.set_offline ~set_online:group.Group.set_online ?churn ~clients
+    ~per_client ()
+
+let batching = Some { Resoc_repl.Types.window_cycles = 50; max_batch = 8; pipeline_depth = 4 }
+
+let checkpoint = Some { Resoc_repl.Checkpoint.interval = 32; window = 8; chunk = 8 }
+
+let batched kind () =
+  group_summary ~clients:8 ~per_client:16 { Group.default_spec with kind; batching }
+
+(* Replica 1 (a backup everywhere; an active for CheapBFT) is wiped and
+   rejoins by certified state transfer. *)
+let wiped kind () =
+  group_summary ~churn:(1, 1_500, 3_000) { Group.default_spec with kind; checkpoint }
+
+(* Without checkpoints a rejoining replica copies the most advanced
+   peer. Group keeps CheapBFT and primary-backup replicas online in that
+   model, so those two are driven through their own modules. *)
+let legacy_rejoin kind () =
+  let churn = (1, 1_500, 3_000) in
+  match kind with
+  | `Cheapbft ->
+    let engine = Engine.create ~seed:7L () in
+    let config = { Cheapbft.default_config with n_clients = 4 } in
+    let n = Cheapbft.n_replicas config in
+    let fabric = Transport.hub engine ~n:(n + 4) () in
+    let sys = Cheapbft.start engine fabric config () in
+    run_summary ~engine ~n ~submit:(Cheapbft.submit sys) ~stats:(fun () -> Cheapbft.stats sys)
+      ~messages:fabric.Transport.messages_sent ~state:(Cheapbft.replica_state sys)
+      ~set_offline:(Cheapbft.set_offline sys) ~set_online:(Cheapbft.set_online sys) ~churn
+      ~clients:4 ~per_client:200 ()
+  | `Primary_backup ->
+    let engine = Engine.create ~seed:7L () in
+    let config = { Primary_backup.default_config with n_backups = 2; n_clients = 4 } in
+    let n = Primary_backup.n_replicas config in
+    let fabric = Transport.hub engine ~n:(n + 4) () in
+    let sys = Primary_backup.start engine fabric config () in
+    run_summary ~engine ~n ~submit:(Primary_backup.submit sys)
+      ~stats:(fun () -> Primary_backup.stats sys) ~messages:fabric.Transport.messages_sent
+      ~state:(Primary_backup.replica_state sys) ~set_offline:(Primary_backup.set_offline sys)
+      ~set_online:(Primary_backup.set_online sys) ~churn ~clients:4 ~per_client:200 ()
+  | kind -> group_summary ~churn { Group.default_spec with kind }
+
+let pbft_behaving ~replica behavior () =
+  let behaviors = Array.make 4 Behavior.honest in
+  behaviors.(replica) <- behavior;
+  group_summary { Group.default_spec with kind = `Pbft; behaviors = Some behaviors }
+
+let e3_minbft_mcast () =
+  let soc =
+    Soc.create
+      {
+        Soc.default_config with
+        mesh_width = 4;
+        mesh_height = 4;
+        seed = 77L;
+        noc = { Soc.default_config.noc with Resoc_noc.Network.multicast = true };
+      }
+  in
+  let spec = { Group.default_spec with kind = `Minbft; f = 1; n_clients = 2; multicast = true } in
+  let group = Group.build (Soc.engine soc) (Group.On_soc soc) spec in
+  Generator.burst ~n_per_client:10 ~n_clients:2 ~submit:group.Group.submit;
+  Engine.run ~until:2_000_000 (Soc.engine soc);
+  let s = group.Group.stats () in
+  Printf.sprintf "completed=%d msgs=%d bytes=%d mean=%s p99=%s state=%Ld" s.Stats.completed
+    (Soc.noc_messages soc) (Soc.noc_bytes soc)
+    (bits (Histogram.mean s.Stats.latency))
+    (bits (Histogram.percentile s.Stats.latency 99.0))
+    (group.Group.replica_state ~replica:0)
+
 (* --- pinned expectations --- *)
 
 let expectations =
   [
+    ( "batch/pbft",
+      batched `Pbft,
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=1792 \
+       mean=4039000000000000 p99=4039000000000000 states=128,128,128,128" );
+    ( "wipe/pbft",
+      wiped `Pbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=92 xfer=1 xbytes=168 \
+       msgs=26365 mean=4039000000000000 p99=4039000000000000 states=800,800,800,800" );
+    ( "legacy-rejoin/pbft",
+      legacy_rejoin `Pbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=26080 mean=4039000000000000 p99=4039000000000000 states=800,800,800,800" );
+    ( "batch/minbft",
+      batched `Minbft,
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=1120 \
+       mean=402e000000000000 p99=402e000000000000 states=128,128,128" );
+    ( "wipe/minbft",
+      wiped `Minbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=66 xfer=1 xbytes=1128 \
+       msgs=10146 mean=4030e00000000000 p99=4034000000000000 states=800,800,800" );
+    ( "legacy-rejoin/minbft",
+      legacy_rejoin `Minbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=10000 mean=4030e00000000000 p99=4034000000000000 states=800,800,800" );
+    ( "batch/a2m_bft",
+      (batched `A2m_bft),
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=1120 \
+       mean=402e000000000000 p99=402e000000000000 states=128,128,128" );
+    ( "wipe/a2m_bft",
+      (wiped `A2m_bft),
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=66 xfer=1 xbytes=1128 \
+       msgs=10146 mean=4030e00000000000 p99=4034000000000000 states=800,800,800" );
+    ( "legacy-rejoin/a2m_bft",
+      (legacy_rejoin `A2m_bft),
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=10000 mean=4030e00000000000 p99=4034000000000000 states=800,800,800" );
+    ( "batch/cheapbft",
+      batched `Cheapbft,
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=929 \
+       mean=4034000000000000 p99=4034000000000000 states=128,128,128" );
+    ( "wipe/cheapbft",
+      wiped `Cheapbft,
+      "completed=800 submitted=800 retx=4 wrong=0 vc=4 ckpt=66 xfer=1 xbytes=584 \
+       msgs=9913 mean=4042700000000000 p99=4034000000000000 states=800,800,800" );
+    ( "legacy-rejoin/cheapbft",
+      legacy_rejoin `Cheapbft,
+      "completed=800 submitted=800 retx=4 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 msgs=9793 \
+       mean=4042700000000000 p99=4034000000000000 states=800,800,800" );
+    ( "batch/paxos",
+      batched `Paxos,
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=1120 \
+       mean=4034000000000000 p99=4034000000000000 states=128,128,128" );
+    ( "wipe/paxos",
+      wiped `Paxos,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=66 xfer=1 xbytes=984 \
+       msgs=10440 mean=4034000000000000 p99=4034000000000000 states=800,800,800" );
+    ( "legacy-rejoin/paxos",
+      legacy_rejoin `Paxos,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=10296 mean=4034000000000000 p99=4034000000000000 states=800,800,800" );
+    ( "batch/primary_backup",
+      batched `Primary_backup,
+      "completed=128 submitted=128 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=2400 \
+       mean=4024000000000000 p99=4024000000000000 states=128,128" );
+    ( "wipe/primary_backup",
+      wiped `Primary_backup,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=43 xfer=1 xbytes=168 \
+       msgs=5228 mean=4024000000000000 p99=4024000000000000 states=800,800" );
+    ( "legacy-rejoin/primary_backup",
+      legacy_rejoin `Primary_backup,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=8800 \
+       mean=4024000000000000 p99=4024000000000000 states=800,800,800" );
+    ( "e3/cheapbft",
+      (fun () -> e3_summary `Cheapbft),
+      "completed=20 submitted=20 retx=0 vc=0 msgs=181 bytes=17376 mean=405a000000000000 \
+       p99=4060000000000000 state=20" );
+    ( "e4/cheapbft",
+      (fun () -> e4_summary `Cheapbft),
+      "completed=249 submitted=249 retx=0 vc=1 msgs=2486 p99=4034000000000000 \
+       max=40a3b20000000000 state=249" );
+    ( "pbft/delay",
+      pbft_behaving ~replica:0 (Behavior.byzantine (Behavior.Delay 300)),
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=28000 mean=4074500000000000 p99=4074500000000000 states=800,800,800,800" );
+    ( "pbft/silent",
+      pbft_behaving ~replica:0 (Behavior.byzantine ~from_cycle:1_000 Behavior.Silent),
+      "completed=800 submitted=800 retx=0 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 \
+       msgs=22977 mean=4042c33333333333 p99=4039000000000000 states=160,800,800,800" );
+    ( "pbft/corrupt",
+      pbft_behaving ~replica:0 (Behavior.byzantine Behavior.Corrupt_execution),
+      "completed=800 submitted=800 retx=0 wrong=800 vc=0 ckpt=0 xfer=0 xbytes=0 \
+       msgs=28000 mean=4039000000000000 p99=4039000000000000 states=800,800,800,800" );
+    ( "e3/minbft-mcast",
+      e3_minbft_mcast,
+      "completed=20 msgs=281 bytes=26976 mean=4058666666666666 p99=405e000000000000 \
+       state=20" );
     ( "e3/pbft",
       (fun () -> e3_summary `Pbft),
       "completed=20 submitted=20 retx=0 vc=0 msgs=700 bytes=44800 mean=405839999999999a \

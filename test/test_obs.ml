@@ -351,11 +351,39 @@ let test_minbft_replicate_metrics () =
       let get name = List.assoc_opt name m in
       Alcotest.(check bool) "obs.des.events_fired > 0" true
         (match get "obs.des.events_fired" with Some v -> v > 0.0 | None -> false);
-      Alcotest.(check (option (float 0.0))) "every request went through a batch" (Some 4.0)
+      (* Batch sizes are recorded by the Batcher alone; unbatched MinBFT,
+         like every other protocol, has none. *)
+      Alcotest.(check (option (float 0.0))) "no batcher, no batch sizes" None
         (get "obs.repl.batch_size.count");
       Alcotest.(check (option (float 0.0))) "no view changes" (Some 0.0)
         (get "obs.repl.view_changes");
       Alcotest.(check bool) "metrics_json parses" true (json_ok (Obs.metrics_json ())))
+
+(* Each certificate the primary issues covers one sealed batch, and the
+   Batcher is the only place that records [repl.batch_size]. *)
+let test_batch_size_counts_each_batch_once () =
+  with_flags ~metrics:true ~trace:false (fun () ->
+      let engine = Engine.create ~seed:7L () in
+      let batching =
+        Some { Resoc_repl.Types.window_cycles = 50; max_batch = 8; pipeline_depth = 4 }
+      in
+      let config = { Minbft.default_config with n_clients = 8; batching } in
+      let n = Minbft.n_replicas config in
+      let sys = Minbft.start engine (Transport.hub engine ~n:(n + 8) ()) config () in
+      for c = 0 to 7 do
+        for i = 1 to 16 do
+          Minbft.submit sys ~client:c ~payload:(Int64.of_int i)
+        done
+      done;
+      Engine.run ~until:600_000 engine;
+      Alcotest.(check int) "requests completed" 128 (Minbft.stats sys).Stats.completed;
+      let m = Obs.replicate_metrics () in
+      let certs = Resoc_hybrid.Usig.uis_issued (Minbft.usig sys ~replica:0) in
+      Alcotest.(check (option (float 0.0))) "one batch per certificate"
+        (Some (float_of_int certs))
+        (List.assoc_opt "obs.repl.batch_size.count" m);
+      Alcotest.(check (option (float 0.0))) "each request in one batch" (Some 128.0)
+        (List.assoc_opt "obs.repl.batch_size.sum" m))
 
 let test_trace_spans_pair_up () =
   with_flags ~metrics:false ~trace:true (fun () ->
@@ -410,6 +438,8 @@ let () =
           Alcotest.test_case "engine metrics" `Quick test_engine_metrics;
           Alcotest.test_case "noc metrics" `Quick test_noc_metrics;
           Alcotest.test_case "minbft replicate metrics" `Quick test_minbft_replicate_metrics;
+          Alcotest.test_case "batch sizes counted once" `Quick
+            test_batch_size_counts_each_batch_once;
           Alcotest.test_case "trace spans pair up" `Quick test_trace_spans_pair_up;
         ] );
       qsuite "determinism" [ prop_tracing_is_transparent ];
