@@ -1,7 +1,6 @@
-(* Benchmark entry point: prints every experiment table (E1-E9, F1, A1-A8)
-   and then runs one Bechamel micro-benchmark per experiment on a scaled-down
-   version of its core simulation, so wall-clock regressions in the simulator
-   itself are visible.
+(* Experiment entry point: prints every experiment table (E1-E11, F1,
+   A1-A8). Host performance is measured elsewhere, by the resoc benchmark
+   (benchmark/README.md), whose suite workload times this binary.
 
    Multi-seed experiments run through the resoc_campaign runner: [--seeds]
    sets the replicate count per configuration cell, [--jobs] the number of
@@ -9,12 +8,6 @@
    each campaign writes a machine-readable BENCH_<id>.json (plus CSV with
    [--csv]) into [--json-dir]. Aggregates are bit-identical across worker
    counts.
-
-   [--perf] switches to the self-timing hot-path harness (bench/perf.ml):
-   it measures events/sec and allocations/event on three canonical
-   workloads and writes BENCH_PERF.json; [--quick] shrinks the workloads
-   to a CI-friendly sub-10s run. bench/regress.exe compares two such
-   files and fails on regression.
 
    Progress lines on stderr default to on only when stderr is a tty
    (override with --no-progress / --progress).
@@ -40,11 +33,10 @@
 
    Usage: main.exe [ids...] [--only <id>[,<id>...]] [--list] [--seeds N]
                    [--jobs N] [--json-dir DIR | --no-json] [--csv]
-                   [--root-seed S] [--no-bechamel] [--no-progress]
-                   [--progress] [--metrics] [--trace FILE]
+                   [--root-seed S] [--no-progress] [--progress]
+                   [--metrics] [--trace FILE]
                    [--check] [--shrink] [--replay FILE]
-                   [--perf] [--quick] [--mcast | --mcast-fabric]
-                   [--batch | --batch-armed]
+                   [--mcast | --mcast-fabric] [--batch | --batch-armed]
 
    [--mcast] routes the E2/E3 protocol fan-outs through the fabric's
    multicast (NoC trees on the mesh, the counter-identical loop on the
@@ -58,121 +50,9 @@
    the same paths, which must leave every campaign output byte-identical
    to a plain run — the determinism gate's second mode-off probe. *)
 
-open Bechamel
-open Toolkit
-module Engine = Resoc_des.Engine
-module Rng = Resoc_des.Rng
-module Circuit = Resoc_hw.Circuit
-module Redundancy = Resoc_hw.Redundancy
-module Register = Resoc_hw.Register
-module Complexity = Resoc_hw.Complexity
-module Common_mode = Resoc_fault.Common_mode
-module Transport = Resoc_repl.Transport
-module Minbft = Resoc_repl.Minbft
-module Pbft = Resoc_repl.Pbft
-module Ecc = Resoc_hw.Ecc
-module Group = Resoc_core.Group
-module Generator = Resoc_workload.Generator
-
-(* --- scaled-down kernels for bechamel (one per experiment table) --- *)
-
-let bench_e1 () =
-  let rng = Rng.create 1L in
-  let c = Circuit.random_logic rng ~n_inputs:4 ~n_gates:100 in
-  ignore (Redundancy.mc_circuit_correct rng c ~trials:50 ~p_gate:0.001)
-
-let bench_e2 () =
-  let w = Ecc.encode 0xDEADBEEFL in
-  let w = Ecc.flip w 13 in
-  ignore (Ecc.decode w)
-
-let run_small_group kind =
-  let engine = Engine.create () in
-  let spec = { Group.default_spec with kind; n_clients = 1 } in
-  let group = Group.build engine (Group.Hub { latency = 5 }) spec in
-  Generator.burst ~n_per_client:3 ~n_clients:1 ~submit:group.Group.submit;
-  Engine.run ~until:100_000 engine
-
-let bench_e3 () = run_small_group `Minbft
-
-let bench_e4 () = run_small_group `Primary_backup
-
-let bench_e5 () =
-  let rng = Rng.create 3L in
-  let pool = Common_mode.create ~n_variants:4 ~shared_prob:0.1 in
-  ignore (Common_mode.p_group_compromise pool rng ~assignment:[| 0; 1; 2; 3 |] ~f:1 ~trials:500)
-
-let bench_e6 () =
-  let config =
-    {
-      Resoc_core.Resilient_system.default_config with
-      group = { Group.default_spec with n_clients = 1 };
-    }
-  in
-  let sys = Resoc_core.Resilient_system.create config in
-  ignore (Resoc_core.Resilient_system.run sys ~horizon:30_000 ~workload_period:5_000)
-
-let bench_e7 () =
-  let engine = Engine.create () in
-  let threat = Resoc_resilience.Threat.create engine ~half_life:1_000 in
-  Engine.every engine ~period:100 (fun () -> Resoc_resilience.Threat.report threat ());
-  Engine.run ~until:10_000 engine
-
-let bench_e8 () =
-  let engine = Engine.create () in
-  let grid = Resoc_fabric.Grid.create ~width:8 ~height:8 in
-  let icap = Resoc_fabric.Icap.create engine grid () in
-  Resoc_fabric.Icap.grant icap ~principal:1
-    ~region:(Resoc_fabric.Region.make ~x:0 ~y:0 ~w:8 ~h:8);
-  Resoc_fabric.Icap.configure icap ~principal:1
-    ~region:(Resoc_fabric.Region.make ~x:0 ~y:0 ~w:2 ~h:2)
-    ~bitstream:(Resoc_fabric.Bitstream.make ~variant:0 ~w:2 ~h:2)
-    (fun _ -> ());
-  Engine.run engine
-
-let bench_e9 () = ignore (Complexity.crossover Complexity.default ~max_complexity:200)
-
-let bench_f1 () =
-  let engine = Engine.create () in
-  let config = { Pbft.default_config with n_clients = 1 } in
-  let fabric = Transport.hub engine ~n:5 () in
-  let sys = Pbft.start engine fabric config () in
-  Pbft.submit sys ~client:0 ~payload:1L;
-  Engine.run ~until:50_000 engine
-
-let bechamel_tests =
-  [
-    Test.make ~name:"e1-gate-mc" (Staged.stage bench_e1);
-    Test.make ~name:"e2-secded-roundtrip" (Staged.stage bench_e2);
-    Test.make ~name:"e3-minbft-burst" (Staged.stage bench_e3);
-    Test.make ~name:"e4-primary-backup-burst" (Staged.stage bench_e4);
-    Test.make ~name:"e5-common-mode-mc" (Staged.stage bench_e5);
-    Test.make ~name:"e6-resilient-system" (Staged.stage bench_e6);
-    Test.make ~name:"e7-threat-detector" (Staged.stage bench_e7);
-    Test.make ~name:"e8-icap-configure" (Staged.stage bench_e8);
-    Test.make ~name:"e9-crossover-search" (Staged.stage bench_e9);
-    Test.make ~name:"f1-pbft-roundtrip" (Staged.stage bench_f1);
-  ]
-
-let run_bechamel () =
-  Printf.printf "\n=== Bechamel micro-benchmarks (simulator kernels, ns/run) ===\n";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~stabilize:false ~kde:None () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"resoc" bechamel_tests) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (est :: _) -> Printf.printf "%-28s %12.0f ns/run\n" name est
-      | Some [] | None -> Printf.printf "%-28s (no estimate)\n" name)
-    (List.sort compare rows)
-
 let () =
   let only = ref [] in
   let list_only = ref false in
-  let no_bechamel = ref false in
   let seeds = ref 16 in
   let jobs = ref (Resoc_campaign.Pool.default_jobs ()) in
   let json_dir = ref "." in
@@ -182,8 +62,6 @@ let () =
   (* Progress chatter defaults to on only for interactive runs; CI logs
      stay clean without needing the flag. *)
   let progress = ref (Unix.isatty Unix.stderr) in
-  let perf = ref false in
-  let quick = ref false in
   let metrics = ref false in
   let trace_file = ref "" in
   let check = ref false in
@@ -213,7 +91,8 @@ let () =
       ( "--root-seed",
         Arg.String (fun s -> root_seed := Int64.of_string s),
         "S root seed of the campaign seed tree (default 0x5EED)" );
-      ("--no-bechamel", Arg.Set no_bechamel, " skip the Bechamel micro-benchmarks");
+      (* Accepted and ignored: benchmark/suite.ml passes it to every child. *)
+      ("--no-bechamel", Arg.Unit ignore, " no effect");
       ( "--no-progress",
         Arg.Clear progress,
         " disable stderr progress/timing lines (default when stderr is not a tty)" );
@@ -233,8 +112,6 @@ let () =
       ( "--replay",
         Arg.Set_string replay_file,
         "FILE re-execute the failing replicate recorded in a FAIL_*.json (implies --check)" );
-      ("--perf", Arg.Set perf, " run the hot-path perf harness instead of the experiments");
-      ("--quick", Arg.Set quick, " with --perf: sub-10s workloads for CI");
       ( "--mcast",
         Arg.Unit (fun () -> mcast := Experiments.Mcast_full),
         " route E2/E3 protocol fan-outs through NoC tree / hub multicast" );
@@ -311,11 +188,6 @@ let () =
       exit 2
     end
   end;
-  if !perf then begin
-    Perf.run ~quick:!quick ~json_dir:(if !no_json then None else Some !json_dir)
-      ~progress:!progress ();
-    exit 0
-  end;
   Experiments.run_config :=
     {
       Experiments.replicates = !seeds;
@@ -345,5 +217,4 @@ let () =
     Printf.eprintf "resoc_check: %d replicate(s) failed invariant checking\n"
       !Experiments.total_failures;
     exit 1
-  end;
-  if not !no_bechamel then run_bechamel ()
+  end

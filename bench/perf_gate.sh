@@ -1,0 +1,27 @@
+#!/bin/sh
+# Blocking perf gate. Runs the resoc benchmark (benchmark/README.md) for one
+# second per workload and compares the rows that do not depend on the host:
+# alloc_b_per_req, heap_peak_mb, sim_p50_cycles and sim_p99_cycles on all
+# five workloads, against bench/perf_baseline.tsv. Exits 1 on any row that
+# regressed or is unresolved, and on any baseline row the run lacks.
+# Allocation counts are only comparable on one compiler version.
+#
+# Usage, from the repository root: sh bench/perf_gate.sh
+# Refresh the baseline: cp _perf/current.tsv bench/perf_baseline.tsv
+set -e
+sh benchmark/run.sh --seconds 1
+mkdir -p _perf
+awk -F '\t' 'NR == 1 || $2 ~ /^(alloc_b_per_req|heap_peak_mb|sim_p50_cycles|sim_p99_cycles)$/' \
+  BENCH_RESULTS.tsv >_perf/current.tsv
+status=0
+./_build/default/benchmark/resoc_bench.exe --compare bench/perf_baseline.tsv _perf/current.tsv \
+  >_perf/compare.txt || status=1
+cat _perf/compare.txt
+if grep -Eq ' (regressed|unresolved)$' _perf/compare.txt; then status=1; fi
+# --compare skips baseline rows the current file lacks, so look for them here.
+if ! awk -F '\t' 'NR == FNR { seen[$1 FS $2]; next }
+    !(($1 FS $2) in seen) { print "missing from the current run: " $1 " " $2; bad = 1 }
+    END { exit bad }' _perf/current.tsv bench/perf_baseline.tsv; then
+  status=1
+fi
+exit $status
