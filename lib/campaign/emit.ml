@@ -2,20 +2,7 @@
    the format is small and fixed. Output is kept a pure function of the
    campaign result so reruns diff cleanly. *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Resoc_obs.Json
 
 let float_repr v =
   if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then "null"
@@ -29,7 +16,7 @@ let add_assoc buf add_value pairs =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Json.add_string buf k;
       Buffer.add_char buf ':';
       add_value buf v)
     pairs;
@@ -51,22 +38,22 @@ let add_trial buf ~replicate ~seed (trial : Campaign.trial) =
   Buffer.add_string buf "\"replicate\":";
   Buffer.add_string buf (string_of_int replicate);
   Buffer.add_string buf ",\"seed\":";
-  add_json_string buf (Int64.to_string seed);
+  Json.add_string buf (Int64.to_string seed);
   (match trial with
   | Campaign.Completed m ->
     Buffer.add_string buf ",\"status\":\"completed\",\"metrics\":";
     add_assoc buf add_float m
   | Campaign.Failed f ->
     Buffer.add_string buf ",\"status\":\"failed\",\"error\":";
-    add_json_string buf f.Pool.error);
+    Json.add_string buf f.Pool.error);
   Buffer.add_char buf '}'
 
 let add_cell buf (agg : Campaign.aggregate) =
   Buffer.add_char buf '{';
   Buffer.add_string buf "\"id\":";
-  add_json_string buf agg.Campaign.cell_id;
+  Json.add_string buf agg.Campaign.cell_id;
   Buffer.add_string buf ",\"params\":";
-  add_assoc buf (fun buf v -> add_json_string buf v) agg.Campaign.params;
+  add_assoc buf Json.add_string agg.Campaign.params;
   Buffer.add_string buf ",\"failures\":";
   Buffer.add_string buf (string_of_int (Campaign.failures agg));
   Buffer.add_string buf ",\"stats\":";
@@ -83,11 +70,11 @@ let add_cell buf (agg : Campaign.aggregate) =
 let render_json (result : Campaign.result) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"id\":";
-  add_json_string buf result.Campaign.id;
+  Json.add_string buf result.Campaign.id;
   Buffer.add_string buf ",\"title\":";
-  add_json_string buf result.Campaign.title;
+  Json.add_string buf result.Campaign.title;
   Buffer.add_string buf ",\"root_seed\":";
-  add_json_string buf (Int64.to_string result.Campaign.root_seed);
+  Json.add_string buf (Int64.to_string result.Campaign.root_seed);
   Buffer.add_string buf ",\"replicates\":";
   Buffer.add_string buf (string_of_int result.Campaign.replicates);
   Buffer.add_string buf ",\"cells\":[";

@@ -1,3 +1,5 @@
+module Json = Resoc_obs.Json
+
 type event = { kind : Inject.kind; time : int; a : int; b : int; kept : bool }
 
 type t = {
@@ -12,43 +14,28 @@ type t = {
 
 let filename t = Printf.sprintf "FAIL_%s_%Ld.json" t.experiment t.seed
 
-(* Writer — same hand-rolled style as Emit/Obs so the dependency stays flat. *)
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Writer — same hand-rolled style as Emit/Obs, on the shared escaper. *)
 
 let to_json t =
   let buf = Buffer.create 1024 in
   let field name =
     Buffer.add_string buf "  ";
-    add_json_string buf name;
+    Json.add_string buf name;
     Buffer.add_string buf ": "
   in
   Buffer.add_string buf "{\n";
   field "schema";
   Buffer.add_string buf "\"resoc-fail/1\",\n";
   field "experiment";
-  add_json_string buf t.experiment;
+  Json.add_string buf t.experiment;
   Buffer.add_string buf ",\n";
   field "cell";
-  add_json_string buf t.cell;
+  Json.add_string buf t.cell;
   Buffer.add_string buf ",\n";
   field "seed";
   Buffer.add_string buf (Printf.sprintf "%Ld,\n" t.seed);
   field "error";
-  add_json_string buf t.error;
+  Json.add_string buf t.error;
   Buffer.add_string buf ",\n";
   field "total_events";
   Buffer.add_string buf (Printf.sprintf "%d,\n" t.total_events);

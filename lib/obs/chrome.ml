@@ -1,23 +1,10 @@
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let write buf ~first ring ~name ~cat_label =
   Ring.iter ring (fun ~time ~cat ~phase ~id ~arg ->
       if !first then first := false else Buffer.add_char buf ',';
       Buffer.add_string buf "{\"name\":";
-      add_json_string buf (name ~cat ~id);
+      Json.add_string buf (name ~cat ~id);
       Buffer.add_string buf ",\"cat\":";
-      add_json_string buf (cat_label cat);
+      Json.add_string buf (cat_label cat);
       (match phase with
       | Ring.Span_begin -> Buffer.add_string buf ",\"ph\":\"B\""
       | Ring.Span_end -> Buffer.add_string buf ",\"ph\":\"E\""

@@ -134,26 +134,13 @@ let merged_scalars () =
 let replicate_metrics () =
   List.map (fun (n, v) -> ("obs." ^ n, float_of_int v)) (merged_scalars ())
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let metrics_json () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema\":\"resoc-obs/1\",\"metrics\":{";
   List.iteri
     (fun i (n, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf n;
+      Json.add_string buf n;
       Printf.bprintf buf ":%d" v)
     (merged_scalars ());
   Buffer.add_string buf "}}\n";

@@ -116,19 +116,6 @@ let iter_scalars t f =
         f (m.name ^ ".sum") ~gauge:false (hist_sum t h))
     (in_order t)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"schema\":\"resoc-obs/1\",\"metrics\":[";
@@ -136,7 +123,7 @@ let to_json t =
     (fun i m ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "{\"name\":";
-      add_json_string buf m.name;
+      Json.add_string buf m.name;
       (match m.kind with
       | Counter -> Printf.bprintf buf ",\"kind\":\"counter\",\"value\":%d}" t.cells.(m.base)
       | Gauge -> Printf.bprintf buf ",\"kind\":\"gauge\",\"value\":%d}" t.cells.(m.base)

@@ -10,7 +10,16 @@ module Registry = Resoc_obs.Registry
    provably reaches agreement. *)
 let test_duplicate_first = ref false
 
-let active (b : Types.batching) = b.Types.max_batch > 1 || b.Types.window_cycles > 0
+(* Every attach site asks [active] before building a batcher, so an
+   invalid config is refused here even when it would stay inert. *)
+let active (b : Types.batching) =
+  if b.Types.max_batch < 1 || b.Types.window_cycles < 0 || b.Types.pipeline_depth < 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Batcher: invalid batching {window_cycles = %d; max_batch = %d; pipeline_depth = %d}: \
+          need max_batch >= 1, window_cycles >= 0, pipeline_depth >= 1"
+         b.Types.window_cycles b.Types.max_batch b.Types.pipeline_depth);
+  b.Types.max_batch > 1 || b.Types.window_cycles > 0
 
 type t = {
   engine : Engine.t;

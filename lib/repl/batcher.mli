@@ -25,7 +25,11 @@ val test_duplicate_first : bool ref
 val active : Types.batching -> bool
 (** [max_batch > 1 || window_cycles > 0]. An inactive config ("armed but
     unused", the determinism-gate probe) must not change behavior, so
-    protocols skip creating a batcher for it. *)
+    protocols skip creating a batcher for it. Every site that attaches a
+    batcher asks this first, so it is also the one validity check: it
+    raises [Invalid_argument] when [max_batch < 1], [window_cycles < 0] or
+    [pipeline_depth < 1] (an empty batch would seal forever; a closed
+    pipeline would never seal), inert or not. *)
 
 val create :
   engine:Resoc_des.Engine.t ->

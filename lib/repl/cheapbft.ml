@@ -9,14 +9,7 @@ module Check = Resoc_check.Check
 
 type msg =
   | Request of Types.request
-  | Prepare of { view : int; request : Types.request; cert : Trinc.attestation }
   | Prepare_b of { view : int; requests : Types.request list; cert : Trinc.attestation }
-  | Commit of {
-      view : int;
-      request : Types.request;
-      primary_cert : Trinc.attestation;
-      cert : Trinc.attestation;
-    }
   | Commit_b of {
       view : int;
       requests : Types.request list;
@@ -64,16 +57,12 @@ let n_active_initial config = config.f + 1
 (* Pooled in the slot ring, reset in place per counter; commit votes are
    a quorum bitset. *)
 type entry = {
-  mutable request : Types.request;
-  mutable batch : Types.request list;  (* non-empty iff the counter agreed a batch *)
+  mutable batch : Types.request list;  (* the counter's payload *)
   mutable commit_votes : Quorum.t;
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
-let fresh_entry _ =
-  { request = no_request; batch = []; commit_votes = Quorum.empty; executed = false }
+let fresh_entry _ = { batch = []; commit_votes = Quorum.empty; executed = false }
 
 type replica = {
   core : msg Replica.t;
@@ -106,20 +95,6 @@ type t = {
   shared_stats : Stats.t;
   keychain : Keychain.t;
 }
-
-let message_name = function
-  | Request _ -> "request"
-  | Prepare _ -> "prepare"
-  | Prepare_b _ -> "prepare-batch"
-  | Commit _ -> "commit"
-  | Commit_b _ -> "commit-batch"
-  | Update _ -> "update"
-  | Activate _ -> "activate"
-  | New_view _ -> "new-view"
-  | Reply _ -> "reply"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
 
 let primary_of ~view ~n = view mod n
 
@@ -157,10 +132,9 @@ let on_expire r () =
   r.vc_voted <- new_view;
   Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
 
-(* One agreed counter carries one request or (batching on) a whole batch;
-   the attestation binds one digest either way. *)
-let entry_digest (e : entry) =
-  if e.batch != [] then Types.batch_digest e.batch else Types.request_digest e.request
+(* One agreed counter carries a batch (a single request is a batch of
+   one); the attestation binds its batch digest. *)
+let entry_digest (e : entry) = Types.batch_digest e.batch
 
 let rec try_execute r =
   let next = Int64.add r.last_exec_counter 1L in
@@ -178,10 +152,9 @@ let rec try_execute r =
           ~signers:(Quorum.count e.commit_votes)
           ~quorum:(commit_quorum r)
           ~faulty:(Replica.faulty r.core);
-        if e.batch != [] then Replica.check_batch r.core ~view:r.view ~seq:next_i e.batch
+        Replica.check_batch r.core ~view:r.view ~seq:next_i e.batch
       end;
-      if e.batch != [] then List.iter (Replica.execute r.core) e.batch
-      else Replica.execute r.core e.request;
+      List.iter (Replica.execute r.core) e.batch;
       Replica.kick r.core;
       on_cp_advance r (Replica.after_exec r.core r.log ~seq:next_i ~voters:(active_others r));
       try_execute r
@@ -197,10 +170,7 @@ and on_cp_advance r prev =
     try_execute r
   end
 
-let executed_batch (e : entry) =
-  if e.executed && (e.request != no_request || e.batch != []) then
-    if e.batch != [] then e.batch else [ e.request ]
-  else []
+let executed_batch (e : entry) = if e.executed then e.batch else []
 
 (* Only actives hold stable certificates; a rejoiner asks everyone (it
    does not know who is active) and passives have nothing to serve. *)
@@ -266,21 +236,9 @@ let continuity_ok r ~signer ~counter =
       r.gap_drops <- r.gap_drops + 1;
       false
 
-let note_entry r ~counter ~request ~voter =
+let note_entry r ~counter ~requests ~voter =
   let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
   if fresh then begin
-    entry.request <- request;
-    entry.batch <- [];
-    entry.commit_votes <- Quorum.empty;
-    entry.executed <- false
-  end;
-  entry.commit_votes <- Quorum.add entry.commit_votes voter;
-  entry
-
-let note_entry_b r ~counter ~requests ~voter =
-  let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
-  if fresh then begin
-    entry.request <- no_request;
     entry.batch <- requests;
     entry.commit_votes <- Quorum.empty;
     entry.executed <- false
@@ -288,39 +246,19 @@ let note_entry_b r ~counter ~requests ~voter =
   entry.commit_votes <- Quorum.add entry.commit_votes voter;
   entry
 
-let send_own_commit r ~view ~request ~(primary_cert : Trinc.attestation) =
-  let digest = Types.request_digest request in
-  match make_cert r digest with
-  | Error _ -> ()
-  | Ok cert ->
-    ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:r.core.id);
-    Replica.broadcast r.core ~to_:(active_others r) (Commit { view; request; primary_cert; cert });
-    try_execute r
-
-let send_own_commit_b r ~view ~requests ~(primary_cert : Trinc.attestation) =
+let send_own_commit r ~view ~requests ~(primary_cert : Trinc.attestation) =
   let digest = Types.batch_digest requests in
   match make_cert r digest with
   | Error _ -> ()
   | Ok cert ->
-    ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
+    ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
     Replica.broadcast r.core ~to_:(active_others r) (Commit_b { view; requests; primary_cert; cert });
     try_execute r
 
-let order_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then
-    match make_cert r digest with
-    | Error _ -> ()
-    | Ok cert ->
-      Digest_map.set r.ordered digest 0;
-      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:r.core.id);
-      Replica.broadcast r.core ~to_:(active_others r) (Prepare { view = r.view; request; cert });
-      try_execute r
-
-(* Batched ordering: one TrInc attestation covers the whole list (the
-   counter advances once per batch), one Prepare_b flight per active
-   peer. [Batcher.seal] callers never hand over an empty or
-   already-ordered list (the [on_request] dedup guard). *)
+(* One TrInc attestation covers the whole list (the counter advances once
+   per batch), one Prepare_b flight per active peer. Callers never hand
+   over an already-ordered request (the [on_request] dedup guard, or
+   [order_one]'s). *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then
     match make_cert r (Types.batch_digest requests) with
@@ -329,9 +267,14 @@ let order_batch r (requests : Types.request list) =
       List.iter
         (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) 0)
         requests;
-      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
+      ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
       Replica.broadcast r.core ~to_:(active_others r) (Prepare_b { view = r.view; requests; cert });
       try_execute r
+
+(* Without a batcher a request is ordered as a batch of one, unless it is
+   already attested in this view. *)
+let order_one r (request : Types.request) digest =
+  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
 
 (* Actives ship attested state to the passive set periodically; one sender
    (the primary) suffices in the fault-free case. *)
@@ -364,7 +307,9 @@ let become_primary r ~view =
   let base = fst (Resoc_hw.Register.read (Trinc.counter_register r.trinc)) in
   adopt_new_view r ~view ~base ~state ~rid_table;
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; base; state; rid_table });
-  List.iter (order_request r) (Replica.pending_sorted r.core)
+  List.iter
+    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (Replica.pending_sorted r.core)
 
 let on_activate r ~src ~new_view =
   if new_view > r.view then begin
@@ -416,25 +361,11 @@ let on_request r (request : Types.request) =
         (* Retransmissions of a request already buffered (still pending)
            or already ordered must not enter a second batch. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_request r request)
+      | None -> order_one r request digest)
     else Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request)
   end
 
-let on_prepare r ~src ~view ~request ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
-     && cert.Trinc.signer = src
-  then begin
-    let digest = Types.request_digest request in
-    if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
-    then begin
-      Hashtbl.replace r.core.pending digest request;
-      ignore (note_entry r ~counter:cert.Trinc.current ~request ~voter:src);
-      send_own_commit r ~view ~request ~primary_cert:cert
-    end
-    else if Hashtbl.mem r.core.pending digest then Replica.watch r.core digest
-  end
-
-let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
+let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
      && cert.Trinc.signer = src && requests <> []
   then begin
@@ -444,8 +375,8 @@ let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
       List.iter
         (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
         requests;
-      ignore (note_entry_b r ~counter:cert.Trinc.current ~requests ~voter:src);
-      send_own_commit_b r ~view ~requests ~primary_cert:cert
+      ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:src);
+      send_own_commit r ~view ~requests ~primary_cert:cert
     end
     else
       List.iter
@@ -455,24 +386,7 @@ let on_prepare_b r ~src ~view ~requests ~(cert : Trinc.attestation) =
         requests
   end
 
-let on_commit r ~src ~view ~request ~(primary_cert : Trinc.attestation)
-    ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && cert.Trinc.signer = src
-     && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
-  then begin
-    let digest = Types.request_digest request in
-    if verify_cert r ~digest primary_cert && verify_cert r ~digest cert
-       && continuity_ok r ~signer:src ~counter:cert.Trinc.current
-    then begin
-      ignore
-        (note_entry r ~counter:primary_cert.Trinc.current ~request
-           ~voter:primary_cert.Trinc.signer);
-      ignore (note_entry r ~counter:primary_cert.Trinc.current ~request ~voter:src);
-      try_execute r
-    end
-  end
-
-let on_commit_b r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
+let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
   if view = r.view && r.is_active && cert.Trinc.signer = src
      && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
@@ -483,9 +397,9 @@ let on_commit_b r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
        && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
       ignore
-        (note_entry_b r ~counter:primary_cert.Trinc.current ~requests
+        (note_entry r ~counter:primary_cert.Trinc.current ~requests
            ~voter:primary_cert.Trinc.signer);
-      ignore (note_entry_b r ~counter:primary_cert.Trinc.current ~requests ~voter:src);
+      ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:src);
       try_execute r
     end
   end
@@ -516,12 +430,9 @@ let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
-    | Prepare { view; request; cert } -> on_prepare r ~src ~view ~request ~cert
-    | Prepare_b { view; requests; cert } -> on_prepare_b r ~src ~view ~requests ~cert
-    | Commit { view; request; primary_cert; cert } ->
-      on_commit r ~src ~view ~request ~primary_cert ~cert
+    | Prepare_b { view; requests; cert } -> on_prepare r ~src ~view ~requests ~cert
     | Commit_b { view; requests; primary_cert; cert } ->
-      on_commit_b r ~src ~view ~requests ~primary_cert ~cert
+      on_commit r ~src ~view ~requests ~primary_cert ~cert
     | Update { view; upto; state; rid_table } -> on_update r ~view ~upto ~state ~rid_table
     | Activate { new_view } -> on_activate r ~src ~new_view
     | New_view { view; base; state; rid_table } -> on_new_view r ~src ~view ~base ~state ~rid_table

@@ -20,17 +20,13 @@ module Trinc = Resoc_hybrid.Trinc
 
 type msg =
   | Request of Types.request
-  | Prepare of { view : int; request : Types.request; cert : Trinc.attestation }
   | Prepare_b of { view : int; requests : Types.request list; cert : Trinc.attestation }
-      (** Batched ordering ([config.batching]): one attestation — and one
-          TrInc counter step — covers the whole list; [cert] binds
-          [Types.batch_digest requests]. *)
-  | Commit of {
-      view : int;
-      request : Types.request;
-      primary_cert : Trinc.attestation;
-      cert : Trinc.attestation;
-    }
+      (** The only ordering message: one attestation — and one TrInc
+          counter step — covers the whole list; [cert] binds
+          [Types.batch_digest requests]. Without a batcher every request
+          is ordered as a batch of one. The [_b] suffix (here and on
+          [Commit_b]) is kept because code outside this library matches
+          the constructors by name. *)
   | Commit_b of {
       view : int;
       requests : Types.request list;
@@ -67,8 +63,8 @@ type config = {
           (the default) = per-destination unicast. *)
   batching : Types.batching option;
       (** Primary-side request batching + agreement pipelining
-          ({!Batcher}); [None] (the default) keeps the legacy
-          one-instance-per-request path byte-identical. *)
+          ({!Batcher}); [None] (the default) builds no batcher, so every
+          request is ordered at once as a batch of one. *)
 }
 
 val default_config : config
@@ -105,5 +101,3 @@ val set_online : t -> replica:int -> unit
     survives) and fetches the latest certified checkpoint plus log
     suffix from the active replicas; without it, legacy behaviour: a
     free state copy from the most advanced online replica. *)
-
-val message_name : msg -> string

@@ -79,7 +79,6 @@ module type S = sig
   val replica_online : t -> replica:int -> bool
   val set_offline : t -> replica:int -> unit
   val set_online : t -> replica:int -> unit
-  val message_name : msg -> string
 end
 
 module Make (H : HYBRID) = struct
@@ -168,17 +167,6 @@ module Make (H : HYBRID) = struct
     shared_stats : Stats.t;
     keychain : Keychain.t;
   }
-
-  let message_name = function
-    | Request _ -> "request"
-    | Prepare _ -> "prepare"
-    | Commit _ -> "commit"
-    | Reply _ -> "reply"
-    | Req_view_change _ -> "req-view-change"
-    | New_view _ -> "new-view"
-    | Checkpoint_vote _ -> "checkpoint-vote"
-    | Fetch_state _ -> "fetch-state"
-    | State_chunk _ -> "state-chunk"
 
   let primary_of ~view ~n = view mod n
 

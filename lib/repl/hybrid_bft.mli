@@ -136,8 +136,6 @@ module type S = sig
       replica restarts wiped and fetches the latest certified checkpoint
       plus log suffix over the fabric; otherwise legacy behaviour: a free
       state copy from the most advanced online replica. *)
-
-  val message_name : msg -> string
 end
 
 module Make (H : HYBRID) : S with type hybrid = H.t and type cert = H.cert

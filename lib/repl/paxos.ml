@@ -5,7 +5,6 @@ module Check = Resoc_check.Check
 
 type msg =
   | Request of Types.request
-  | Accept of { term : int; seq : int; request : Types.request }
   | Accept_b of { term : int; seq : int; requests : Types.request list }
   | Accepted of { term : int; seq : int }
   | Commit of { term : int; seq : int }
@@ -43,17 +42,13 @@ let n_replicas config = (2 * config.f) + 1
    ack set is a quorum bitset, so an entry costs no allocation after the
    ring warms up. *)
 type entry = {
-  mutable request : Types.request;
-  mutable batch : Types.request list;  (* non-empty iff the slot agreed a batch *)
+  mutable batch : Types.request list;  (* the slot's payload; [] until the accept *)
   mutable acks : Quorum.t;
   mutable committed : bool;
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
-let fresh_entry _ =
-  { request = no_request; batch = []; acks = Quorum.empty; committed = false; executed = false }
+let fresh_entry _ = { batch = []; acks = Quorum.empty; committed = false; executed = false }
 
 type replica = {
   core : msg Replica.t;
@@ -75,19 +70,6 @@ type t = {
   clients : msg Client.t array;
   shared_stats : Stats.t;
 }
-
-let message_name = function
-  | Request _ -> "request"
-  | Accept _ -> "accept"
-  | Accept_b _ -> "accept-batch"
-  | Accepted _ -> "accepted"
-  | Commit _ -> "commit"
-  | Reply _ -> "reply"
-  | Term_change _ -> "term-change"
-  | New_term _ -> "new-term"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
 
 let leader_of ~term ~n = term mod n
 
@@ -112,10 +94,9 @@ let on_expire r () =
     Replica.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
   end
 
-(* One agreed slot carries one request or (batching on) a whole batch;
-   agreement keys on one digest either way. *)
-let entry_digest (e : entry) =
-  if e.batch != [] then Types.batch_digest e.batch else Types.request_digest e.request
+(* One agreed slot carries a batch (a single request is a batch of one);
+   agreement keys on its batch digest. *)
+let entry_digest (e : entry) = Types.batch_digest e.batch
 
 let rec try_execute r =
   let next = r.last_exec + 1 in
@@ -132,10 +113,9 @@ let rec try_execute r =
         Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.term ~seq:r.last_exec
           ~digest:(entry_digest e) ~signers:(-1) ~quorum:(r.f + 1)
           ~faulty:(Replica.faulty r.core);
-        if e.batch != [] then Replica.check_batch r.core ~view:r.term ~seq:next e.batch
+        Replica.check_batch r.core ~view:r.term ~seq:next e.batch
       end;
-      if e.batch != [] then List.iter (Replica.execute r.core) e.batch
-      else Replica.execute r.core e.request;
+      List.iter (Replica.execute r.core) e.batch;
       Replica.kick r.core;
       on_cp_advance r (Replica.after_exec r.core r.log ~seq:next ~voters:r.core.peer_ids);
       try_execute r
@@ -150,10 +130,7 @@ and on_cp_advance r prev =
     try_execute r
   end
 
-let executed_batch (e : entry) =
-  if e.executed && (e.request != no_request || e.batch != []) then
-    if e.batch != [] then e.batch else [ e.request ]
-  else []
+let executed_batch (e : entry) = if e.executed then e.batch else []
 
 let on_fetch_state r ~src ~have =
   match r.core.cp with
@@ -177,26 +154,9 @@ let install_transfer (r : replica) (c : Checkpoint.completion) =
   r.next_seq <- max r.next_seq (r.last_exec + 1);
   try_execute r
 
-let order_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then begin
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    Digest_map.set r.ordered digest seq;
-    let e, fresh = Slot_ring.bind r.log seq in
-    if fresh then begin
-      e.request <- request;
-      e.acks <- Quorum.empty;
-      e.committed <- false;
-      e.executed <- false
-    end;
-    e.acks <- Quorum.add e.acks r.core.id;
-    Replica.broadcast r.core ~to_:r.core.peer_ids (Accept { term = r.term; seq; request })
-  end
-
-(* Batched ordering: the whole list shares one slot, one Accept_b flight
-   per follower, one ack round. [Batcher.seal] callers never hand over an
-   empty or already-ordered list (the [on_request] dedup guard). *)
+(* The whole list shares one slot, one Accept_b flight per follower, one
+   ack round. Callers never hand over an already-ordered request (the
+   [on_request] dedup guard, or [order_one]'s). *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then begin
     let seq = r.next_seq in
@@ -206,7 +166,6 @@ let order_batch r (requests : Types.request list) =
       requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
-      e.request <- no_request;
       e.batch <- requests;
       e.acks <- Quorum.empty;
       e.committed <- false;
@@ -216,6 +175,11 @@ let order_batch r (requests : Types.request list) =
     e.acks <- Quorum.add e.acks r.core.id;
     Replica.broadcast r.core ~to_:r.core.peer_ids (Accept_b { term = r.term; seq; requests })
   end
+
+(* Without a batcher a request is ordered as a batch of one, unless it
+   already holds a slot in this term. *)
+let order_one r (request : Types.request) digest =
+  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
 
 let adopt_new_term r ~term ~start_seq ~state ~rid_table =
   r.term <- term;
@@ -231,7 +195,9 @@ let become_leader r ~term ~start_seq =
   let state = App.state r.core.app in
   adopt_new_term r ~term ~start_seq ~state ~rid_table;
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_term { term; start_seq; state; rid_table });
-  List.iter (order_request r) (Replica.pending_sorted r.core)
+  List.iter
+    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (Replica.pending_sorted r.core)
 
 let on_term_change r ~src ~new_term ~last_exec =
   if new_term > r.term then begin
@@ -262,27 +228,14 @@ let on_request r (request : Types.request) =
         (* Retransmissions of a request already buffered (still pending)
            or already ordered must not enter a second batch. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_request r request)
+      | None -> order_one r request digest)
     else begin
       Replica.send r.core ~dst:(leader_of ~term:r.term ~n:r.core.n) (Request request);
       Replica.watch r.core digest
     end
   end
 
-let on_accept r ~src ~term ~seq ~request =
-  if term = r.term && src = leader_of ~term ~n:r.core.n && not (is_leader r) then begin
-    Hashtbl.replace r.core.pending (Types.request_digest request) request;
-    let e, fresh = Slot_ring.bind r.log seq in
-    if fresh then begin
-      e.request <- request;
-      e.acks <- Quorum.empty;
-      e.committed <- false;
-      e.executed <- false
-    end;
-    Replica.send r.core ~dst:src (Accepted { term; seq })
-  end
-
-let on_accept_b r ~src ~term ~seq ~requests =
+let on_accept r ~src ~term ~seq ~requests =
   if term = r.term && src = leader_of ~term ~n:r.core.n && (not (is_leader r)) && requests <> []
   then begin
     List.iter
@@ -290,7 +243,6 @@ let on_accept_b r ~src ~term ~seq ~requests =
       requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
-      e.request <- no_request;
       e.batch <- requests;
       e.acks <- Quorum.empty;
       e.committed <- false;
@@ -340,8 +292,7 @@ let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
-    | Accept { term; seq; request } -> on_accept r ~src ~term ~seq ~request
-    | Accept_b { term; seq; requests } -> on_accept_b r ~src ~term ~seq ~requests
+    | Accept_b { term; seq; requests } -> on_accept r ~src ~term ~seq ~requests
     | Accepted { term; seq } -> on_accepted r ~src ~term ~seq
     | Commit { term; seq } -> on_commit r ~src ~term ~seq
     | Term_change { new_term; last_exec } -> on_term_change r ~src ~new_term ~last_exec

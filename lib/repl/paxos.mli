@@ -11,11 +11,12 @@ module Behavior = Resoc_fault.Behavior
 
 type msg =
   | Request of Types.request
-  | Accept of { term : int; seq : int; request : Types.request }
   | Accept_b of { term : int; seq : int; requests : Types.request list }
-      (** Batched ordering ([config.batching]): the list shares one slot
-          and one ack round; agreement keys on
-          [Types.batch_digest requests]. *)
+      (** The only ordering message: the list shares one slot and one ack
+          round; agreement keys on [Types.batch_digest requests]. Without
+          a batcher every request is ordered as a batch of one. The [_b]
+          suffix is kept because code outside this library matches the
+          constructor by name. *)
   | Accepted of { term : int; seq : int }
   | Commit of { term : int; seq : int }
   | Reply of Types.reply
@@ -42,8 +43,8 @@ type config = {
           (the default) = per-destination unicast. *)
   batching : Types.batching option;
       (** Leader-side request batching + agreement pipelining
-          ({!Batcher}); [None] (the default) keeps the legacy
-          one-instance-per-request path byte-identical. *)
+          ({!Batcher}); [None] (the default) builds no batcher, so every
+          request is ordered at once as a batch of one. *)
 }
 
 val default_config : config
@@ -79,5 +80,3 @@ val set_online : t -> replica:int -> unit
     restarts wiped and fetches the latest certified checkpoint plus log
     suffix from its peers; without it, legacy behaviour: a free state
     copy from the most advanced online replica. *)
-
-val message_name : msg -> string

@@ -7,11 +7,11 @@ module Check = Resoc_check.Check
 
 type msg =
   | Request of Types.request
-  | Pre_prepare of { view : int; seq : int; digest : Hash.t; request : Types.request }
   | Pre_prepare_b of { view : int; seq : int; digest : Hash.t; requests : Types.request list }
-      (* Batched ordering: one instance covers the whole request list
-         (digest = Types.batch_digest). One NoC flight per destination
-         carries every payload; Prepare/Commit are unchanged. *)
+      (* The one ordering message: an instance covers a request list
+         (digest = Types.batch_digest), an unbatched request being a
+         batch of one. One NoC flight per destination carries every
+         payload. *)
   | Prepare of { view : int; seq : int; digest : Hash.t }
   | Commit of { view : int; seq : int; digest : Hash.t }
   | Reply of Types.reply
@@ -45,14 +45,12 @@ let default_config =
 let n_replicas config = (3 * config.f) + 1
 
 (* Entries are pooled in the slot ring and reset in place when a new
-   sequence number claims the slot — every field is mutable and the
-   absent request is a physical sentinel, so steady-state agreement
-   allocates nothing per slot. *)
+   sequence number claims the slot — every field is mutable, so
+   steady-state agreement allocates nothing per slot. *)
 type entry = {
   mutable e_view : int;
   mutable digest : Hash.t;
-  mutable request : Types.request;  (* == no_request when unknown *)
-  mutable batch : Types.request list;  (* batched instance payloads; [] = unbatched *)
+  mutable batch : Types.request list;  (* the instance's payload; [] until the pre-prepare *)
   mutable prepares : Quorum.t;
   mutable commits : Quorum.t;
   mutable sent_commit : bool;
@@ -60,13 +58,10 @@ type entry = {
   mutable executed : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
-
 let fresh_entry _ =
   {
     e_view = -1;
     digest = Hash.zero;
-    request = no_request;
     batch = [];
     prepares = Quorum.empty;
     commits = Quorum.empty;
@@ -100,19 +95,6 @@ type t = {
   shared_stats : Stats.t;
 }
 
-let message_name = function
-  | Request _ -> "request"
-  | Pre_prepare _ -> "pre-prepare"
-  | Pre_prepare_b _ -> "pre-prepare-batch"
-  | Prepare _ -> "prepare"
-  | Commit _ -> "commit"
-  | Reply _ -> "reply"
-  | View_change _ -> "view-change"
-  | New_view _ -> "new-view"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let primary_of ~view ~n = view mod n
 
 let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
@@ -135,7 +117,6 @@ let entry_for r ~view ~seq ~digest =
   if fresh then begin
     e.e_view <- view;
     e.digest <- digest;
-    e.request <- no_request;
     e.batch <- [];
     e.prepares <- Quorum.empty;
     e.commits <- Quorum.empty;
@@ -151,14 +132,12 @@ let entry_for r ~view ~seq ~digest =
   else if e.e_view = view then e
   else null_entry  (* stale view entry at this slot; ignore the message *)
 
-(* An entry carries its payload once the Pre_prepare (single or batched)
-   arrived; until then Prepare/Commit quorums may gather but nothing can
-   commit or execute. *)
-let entry_filled (e : entry) = e.request != no_request || e.batch != []
+(* An entry carries its payload once the pre-prepare arrived; until then
+   Prepare/Commit quorums may gather but nothing can commit or execute. *)
+let entry_filled (e : entry) = e.batch != []
 
 (* An executed instance's payload for state transfer; [] stops the suffix. *)
-let executed_batch (e : entry) =
-  if e.executed && entry_filled e then if e.batch != [] then e.batch else [ e.request ] else []
+let executed_batch (e : entry) = if e.executed then e.batch else []
 
 (* Execute committed entries in sequence order. The reply cache provides
    exactly-once semantics per client. With checkpointing on, execution
@@ -179,8 +158,7 @@ let rec try_execute r =
           Ring.async_end r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
             ~id:(Obs.repl_counter_span ~replica:r.core.id ~counter:r.last_exec)
             ~arg:0;
-        if e.batch != [] then List.iter (Replica.execute r.core) e.batch
-        else Replica.execute r.core e.request;
+        List.iter (Replica.execute r.core) e.batch;
         Replica.kick r.core;
         on_cp_advance r (Replica.after_exec r.core r.log ~seq:r.last_exec ~voters:r.core.peer_ids);
         try_execute r
@@ -235,7 +213,7 @@ let try_commit r ~seq (e : entry) =
         ~signers:(Quorum.count e.commits)
         ~quorum:((2 * r.f) + 1)
         ~faulty:(Replica.faulty r.core);
-      if e.batch != [] then Replica.check_batch r.core ~view:r.view ~seq e.batch
+      Replica.check_batch r.core ~view:r.view ~seq e.batch
     end;
     try_execute r
   end
@@ -261,39 +239,10 @@ let on_expire r () =
     Replica.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
   end
 
-let order_request r (request : Types.request) =
-  let digest = Types.request_digest request in
-  if not (Digest_map.mem r.ordered digest) then begin
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    Digest_map.set r.ordered digest seq;
-    if !Obs.trace_on then
-      Ring.instant r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
-        ~id:(Obs.repl_event ~replica:r.core.id ~code:Obs.code_pre_prepare)
-        ~arg:seq;
-    let equivocating = Replica.equivocating r.core in
-    let e = entry_for r ~view:r.view ~seq ~digest in
-    if e != null_entry then begin
-      e.request <- request;
-      e.prepares <- Quorum.add e.prepares r.core.id
-    end;
-    let backups = r.core.peer_ids in
-    let lies = r.f + 1 in
-    for i = 0 to Array.length backups - 1 do
-      let digest' =
-        (* An equivocating primary tells half the backups a different
-           story. The truthful half is too small to form a 2f+1 quorum,
-           so the slot stalls until a view change evicts the primary. *)
-        if equivocating && i < lies then Hash.combine digest (Hash.of_string "lie") else digest
-      in
-      Replica.send r.core ~dst:backups.(i) (Pre_prepare { view = r.view; seq; digest = digest'; request })
-    done
-  end
-
-(* Batched twin of [order_request]: one sequence number covers the whole
-   batch, agreed under its batch digest, shipped as one (multicast-able)
-   flight per destination. Dedup happened on the way into the batcher, so
-   the sealed list is ordered verbatim — which is what lets the
+(* One sequence number covers the whole batch, agreed under its batch
+   digest, shipped as one (multicast-able) flight per destination. Callers
+   dedup against [r.ordered] first (on the way into the batcher, or in
+   [order_one]), so the list is ordered verbatim — which is what lets the
    [Batcher.test_duplicate_first] mutant actually reach agreement. *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then begin
@@ -315,6 +264,9 @@ let order_batch r (requests : Types.request list) =
     end;
     let backups = r.core.peer_ids in
     if equivocating then begin
+      (* An equivocating primary tells half the backups a different
+         story. The truthful half is too small to form a 2f+1 quorum, so
+         the slot stalls until a view change evicts the primary. *)
       let lies = r.f + 1 in
       for i = 0 to Array.length backups - 1 do
         let digest' = if i < lies then Hash.combine digest (Hash.of_string "lie") else digest in
@@ -324,6 +276,11 @@ let order_batch r (requests : Types.request list) =
     end
     else Replica.broadcast r.core ~to_:backups (Pre_prepare_b { view = r.view; seq; digest; requests })
   end
+
+(* Without a batcher a request is ordered as a batch of one, unless it
+   already holds a sequence number in this view. *)
+let order_one r (request : Types.request) digest =
+  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
 
 (* The new view is a fresh proof baseline: state and reply cache come
    from its primary, pending requests restart their patience, and the
@@ -343,7 +300,9 @@ let become_primary r ~view ~start_seq =
   adopt_new_view r ~view ~start_seq ~state ~rid_table;
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; start_seq; state; rid_table });
   (* Re-propose everything still pending, deterministically ordered. *)
-  List.iter (order_request r) (Replica.pending_sorted r.core)
+  List.iter
+    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (Replica.pending_sorted r.core)
 
 let on_view_change r ~src ~new_view ~last_exec =
   if new_view > r.view then begin
@@ -379,7 +338,7 @@ let on_request r (request : Types.request) =
            ordered-but-unexecuted must not enter a second batch; pending
            membership covers exactly that interval. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_request r request)
+      | None -> order_one r request digest)
     else begin
       (* Forward to the primary and watch it. *)
       Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request);
@@ -387,31 +346,7 @@ let on_request r (request : Types.request) =
     end
   end
 
-let on_pre_prepare r ~src ~view ~seq ~digest ~request =
-  if view = r.view && src = primary_of ~view ~n:r.core.n && not (is_primary r) then begin
-    if Hash.equal digest (Types.request_digest request) then begin
-      Hashtbl.replace r.core.pending (Types.request_digest request) request;
-      let e = entry_for r ~view ~seq ~digest in
-      if e != null_entry && Hash.equal e.digest digest then begin
-        e.request <- request;
-        e.prepares <- Quorum.add e.prepares src;
-        (* our own prepare vote *)
-        if not (Quorum.mem e.prepares r.core.id) then begin
-          e.prepares <- Quorum.add e.prepares r.core.id;
-          Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view; seq; digest })
-        end;
-        send_commit_if_prepared r ~seq e
-      end
-    end
-    else begin
-      (* Digest mismatch: an equivocating or corrupt primary. Keep the
-         request pending and let the timer push a view change. *)
-      Hashtbl.replace r.core.pending (Types.request_digest request) request;
-      Replica.watch r.core (Types.request_digest request)
-    end
-  end
-
-let on_pre_prepare_b r ~src ~view ~seq ~digest ~requests =
+let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   if view = r.view && src = primary_of ~view ~n:r.core.n && (not (is_primary r)) && requests <> []
   then begin
     if Hash.equal digest (Types.batch_digest requests) then begin
@@ -465,9 +400,8 @@ let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
-    | Pre_prepare { view; seq; digest; request } -> on_pre_prepare r ~src ~view ~seq ~digest ~request
     | Pre_prepare_b { view; seq; digest; requests } ->
-      on_pre_prepare_b r ~src ~view ~seq ~digest ~requests
+      on_pre_prepare r ~src ~view ~seq ~digest ~requests
     | Prepare { view; seq; digest } -> on_prepare r ~src ~view ~seq ~digest
     | Commit { view; seq; digest } -> on_commit r ~src ~view ~seq ~digest
     | View_change { new_view; last_exec } -> on_view_change r ~src ~new_view ~last_exec

@@ -29,11 +29,12 @@ module Behavior = Resoc_fault.Behavior
 
 type msg =
   | Request of Types.request
-  | Pre_prepare of { view : int; seq : int; digest : Hash.t; request : Types.request }
   | Pre_prepare_b of { view : int; seq : int; digest : Hash.t; requests : Types.request list }
-      (** Batched ordering ([config.batching]): one agreement instance
-          covers the whole list; [digest = Types.batch_digest requests].
-          Prepare/Commit are shared with the single-request path. *)
+      (** The only ordering message: one agreement instance covers the
+          whole list, [digest = Types.batch_digest requests]. Without a
+          batcher every request is ordered as a batch of one. The [_b]
+          suffix is kept because code outside this library matches the
+          constructor by name. *)
   | Prepare of { view : int; seq : int; digest : Hash.t }
   | Commit of { view : int; seq : int; digest : Hash.t }
   | Reply of Types.reply
@@ -57,8 +58,8 @@ type config = {
           per-destination unicast. *)
   batching : Types.batching option;
       (** Primary-side request batching + agreement pipelining
-          ({!Batcher}); [None] (the default) keeps the legacy
-          one-instance-per-request path byte-identical. *)
+          ({!Batcher}); [None] (the default) builds no batcher, so every
+          request is ordered at once as a batch of one. *)
 }
 
 val default_config : config
@@ -103,6 +104,3 @@ val set_online : t -> replica:int -> unit
     log suffix from its peers over the fabric (chunked, digest-verified
     against the certificate); without it, legacy behaviour: a free state
     copy from the most advanced online replica. *)
-
-val message_name : msg -> string
-(** For byte-accounting and tracing. *)

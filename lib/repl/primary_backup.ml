@@ -5,7 +5,6 @@ module Check = Resoc_check.Check
 
 type msg =
   | Request of Types.request
-  | Update of { epoch : int; seq : int; state : int64; client : int; rid : int; result : int64 }
   | Update_b of { epoch : int; seq : int; state : int64; replies : (int * int * int64) list }
   | Heartbeat of { epoch : int }
   | Promote of { epoch : int }
@@ -56,17 +55,6 @@ type t = {
   shared_stats : Stats.t;
 }
 
-let message_name = function
-  | Request _ -> "request"
-  | Update _ -> "update"
-  | Update_b _ -> "update-batch"
-  | Heartbeat _ -> "heartbeat"
-  | Promote _ -> "promote"
-  | Reply _ -> "reply"
-  | Checkpoint_vote _ -> "checkpoint-vote"
-  | Fetch_state _ -> "fetch-state"
-  | State_chunk _ -> "state-chunk"
-
 let primary_of ~epoch ~n = epoch mod n
 
 let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
@@ -81,17 +69,11 @@ let kit =
     state_chunk = (fun chunk -> State_chunk chunk);
   }
 
-(* Both ends of an Update derive the same digest from its payload, so the
-   checker can compare primary and backup commits at one (epoch, seq) slot. *)
-let update_digest ~state ~client ~rid ~result =
-  Hash.combine_int
-    (Hash.combine (Hash.combine (Hash.of_string "pb-update") state) result)
-    ((client * 1_000_003) + rid)
-
-(* Batched updates: the digest folds every (client, rid, result) reply
-   over the post-batch state, so primary and backups again agree on one
-   value per (epoch, seq). *)
-let update_b_digest ~state ~(replies : (int * int * int64) list) =
+(* Both ends of an update derive the same digest from its payload: every
+   (client, rid, result) reply folded over the post-batch state, so the
+   checker can compare primary and backup commits at one (epoch, seq)
+   slot. *)
+let update_digest ~state ~(replies : (int * int * int64) list) =
   List.fold_left
     (fun acc (client, rid, result) ->
       Hash.combine_int (Hash.combine acc result) ((client * 1_000_003) + rid))
@@ -117,11 +99,12 @@ let note_boundary r =
       if Checkpoint.note_vote cp ~seq:r.seq ~digest:d ~voter:r.core.id >= 0 then
         r.core.stats.Stats.checkpoints <- r.core.stats.Stats.checkpoints + 1)
 
-(* Batched primary path ([config.batching], the [Batcher.seal] callback):
-   execute the whole batch in arrival order, bump the sequence number
-   ONCE, and ship one Update_b with the post-batch state plus one
-   (client, rid, result) reply per request — the reply list is what lets
-   backups rebuild the same reply cache the primary has. *)
+(* The primary path (the [Batcher.seal] callback; without a batcher every
+   request is a batch of one): execute the whole batch in arrival order,
+   bump the sequence number ONCE, and ship one Update_b with the
+   post-batch state plus one (client, rid, result) reply per request —
+   the reply list is what lets backups rebuild the same reply cache the
+   primary has. *)
 let exec_batch r (requests : Types.request list) =
   List.iter
     (fun (req : Types.request) -> Hashtbl.remove r.buffered (req.Types.client, req.Types.rid))
@@ -136,7 +119,7 @@ let exec_batch r (requests : Types.request list) =
     let state = App.state r.core.app in
     if r.core.chk >= 0 then begin
       Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq
-        ~digest:(update_b_digest ~state ~replies)
+        ~digest:(update_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
         ~faulty:(Replica.faulty r.core);
       let len = List.length replies in
@@ -155,66 +138,28 @@ let exec_batch r (requests : Types.request list) =
 let on_request r (request : Types.request) =
   if is_primary r then begin
     let client = request.Types.client and rid = request.Types.rid in
-    let cached = Replica.executed r.core request in
-    match r.core.batcher with
-    | Some b when not cached ->
-      (* Retransmissions of a request already parked in the batcher must
-         not enter a second batch. *)
-      if not (Hashtbl.mem r.buffered (client, rid)) then begin
-        Hashtbl.replace r.buffered (client, rid) ();
-        Batcher.add b request
-      end
-    | Some _ | None ->
-      let result =
-        if cached then r.core.rid_result.(client)
-        else begin
-          let result = Replica.apply r.core request in
-          r.seq <- r.seq + 1;
-          if r.core.chk >= 0 then
-            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq
-              ~digest:(update_digest ~state:(App.state r.core.app) ~client ~rid ~result)
-              ~signers:(-1) ~quorum:1
-              ~faulty:(Replica.faulty r.core);
-          (* Ship the new state to the standbys. *)
-          Replica.broadcast r.core ~to_:r.core.peer_ids
-            (Update { epoch = r.epoch; seq = r.seq; state = App.state r.core.app; client; rid; result });
-          note_boundary r;
-          result
+    if Replica.executed r.core request then
+      Replica.reply r.core ~client ~rid r.core.rid_result.(client)
+    else
+      match r.core.batcher with
+      | Some b ->
+        (* Retransmissions of a request already parked in the batcher must
+           not enter a second batch. *)
+        if not (Hashtbl.mem r.buffered (client, rid)) then begin
+          Hashtbl.replace r.buffered (client, rid) ();
+          Batcher.add b request
         end
-      in
-      Replica.reply r.core ~client ~rid result
+      | None -> exec_batch r [ request ]
   end
 
-let on_update r ~epoch ~seq ~state ~client ~rid ~result =
-  if epoch >= r.epoch && seq > r.seq then begin
-    r.epoch <- max r.epoch epoch;
-    r.seq <- seq;
-    App.set_state r.core.app state;
-    if r.core.chk >= 0 then
-      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:epoch ~seq
-        ~digest:(update_digest ~state ~client ~rid ~result)
-        ~signers:(-1) ~quorum:1
-        ~faulty:(Replica.faulty r.core);
-    Replica.record r.core ~client ~rid result;
-    (match r.core.cp with
-    | None -> ()
-    | Some cp ->
-      (* Landing exactly on a boundary lets the backup match the
-         primary's vote; a skipped boundary (gap in the update stream)
-         instead trips the catch-up path when the vote arrives. *)
-      ignore
-        (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.core.rid_last
-           ~rid_result:r.core.rid_result))
-  end
-
-let on_update_b r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
+let on_update r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
   if epoch >= r.epoch && seq > r.seq then begin
     r.epoch <- max r.epoch epoch;
     r.seq <- seq;
     App.set_state r.core.app state;
     if r.core.chk >= 0 then begin
       Check.commit ~session:r.core.chk ~replica:r.core.id ~view:epoch ~seq
-        ~digest:(update_b_digest ~state ~replies)
+        ~digest:(update_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
         ~faulty:(Replica.faulty r.core);
       let len = List.length replies in
@@ -236,6 +181,9 @@ let on_update_b r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
     (match r.core.cp with
     | None -> ()
     | Some cp ->
+      (* Landing exactly on a boundary lets the backup match the
+         primary's vote; a skipped boundary (gap in the update stream)
+         instead trips the catch-up path when the vote arrives. *)
       ignore
         (Checkpoint.note_exec cp ~seq ~state ~rid_last:r.core.rid_last
            ~rid_result:r.core.rid_result))
@@ -287,9 +235,7 @@ let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
     | Request request -> on_request r request
-    | Update { epoch; seq; state; client; rid; result } ->
-      on_update r ~epoch ~seq ~state ~client ~rid ~result
-    | Update_b { epoch; seq; state; replies } -> on_update_b r ~epoch ~seq ~state ~replies
+    | Update_b { epoch; seq; state; replies } -> on_update r ~epoch ~seq ~state ~replies
     | Heartbeat { epoch } -> on_heartbeat r ~epoch
     | Promote { epoch } -> on_promote r ~epoch
     | Reply _ -> ()
@@ -347,7 +293,7 @@ let make_replica config core =
 
 (* The primary executes and replies the moment it seals, so there is no
    in-flight agreement to bound: the pipeline gate is trivially open and
-   occupancy is always 0 — batching here only amortizes Update traffic. *)
+   occupancy is always 0 — batching here only amortizes update traffic. *)
 let attach_batcher engine (r : replica) =
   match r.config.batching with
   | Some b when Batcher.active b ->

@@ -11,11 +11,12 @@ module Behavior = Resoc_fault.Behavior
 
 type msg =
   | Request of Types.request
-  | Update of { epoch : int; seq : int; state : int64; client : int; rid : int; result : int64 }
   | Update_b of { epoch : int; seq : int; state : int64; replies : (int * int * int64) list }
-      (** Batched shipping ([config.batching]): one update carries the
-          post-batch state plus one (client, rid, result) reply per
-          request, so backups rebuild the primary's reply cache. *)
+      (** The only state update: it carries the post-batch state plus one
+          (client, rid, result) reply per request, so backups rebuild the
+          primary's reply cache. Without a batcher every request ships as
+          a batch of one. The [_b] suffix is kept because code outside
+          this library matches the constructor by name. *)
   | Heartbeat of { epoch : int }
   | Promote of { epoch : int }
   | Reply of Types.reply
@@ -44,9 +45,9 @@ type config = {
   batching : Types.batching option;
       (** Primary-side request batching ({!Batcher}); the primary still
           executes immediately at seal time (no agreement to pipeline —
-          the gate is trivially open), so batching here amortizes Update
-          traffic. [None] (the default) keeps the legacy
-          one-update-per-request path byte-identical. *)
+          the gate is trivially open), so batching here amortizes update
+          traffic. [None] (the default) builds no batcher, so every
+          request is executed and shipped at once as a batch of one. *)
 }
 
 val default_config : config
@@ -88,5 +89,3 @@ val set_online : t -> replica:int -> unit
     restarts wiped and fetches the latest certified checkpoint from the
     primary; without it, legacy behaviour: a free state copy from the
     most advanced online replica. *)
-
-val message_name : msg -> string

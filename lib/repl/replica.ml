@@ -271,7 +271,7 @@ let pending_sorted t =
     (fun (a : Types.request) b -> compare (a.Types.client, a.Types.rid) (b.Types.client, b.Types.rid))
     pending
 
-(* Per-request execution tail, shared by single and batched instances:
+(* Per-request execution tail, run for each request of an instance:
    exactly-once via the reply cache, pending/timer cleanup, reply. *)
 let execute t (request : Types.request) =
   let result = apply t request in

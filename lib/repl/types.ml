@@ -17,11 +17,13 @@ let request_digest r =
 let request_equal (a : request) (b : request) = a.client = b.client && a.rid = b.rid && Int64.equal a.payload b.payload
 
 (* Config for the shared request-batching / agreement-pipelining layer
-   (Batcher). [None] on a protocol config keeps the one-instance-per-request
-   legacy path byte-identical; a config with [max_batch = 1] and
+   (Batcher). [None] on a protocol config only means no batcher is built:
+   each request is ordered on arrival as a batch of one, on the same
+   ordering path batches take. A config with [max_batch = 1] and
    [window_cycles = 0] is "armed but inactive" — threaded through every
    constructor yet ordering nothing differently (the determinism gate's
-   probe). *)
+   probe). Batcher.active rejects [max_batch < 1], [window_cycles < 0]
+   and [pipeline_depth < 1]. *)
 type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
 
 let batch_tag = Hash.of_string "batch"

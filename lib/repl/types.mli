@@ -27,11 +27,14 @@ type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
     [pipeline_depth] instances in flight (further bounded by the
     checkpoint high watermark when checkpointing is on). A protocol
     config carries [batching : batching option]; [None] (every default)
-    leaves the legacy one-request-per-instance path untouched. *)
+    builds no batcher, so each request is ordered on arrival as a batch
+    of one. Constructors raise [Invalid_argument] unless
+    [max_batch >= 1], [window_cycles >= 0] and [pipeline_depth >= 1]. *)
 
 val batch_digest : request list -> Hash.t
 (** Digest covering an ordered batch of requests (order-sensitive fold);
-    what batched agreement instances agree on. *)
+    what every agreement instance agrees on (a lone request is a batch
+    of one). *)
 
 val pp_request : Format.formatter -> request -> unit
 val pp_reply : Format.formatter -> reply -> unit

@@ -153,10 +153,10 @@ let legacy_rejoin kind () =
       ~set_online:(Primary_backup.set_online sys) ~churn ~clients:4 ~per_client:200 ()
   | kind -> group_summary ~churn { Group.default_spec with kind }
 
-let pbft_behaving ~replica behavior () =
+let pbft_behaving ?batching ~replica behavior () =
   let behaviors = Array.make 4 Behavior.honest in
   behaviors.(replica) <- behavior;
-  group_summary { Group.default_spec with kind = `Pbft; behaviors = Some behaviors }
+  group_summary { Group.default_spec with kind = `Pbft; behaviors = Some behaviors; batching }
 
 let e3_minbft_mcast () =
   let soc =
@@ -276,6 +276,22 @@ let expectations =
       pbft_behaving ~replica:0 (Behavior.byzantine Behavior.Corrupt_execution),
       "completed=800 submitted=800 retx=0 wrong=800 vc=0 ckpt=0 xfer=0 xbytes=0 \
        msgs=28000 mean=4039000000000000 p99=4039000000000000 states=800,800,800,800" );
+    ( "pbft/equivocate",
+      pbft_behaving ~replica:0 (Behavior.byzantine Behavior.Equivocate),
+      "completed=0 submitted=4 retx=1000 wrong=0 vc=1592 ckpt=0 xfer=0 xbytes=0 msgs=75496 \
+       mean=0 p99=0 states=0,0,0,0" );
+    ( "pbft/equivocate-batch",
+      pbft_behaving ?batching ~replica:0 (Behavior.byzantine Behavior.Equivocate),
+      "completed=0 submitted=4 retx=1000 wrong=0 vc=1592 ckpt=0 xfer=0 xbytes=0 msgs=75478 \
+       mean=0 p99=0 states=0,0,0,0" );
+    ( "e3/paxos",
+      (fun () -> e3_summary `Paxos),
+      "completed=20 submitted=20 retx=0 vc=0 msgs=280 bytes=13440 mean=4051800000000000 \
+       p99=4051800000000000 state=20" );
+    ( "e3/primary_backup",
+      (fun () -> e3_summary `Primary_backup),
+      "completed=20 submitted=20 retx=0 vc=0 msgs=4080 bytes=326400 mean=4046c00000000000 \
+       p99=404f800000000000 state=20" );
     ( "e3/minbft-mcast",
       e3_minbft_mcast,
       "completed=20 msgs=281 bytes=26976 mean=4058666666666666 p99=405e000000000000 \

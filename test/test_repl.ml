@@ -635,6 +635,84 @@ let test_pb_batching_exactly_once () =
   Alcotest.(check int64) "executed exactly once" (Int64.mul 2L (sum_1_to 3))
     (Primary_backup.replica_state sys ~replica:0)
 
+(* Invalid batching configs fail at construction instead of hanging the
+   first submit (max_batch = 0 seals empty batches forever) or stalling
+   every request until a view change (pipeline_depth = 0 never seals).
+   Inert configs are checked too, and so is the hybrids' legacy window. *)
+let test_invalid_batching_rejected () =
+  (* Every default config has 2 clients. *)
+  let on_hub n start =
+    let engine = Engine.create () in
+    ignore (start engine (Transport.hub engine ~n:(n + 2) ()))
+  in
+  let starts (batching : Types.batching) =
+    let batching = Some batching in
+    [
+      ( "pbft",
+        fun () ->
+          let config = { Pbft.default_config with batching } in
+          on_hub (Pbft.n_replicas config) (fun e fab -> Pbft.start e fab config ()) );
+      ( "paxos",
+        fun () ->
+          let config = { Paxos.default_config with batching } in
+          on_hub (Paxos.n_replicas config) (fun e fab -> Paxos.start e fab config ()) );
+      ( "cheapbft",
+        fun () ->
+          let config = { Cheapbft.default_config with batching } in
+          on_hub (Cheapbft.n_replicas config) (fun e fab -> Cheapbft.start e fab config ()) );
+      ( "primary-backup",
+        fun () ->
+          let config = { Primary_backup.default_config with batching } in
+          on_hub (Primary_backup.n_replicas config) (fun e fab ->
+              Primary_backup.start e fab config ()) );
+      ( "minbft",
+        fun () ->
+          let config = { Minbft.default_config with batching } in
+          on_hub (Minbft.n_replicas config) (fun e fab -> Minbft.start e fab config ()) );
+    ]
+  in
+  let rejects start = match start () with () -> false | exception Invalid_argument _ -> true in
+  let bad =
+    [
+      { Types.window_cycles = 10; max_batch = 0; pipeline_depth = 4 };
+      { Types.window_cycles = 50; max_batch = 8; pipeline_depth = 0 };
+      { Types.window_cycles = -1; max_batch = 8; pipeline_depth = 4 };
+      (* inert: no batcher would be built, still refused *)
+      { Types.window_cycles = 0; max_batch = 1; pipeline_depth = 0 };
+      { Types.window_cycles = 0; max_batch = 0; pipeline_depth = 1 };
+    ]
+  in
+  List.iter
+    (fun (b : Types.batching) ->
+      List.iter
+        (fun (name, start) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rejects w%d/b%d/d%d" name b.Types.window_cycles b.Types.max_batch
+               b.Types.pipeline_depth)
+            true (rejects start))
+        (starts b))
+    bad;
+  let good =
+    [
+      { Types.window_cycles = 0; max_batch = 1; pipeline_depth = 1 };
+      { Types.window_cycles = 50; max_batch = 8; pipeline_depth = 4 };
+      { Types.window_cycles = 50; max_batch = 4; pipeline_depth = 2 };
+    ]
+  in
+  List.iter
+    (fun b ->
+      List.iter (fun (name, start) -> Alcotest.(check bool) name false (rejects start)) (starts b))
+    good;
+  (* The hybrids' legacy window runs on the same Batcher and the same check. *)
+  let legacy ~batch_window ~max_batch () =
+    let config = { Minbft.default_config with batch_window; max_batch } in
+    on_hub (Minbft.n_replicas config) (fun e fab -> Minbft.start e fab config ())
+  in
+  Alcotest.(check bool) "legacy window, max_batch 0" true
+    (rejects (legacy ~batch_window:10 ~max_batch:0));
+  Alcotest.(check bool) "legacy window, max_batch 16" false
+    (rejects (legacy ~batch_window:10 ~max_batch:16))
+
 (* --- Paxos --- *)
 
 let paxos_setup ?(f = 1) ?(n_clients = 1) ?behaviors () =
@@ -829,5 +907,6 @@ let () =
           Alcotest.test_case "primary-backup completes" `Quick test_pb_batching_completes;
           Alcotest.test_case "primary-backup exactly once" `Quick
             test_pb_batching_exactly_once;
+          Alcotest.test_case "invalid config rejected" `Quick test_invalid_batching_rejected;
         ] );
     ]
