@@ -1,24 +1,35 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a [mutable int64] field:
+   storing into such a field boxes a fresh int64 on every draw, while
+   [Bytes.set_int64_le] writes the raw word. The draws below that return an
+   immediate ([int], [bool], [bernoulli]) inline the SplitMix step, so the
+   intermediate int64s stay unboxed and a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
+
+let int64 t = next t
 
 let split t =
-  let seed = int64 t in
+  let seed = next t in
   (* A second mixing round decorrelates the child stream from the parent. *)
-  { state = mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L) }
+  create (mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L))
 
 let derive seed index =
   if index < 0 then invalid_arg "Rng.derive: index must be non-negative";
@@ -33,14 +44,16 @@ let derive seed index =
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Mask to 62 bits so Int64.to_int cannot wrap negative on 63-bit ints. *)
-  let v = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
+  let v = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFFFL) in
   v mod n
 
-let float t x =
-  let bits = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53 *. x
+let[@inline] float t x =
+  (* 53 bits fit an int exactly; [float_of_int] converts inline where
+     [Int64.to_float] calls into the runtime. *)
+  let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
+  float_of_int bits *. 0x1.0p-53 *. x
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0.0 then false

@@ -9,7 +9,22 @@ type kind =
   | Nand of int * int
   | Nor of int * int
 
-type t = { n_inputs : int; gates : kind array; outputs : int array }
+(* [build] compiles the netlist into three flat arrays, one entry per gate:
+   an opcode and two operand indices ([Input k] keeps [k] in [arg_a],
+   [Const b] keeps its two-lane value there). Opcodes are constant
+   constructors, so [op] is an array of immediates and the evaluator below
+   dispatches through a jump table without touching a boxed variant. *)
+type opcode = Op_input | Op_const | Op_not | Op_buf | Op_and | Op_or | Op_xor | Op_nand | Op_nor
+
+type t = {
+  n_inputs : int;
+  gates : kind array;
+  outputs : int array;
+  op : opcode array;
+  arg_a : int array;
+  arg_b : int array;
+  fallible : int;
+}
 
 let is_fallible = function Input _ | Const _ -> false | _ -> true
 
@@ -30,43 +45,99 @@ let validate ~n_inputs gates ~outputs =
     gates;
   Array.iter (fun o -> if o < 0 || o >= n then invalid_arg "Circuit.build: output index out of range") outputs
 
+(* Every wire carries two lanes in one int: bit 0 is the fault-free value,
+   bit 1 the value under fault injection. A fault flips bit 1 only. *)
+let golden_lane = 1
+let faulty_lane = 2
+let both = golden_lane lor faulty_lane
+let lanes b = if b then both else 0
+
+let compile = function
+  | Input k -> (Op_input, k, 0)
+  | Const b -> (Op_const, lanes b, 0)
+  | Not a -> (Op_not, a, 0)
+  | Buf a -> (Op_buf, a, 0)
+  | And (a, b) -> (Op_and, a, b)
+  | Or (a, b) -> (Op_or, a, b)
+  | Xor (a, b) -> (Op_xor, a, b)
+  | Nand (a, b) -> (Op_nand, a, b)
+  | Nor (a, b) -> (Op_nor, a, b)
+
 let build ~n_inputs gates ~outputs =
   if n_inputs < 0 then invalid_arg "Circuit.build: negative input count";
   validate ~n_inputs gates ~outputs;
-  { n_inputs; gates; outputs }
+  let gates = Array.copy gates and outputs = Array.copy outputs in
+  let compiled = Array.map compile gates in
+  {
+    n_inputs;
+    gates;
+    outputs;
+    op = Array.map (fun (o, _, _) -> o) compiled;
+    arg_a = Array.map (fun (_, a, _) -> a) compiled;
+    arg_b = Array.map (fun (_, _, b) -> b) compiled;
+    fallible = Array.fold_left (fun acc k -> if is_fallible k then acc + 1 else acc) 0 gates;
+  }
 
 let n_inputs t = t.n_inputs
 let n_outputs t = Array.length t.outputs
+let gate_count t = t.fallible
+let gates t = Array.copy t.gates
+let outputs t = Array.copy t.outputs
 
-let gate_count t =
-  Array.fold_left (fun acc k -> if is_fallible k then acc + 1 else acc) 0 t.gates
+let[@inline] upset rng p_gate v =
+  if Resoc_des.Rng.bernoulli rng p_gate then v lxor faulty_lane else v
 
-let eval_gate values inputs = function
-  | Input k -> inputs.(k)
-  | Const b -> b
-  | Not a -> not values.(a)
-  | Buf a -> values.(a)
-  | And (a, b) -> values.(a) && values.(b)
-  | Or (a, b) -> values.(a) || values.(b)
-  | Xor (a, b) -> values.(a) <> values.(b)
-  | Nand (a, b) -> not (values.(a) && values.(b))
-  | Nor (a, b) -> not (values.(a) || values.(b))
+(* One pass over the netlist in topological order. [inputs] holds two-lane
+   input values. Each fallible gate makes exactly one [Rng.bernoulli] call,
+   in gate order, which draws nothing at p <= 0 or p >= 1. *)
+let run t values inputs rng p_gate =
+  let op = t.op and arg_a = t.arg_a and arg_b = t.arg_b in
+  for i = 0 to Array.length op - 1 do
+    let a = arg_a.(i) in
+    values.(i) <-
+      (match op.(i) with
+       | Op_input -> inputs.(a)
+       | Op_const -> a
+       | Op_not -> upset rng p_gate (values.(a) lxor both)
+       | Op_buf -> upset rng p_gate values.(a)
+       | Op_and -> upset rng p_gate (values.(a) land values.(arg_b.(i)))
+       | Op_or -> upset rng p_gate (values.(a) lor values.(arg_b.(i)))
+       | Op_xor -> upset rng p_gate (values.(a) lxor values.(arg_b.(i)))
+       | Op_nand -> upset rng p_gate ((values.(a) land values.(arg_b.(i))) lxor both)
+       | Op_nor -> upset rng p_gate ((values.(a) lor values.(arg_b.(i))) lxor both))
+  done
 
-let eval_with t inputs upset =
+(* [eval] runs the same pass at p = 0, where [bernoulli] never reads the
+   generator, so this one is never advanced. *)
+let unused_rng = Resoc_des.Rng.create 0L
+
+let eval_lane t rng ~p_gate inputs lane =
   if Array.length inputs <> t.n_inputs then invalid_arg "Circuit.eval: wrong input arity";
-  let values = Array.make (Array.length t.gates) false in
-  Array.iteri
-    (fun i k ->
-      let v = eval_gate values inputs k in
-      let v = if is_fallible k && upset () then not v else v in
-      values.(i) <- v)
-    t.gates;
-  Array.map (fun o -> values.(o)) t.outputs
+  let values = Array.make (Array.length t.op) 0 in
+  run t values (Array.map lanes inputs) rng p_gate;
+  Array.map (fun o -> values.(o) land lane <> 0) t.outputs
 
-let eval t inputs = eval_with t inputs (fun () -> false)
+let eval t inputs = eval_lane t unused_rng ~p_gate:0.0 inputs golden_lane
 
-let eval_faulty t rng ~p_gate inputs =
-  eval_with t inputs (fun () -> Resoc_des.Rng.bernoulli rng p_gate)
+let eval_faulty t rng ~p_gate inputs = eval_lane t rng ~p_gate inputs faulty_lane
+
+let count_correct t rng ~trials ~p_gate =
+  let inputs = Array.make t.n_inputs 0 and values = Array.make (Array.length t.op) 0 in
+  let correct = ref 0 in
+  for _ = 1 to trials do
+    for k = 0 to t.n_inputs - 1 do
+      inputs.(k) <- lanes (Resoc_des.Rng.bool rng)
+    done;
+    run t values inputs rng p_gate;
+    (* A trial is correct when both lanes agree on every output. *)
+    let agree = ref true in
+    for j = 0 to Array.length t.outputs - 1 do
+      let v = values.(t.outputs.(j)) in
+      if v <> 0 && v <> both then agree := false
+    done;
+    if !agree then incr correct
+  done;
+  !correct
 
 (* --- builders --- *)
 

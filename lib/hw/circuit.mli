@@ -30,12 +30,27 @@ val n_outputs : t -> int
 val gate_count : t -> int
 (** Number of fallible gates (inputs and constants excluded). *)
 
+val gates : t -> kind array
+(** The netlist, in the order given to {!build}. *)
+
+val outputs : t -> int array
+(** Indices of the output gates. *)
+
 val eval : t -> bool array -> bool array
 (** Fault-free evaluation. *)
 
 val eval_faulty : t -> Resoc_des.Rng.t -> p_gate:float -> bool array -> bool array
 (** Evaluation in which every fallible gate's output flips independently
-    with probability [p_gate]. *)
+    with probability [p_gate]: one [Rng.bernoulli rng p_gate] per fallible
+    gate, in netlist order. *)
+
+val count_correct : t -> Resoc_des.Rng.t -> trials:int -> p_gate:float -> int
+(** [count_correct t rng ~trials ~p_gate] runs [trials] random-input trials
+    and counts those in which {!eval_faulty} matches {!eval} on every
+    output. Each trial draws [n_inputs] [Rng.bool]s, then makes the draws of
+    one {!eval_faulty}, so the stream is the same as calling the two
+    evaluators in turn. Both evaluations run in one pass over the netlist
+    and no trial allocates. *)
 
 (** Library of builders. *)
 

@@ -25,10 +25,16 @@ val encode : int64 -> codeword
 val decode : codeword -> int64 * status
 (** Decodes and, when possible, corrects the stored word. Note that three or
     more flipped bits can decode as [Clean] or [Corrected] with wrong data —
-    silent corruption, exactly as in real SECDED memories. *)
+    silent corruption, exactly as in real SECDED memories. An odd-parity
+    word whose syndrome (72 or more) names no stored position also reads as
+    [Corrected], with its data bits returned unrepaired. *)
 
 val flip : codeword -> int -> codeword
 (** [flip w i] flips stored bit [i] (0 <= i < 72). *)
+
+val parity : int64 -> bool
+(** [parity v] is true when [v] has an odd number of set bits; a
+    word-parallel fold, shared with the parity-protected register. *)
 
 val bits_set : codeword -> int
 (** Population count (test helper). *)

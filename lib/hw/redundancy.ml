@@ -39,12 +39,5 @@ let mc_module_nmr rng ~n ~trials ~p_fail =
 
 let mc_circuit_correct rng circuit ~trials ~p_gate =
   if trials <= 0 then invalid_arg "Redundancy.mc_circuit_correct: trials must be positive";
-  let n_in = Circuit.n_inputs circuit in
-  let correct = ref 0 in
-  for _ = 1 to trials do
-    let inputs = Array.init n_in (fun _ -> Resoc_des.Rng.bool rng) in
-    let golden = Circuit.eval circuit inputs in
-    let faulty = Circuit.eval_faulty circuit rng ~p_gate inputs in
-    if golden = faulty then incr correct
-  done;
-  float_of_int !correct /. float_of_int trials
+  let correct = Circuit.count_correct circuit rng ~trials ~p_gate in
+  float_of_int correct /. float_of_int trials

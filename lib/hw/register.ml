@@ -14,15 +14,11 @@ type t = {
   mutable upsets : int;
 }
 
-let parity_of_int64 v =
-  let rec fold v acc = if Int64.equal v 0L then acc else fold (Int64.shift_right_logical v 1) (acc <> (Int64.logand v 1L = 1L)) in
-  fold v false
-
 let create protection value =
   let storage =
     match protection with
     | Plain -> Plain_word (ref value)
-    | Parity -> Parity_word { value = ref value; parity = ref (parity_of_int64 value) }
+    | Parity -> Parity_word { value = ref value; parity = ref (Ecc.parity value) }
     | Secded -> Secded_word (ref (Ecc.encode value))
   in
   { protection; storage; shadow = value; upsets = 0 }
@@ -42,14 +38,14 @@ let write t v =
   | Plain_word r -> r := v
   | Parity_word { value; parity } ->
     value := v;
-    parity := parity_of_int64 v
+    parity := Ecc.parity v
   | Secded_word r -> r := Ecc.encode v
 
 let read t =
   match t.storage with
   | Plain_word r -> (!r, Ok)
   | Parity_word { value; parity } ->
-    if parity_of_int64 !value = !parity then (!value, Ok) else (!value, Fault_detected)
+    if Ecc.parity !value = !parity then (!value, Ok) else (!value, Fault_detected)
   | Secded_word r ->
     let data, status = Ecc.decode !r in
     (match status with
@@ -84,7 +80,7 @@ let peek t =
   match t.storage with
   | Plain_word r -> (!r, Ok)
   | Parity_word { value; parity } ->
-    if parity_of_int64 !value = !parity then (!value, Ok) else (!value, Fault_detected)
+    if Ecc.parity !value = !parity then (!value, Ok) else (!value, Fault_detected)
   | Secded_word r ->
     let data, status = Ecc.decode !r in
     (match status with

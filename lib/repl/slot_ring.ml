@@ -6,8 +6,10 @@
    the live window spans at most retention + in-flight slots. A ring
    sized to a power of two above that window replaces the
    [(seq, entry) Hashtbl.t]: lookup is a mask and an int compare, and
-   the entry records themselves are allocated once per slot and reset in
-   place when a new sequence number claims the slot.
+   the entry records themselves are allocated once per slot, when a
+   sequence number first claims it, and reset in place by every later
+   claim. Until then the slot holds a shared [vacant] record, so a
+   replica that never orders 512 requests never pays for 512 records.
 
    If a burst pushes the live window past the capacity (two live seqs
    mapping to one slot), the ring doubles and re-places the live
@@ -26,8 +28,9 @@
 
 type 'a t = {
   mutable seqs : int array;  (* seqs.(i) = the seq bound to slot i, or free *)
-  mutable entries : 'a array;  (* one pooled record per slot, never null *)
-  fresh : int -> 'a;  (* allocator for slots added by growth *)
+  mutable entries : 'a array;  (* one pooled record per claimed slot, else [vacant] *)
+  fresh : int -> 'a;  (* allocator, called when a slot is first claimed *)
+  vacant : 'a;  (* placeholder of never-claimed slots; never handed out *)
   mutable ov_seqs : int array;  (* overflow keys, dense in [0, ov_live) *)
   mutable ov_entries : 'a array;
   mutable ov_live : int;
@@ -45,10 +48,12 @@ let create ~capacity ~fresh =
   while !cap < capacity do
     cap := !cap * 2
   done;
+  let vacant = fresh (-1) in
   {
     seqs = Array.make !cap free;
-    entries = Array.init !cap fresh;
+    entries = Array.make !cap vacant;
     fresh;
+    vacant;
     ov_seqs = [||];
     ov_entries = [||];
     ov_live = 0;
@@ -86,7 +91,7 @@ let grow t =
   let cap = Array.length t.seqs in
   let ncap = 2 * cap in
   let nseqs = Array.make ncap free in
-  let nentries = Array.init ncap t.fresh in
+  let nentries = Array.make ncap t.vacant in
   for i = 0 to cap - 1 do
     let seq = t.seqs.(i) in
     if seq <> free then begin
@@ -129,7 +134,12 @@ let rec bind t seq =
     | _ ->
       if bound = free then begin
         Array.unsafe_set t.seqs i seq;
-        (Array.unsafe_get t.entries i, true)
+        let e = Array.unsafe_get t.entries i in
+        if e != t.vacant then (e, true)
+        else
+          let e = t.fresh i in
+          Array.unsafe_set t.entries i e;
+          (e, true)
       end
       else if cap < max_direct then begin
         grow t;

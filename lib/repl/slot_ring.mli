@@ -14,7 +14,9 @@ type 'a t
 
 val create : capacity:int -> fresh:(int -> 'a) -> 'a t
 (** [create ~capacity ~fresh] rounds [capacity] up to a power of two
-    (minimum 8) and fills every slot with [fresh i]. *)
+    (minimum 8). Slot [i] gets its record [fresh i] when a sequence number
+    first claims it; [fresh (-1)] makes one shared placeholder that is
+    never returned. *)
 
 val capacity : 'a t -> int
 

@@ -207,6 +207,65 @@ let test_geometric_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.0) < 0.2)
 
+(* The first outputs of [create 42L], captured before the state moved into a
+   byte buffer: any change to the SplitMix stream fails here, not as a drift
+   in some experiment table. *)
+let draws n f = List.init n (fun _ -> f ())
+
+let test_rng_stream_pinned () =
+  let r = Rng.create 42L in
+  Alcotest.(check (list int64)) "int64"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ]
+    (draws 3 (fun () -> Rng.int64 r));
+  let r = Rng.create 42L in
+  Alcotest.(check (list int)) "int 1000" [ 605; 291; 954; 860; 250 ]
+    (draws 5 (fun () -> Rng.int r 1000));
+  let r = Rng.create 42L in
+  Alcotest.(check (list (float 0.0))) "float 1.0"
+    [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2 ]
+    (draws 3 (fun () -> Rng.float r 1.0));
+  let r = Rng.create 42L in
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; false; false; false; false; true; false;
+      true; false; true; false; false; true; false; false ]
+    (draws 16 (fun () -> Rng.bool r));
+  let r = Rng.create 42L in
+  Alcotest.(check (list bool)) "bernoulli 0.3"
+    [ false; true; true; false; true; false; true; false;
+      false; false; true; false; false; false; false; true ]
+    (draws 16 (fun () -> Rng.bernoulli r 0.3));
+  let r = Rng.create 42L in
+  let c = Rng.split r in
+  Alcotest.(check (list int64)) "split child"
+    [ 0xF5C2C3FA732B301BL; 0x727B2690CC89BBBCL; 0xD74AB59060A2BD0AL ]
+    (draws 3 (fun () -> Rng.int64 c));
+  Alcotest.(check int64) "split advances the parent once" 0x28EFE333B266F103L (Rng.int64 r);
+  let r = Rng.create 42L in
+  ignore (Rng.int64 r);
+  let c = Rng.copy r in
+  Alcotest.(check int64) "copy" 0x28EFE333B266F103L (Rng.int64 c);
+  Alcotest.(check int64) "copy leaves the original" 0x28EFE333B266F103L (Rng.int64 r);
+  Alcotest.(check (list int64)) "derive"
+    [ 0x77B5458A66FC223EL; 0xFA9D3C01052ADD31L; 0x6D9DCE05E0A9AA5DL ]
+    (List.map (Rng.derive 42L) [ 0; 1; 5 ])
+
+(* The draws that return an immediate allocate nothing, so the gate-level
+   Monte Carlo can call them once per gate per trial. The slack covers the
+   boxed floats [Gc.minor_words] itself returns. *)
+let test_rng_draws_allocation_free () =
+  let r = Rng.create 42L in
+  let check name draw =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100_000 do
+      draw ()
+    done;
+    let words = Gc.minor_words () -. before in
+    if words > 64.0 then Alcotest.failf "%s: 100k draws allocated %.0f minor words" name words
+  in
+  check "int" (fun () -> ignore (Sys.opaque_identity (Rng.int r 1000)));
+  check "bool" (fun () -> ignore (Sys.opaque_identity (Rng.bool r)));
+  check "bernoulli" (fun () -> ignore (Sys.opaque_identity (Rng.bernoulli r 0.3)))
+
 (* --- Engine --- *)
 
 let test_engine_ordering () =
@@ -525,6 +584,8 @@ let () =
           Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
           Alcotest.test_case "geometric endpoints" `Quick test_geometric_endpoints;
           Alcotest.test_case "poisson endpoints" `Quick test_poisson_endpoints;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "draws allocation-free" `Quick test_rng_draws_allocation_free;
         ] );
       ( "engine",
         [

@@ -342,6 +342,126 @@ let test_complexity_sweep_shape () =
       Alcotest.(check bool) "probabilities" true (pc >= 0.0 && pc <= 1.0 && ps >= 0.0 && ps <= 1.0))
     rows
 
+(* --- Oracles: the word-parallel kernels against the bit loops they
+   replaced (Hw_reference) --- *)
+
+module Ref_ecc = Hw_reference.Secded
+module Ref_circuit = Hw_reference.Netlist
+
+let hex w = Format.asprintf "%a" Ecc.pp w
+
+let status_name = function
+  | Ecc.Clean -> "clean"
+  | Ecc.Corrected -> "corrected"
+  | Ecc.Uncorrectable -> "uncorrectable"
+
+(* Encode [data], flip [flips] in order, and compare every observable of
+   the result with the reference codec. Returns a mismatch description. *)
+let ecc_mismatch data flips =
+  let fast = List.fold_left Ecc.flip (Ecc.encode data) flips in
+  let slow = List.fold_left Ref_ecc.flip (Ref_ecc.encode data) flips in
+  let fd, fs = Ecc.decode fast and sd, ss = Ref_ecc.decode slow in
+  if hex fast <> Ref_ecc.to_string slow then
+    Some (Printf.sprintf "pp %s vs %s" (hex fast) (Ref_ecc.to_string slow))
+  else if not (Int64.equal fd sd && fs = ss) then
+    Some
+      (Printf.sprintf "decode %Lx/%s vs %Lx/%s" fd (status_name fs) sd (status_name ss))
+  else if Ecc.bits_set fast <> Ref_ecc.bits_set slow then Some "bits_set"
+  else if
+    Ecc.equal fast (Ecc.encode data) <> Ref_ecc.equal slow (Ref_ecc.encode data)
+  then Some "equal"
+  else None
+
+let prop_ecc_matches_reference =
+  (* 0-4 flips: three or more include syndromes of 72 and up, which name no
+     stored position. *)
+  let gen = QCheck.(pair int64 (list_of_size Gen.(0 -- 4) (int_bound (Ecc.width - 1)))) in
+  QCheck.Test.make ~name:"secded matches the bit-loop reference" ~count:2000 gen
+    (fun (data, flips) ->
+      match ecc_mismatch data flips with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
+let test_ecc_triple_flips_match_reference () =
+  let data = 0x0123456789ABCDEFL in
+  let high_syndromes = ref 0 in
+  for i = 0 to Ecc.width - 1 do
+    for j = i + 1 to Ecc.width - 1 do
+      for k = j + 1 to Ecc.width - 1 do
+        (* Position 0, the overall parity bit, is outside the syndrome. *)
+        if i lxor j lxor k >= 72 then incr high_syndromes;
+        match ecc_mismatch data [ i; j; k ] with
+        | None -> ()
+        | Some m -> Alcotest.failf "flips %d,%d,%d: %s" i j k m
+      done
+    done
+  done;
+  Alcotest.(check bool) "syndromes >= 72 covered" true (!high_syndromes > 0)
+
+let test_ecc_high_syndrome_reads_corrected () =
+  (* Positions 8, 16 and 64 xor to syndrome 88 with odd parity: the decoder
+     reports [Corrected] and returns the data bits as stored. *)
+  let data = 0xFEEDFACE12345678L in
+  let w = List.fold_left Ecc.flip (Ecc.encode data) [ 8; 16; 64 ] in
+  let d, status = Ecc.decode w in
+  Alcotest.(check string) "status" "corrected" (status_name status);
+  Alcotest.(check int64) "data unchanged" data d
+
+let prop_parity_matches_reference =
+  QCheck.Test.make ~name:"word parity matches the bit fold" ~count:1000 QCheck.int64 (fun v ->
+      Ecc.parity v = Ref_ecc.parity v)
+
+(* A random circuit from the families E1 uses, built from [seed]. *)
+let circuit_of (family, seed) =
+  let rng = Rng.create (Int64.of_int seed) in
+  let small () =
+    Circuit.random_logic rng ~n_inputs:(1 + Rng.int rng 8) ~n_gates:(1 + Rng.int rng 60)
+  in
+  match family with
+  | 0 -> small ()
+  | 1 -> Circuit.majority 5
+  | 2 -> Circuit.majority 7
+  | _ -> Circuit.replicate_with_voter (small ()) (if Rng.bool rng then 3 else 5)
+
+let p_gates = [ 0.0; 1e-4; 0.01; 0.5; 1.0 ]
+
+let circuit_case =
+  QCheck.(
+    make
+      ~print:(fun ((family, seed), p, rng_seed) ->
+        Printf.sprintf "family %d seed %d p %g rng %d" family seed p rng_seed)
+      Gen.(triple (pair (0 -- 3) nat) (oneofl p_gates) nat))
+
+let prop_circuit_matches_reference =
+  QCheck.Test.make ~name:"two-lane evaluator matches the reference" ~count:300 circuit_case
+    (fun (spec, p_gate, rng_seed) ->
+      let c = circuit_of spec in
+      let fast = Rng.create (Int64.of_int rng_seed) in
+      let slow = Rng.copy fast in
+      let inputs = Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool fast) in
+      ignore (Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool slow));
+      Circuit.eval c inputs = Ref_circuit.eval c inputs
+      && Circuit.eval_faulty c fast ~p_gate inputs = Ref_circuit.eval_faulty c slow ~p_gate inputs
+      && Redundancy.mc_circuit_correct fast c ~trials:25 ~p_gate
+         = Ref_circuit.mc_circuit_correct slow c ~trials:25 ~p_gate
+      && Int64.equal (Rng.int64 fast) (Rng.int64 slow))
+
+let test_circuit_extreme_p_draws_nothing () =
+  (* At p = 0 and p = 1 [bernoulli] never reads the generator: a faulty
+     evaluation leaves it where it was. *)
+  let c = circuit_of (3, 7) in
+  let inputs = Array.make (Circuit.n_inputs c) true in
+  List.iter
+    (fun p_gate ->
+      let rng = Rng.create 99L in
+      let out = Circuit.eval_faulty c rng ~p_gate inputs in
+      Alcotest.(check int64) (Printf.sprintf "p=%g no draw" p_gate)
+        (Rng.int64 (Rng.create 99L)) (Rng.int64 rng);
+      Alcotest.(check (array bool)) (Printf.sprintf "p=%g output" p_gate)
+        (Ref_circuit.eval_faulty c (Rng.create 99L) ~p_gate inputs)
+        out)
+    [ 0.0; 1.0 ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -356,6 +476,14 @@ let () =
           Alcotest.test_case "flip involutive" `Quick test_ecc_flip_involutive;
         ] );
       qsuite "ecc-prop" [ prop_ecc_roundtrip; prop_ecc_corrects_any_single_flip ];
+      ( "ecc-oracle",
+        [
+          Alcotest.test_case "triple flips match reference" `Quick
+            test_ecc_triple_flips_match_reference;
+          Alcotest.test_case "syndrome >= 72 reads corrected" `Quick
+            test_ecc_high_syndrome_reads_corrected;
+        ] );
+      qsuite "ecc-oracle-prop" [ prop_ecc_matches_reference; prop_parity_matches_reference ];
       ( "register",
         [
           Alcotest.test_case "write read" `Quick test_register_write_read;
@@ -381,7 +509,9 @@ let () =
           Alcotest.test_case "voter wiring" `Quick test_replicate_with_voter_masks;
           Alcotest.test_case "tmr improves reliability" `Slow test_tmr_improves_reliability;
           Alcotest.test_case "tmr voter-limited regime" `Slow test_tmr_voter_limited_regime;
+          Alcotest.test_case "p=0 and p=1 draw nothing" `Quick test_circuit_extreme_p_draws_nothing;
         ] );
+      qsuite "circuit-oracle-prop" [ prop_circuit_matches_reference ];
       ( "redundancy",
         [
           Alcotest.test_case "binomial" `Quick test_binomial;

@@ -212,6 +212,21 @@ let prop_slot_ring_model =
                [ 0; 1; 63; 255; 499; (1 lsl 31) + 3; -((1 lsl 31) + 3) ])
         ops)
 
+let test_slot_ring_lazy_records () =
+  (* Records are made when a slot is first claimed, then reused: a ring
+     that is built but never used costs one placeholder, not [capacity]
+     records. *)
+  let calls = ref [] in
+  let ring = Slot_ring.create ~capacity:512 ~fresh:(fun i -> calls := i :: !calls; ref i) in
+  Alcotest.(check (list int)) "only the placeholder" [ -1 ] !calls;
+  let first, fresh_claim = Slot_ring.bind ring 5 in
+  Alcotest.(check bool) "fresh claim" true fresh_claim;
+  Alcotest.(check (list int)) "slot 5 allocated" [ 5; -1 ] !calls;
+  Slot_ring.release ring 5;
+  let again, _ = Slot_ring.bind ring (5 + 512) in
+  Alcotest.(check bool) "record reused" true (first == again);
+  Alcotest.(check int) "no further allocation" 2 (List.length !calls)
+
 let test_slot_ring_outlier_bounded () =
   (* A corrupted sequence number (SEU near bit 31/63) must not balloon
      the ring: growth stops at 2^15 slots and outliers overflow. *)
@@ -265,5 +280,6 @@ let () =
           Alcotest.test_case "rounds reclaim stale slots" `Quick test_rounds_reclaim;
           Alcotest.test_case "check_n bounds" `Quick test_check_n;
           Alcotest.test_case "slot-ring outliers bounded" `Quick test_slot_ring_outlier_bounded;
+          Alcotest.test_case "slot-ring records on first claim" `Quick test_slot_ring_lazy_records;
         ] );
     ]
