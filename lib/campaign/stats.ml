@@ -23,6 +23,39 @@ let t95 ~df =
   else if df <= 120 then 1.980
   else 1.960
 
+(* P(|T| <= t) for Student's t with [df] degrees of freedom, in closed
+   form (Abramowitz & Stegun 26.7.3-4) with theta = atan (t / sqrt df). *)
+let t_central ~df t =
+  let theta = atan (t /. sqrt (float_of_int df)) in
+  let c2 = cos theta *. cos theta in
+  (* sum over j of coef_j * cos^(2j) theta, coef_j = prod (2i + odd) / (2i + 1 + odd) *)
+  let series ~first ~terms ~odd =
+    let acc = ref first and term = ref first in
+    for j = 1 to terms do
+      term := !term *. c2 *. float_of_int ((2 * j) - 1 + odd) /. float_of_int ((2 * j) + odd);
+      acc := !acc +. !term
+    done;
+    !acc
+  in
+  if df mod 2 = 1 then
+    let tail = if df = 1 then 0.0 else series ~first:(cos theta) ~terms:((df - 3) / 2) ~odd:1 in
+    2.0 /. Float.pi *. (theta +. (sin theta *. tail))
+  else sin theta *. series ~first:1.0 ~terms:((df - 2) / 2) ~odd:0
+
+let t_quantile ~df ~p =
+  if df <= 0 then invalid_arg "Stats.t_quantile: df must be positive";
+  if not (p > 0.0 && p < 1.0) then invalid_arg "Stats.t_quantile: p must lie in (0, 1)";
+  (* Bisection: [t_central] rises monotonically from 0 to 1. *)
+  let lo = ref 0.0 and hi = ref 1.0 in
+  while t_central ~df !hi < p do
+    hi := 2.0 *. !hi
+  done;
+  for _ = 1 to 200 do
+    let mid = 0.5 *. (!lo +. !hi) in
+    if t_central ~df mid < p then lo := mid else hi := mid
+  done;
+  !hi
+
 let summarize values =
   let n = Array.length values in
   if n = 0 then { n = 0; mean = Float.nan; stddev = Float.nan; min = Float.nan; max = Float.nan; ci95 = Float.nan }

@@ -28,7 +28,17 @@ let test_t95 () =
   check_feq "t95 df=30" 2.042 (Stats.t95 ~df:30);
   check_feq "t95 df=1000" 1.960 (Stats.t95 ~df:1000);
   Alcotest.check_raises "t95 df=0" (Invalid_argument "Stats.t95: df must be positive")
-    (fun () -> ignore (Stats.t95 ~df:0))
+    (fun () -> ignore (Stats.t95 ~df:0));
+  for df = 1 to 30 do
+    Alcotest.(check bool)
+      (Printf.sprintf "t_quantile 0.95 df=%d matches the table" df)
+      true
+      (Float.abs (Stats.t_quantile ~df ~p:0.95 -. Stats.t95 ~df) < 6e-4)
+  done;
+  (* Tails far past the table: t(0.999, 10) = 4.587, t(0.9999, 15) = 5.239. *)
+  let t3 ~df ~p = Float.round (Stats.t_quantile ~df ~p *. 1000.) /. 1000. in
+  check_feq "t_quantile 0.999 df=10" 4.587 (t3 ~df:10 ~p:0.999);
+  check_feq "t_quantile 0.9999 df=15" 5.239 (t3 ~df:15 ~p:0.9999)
 
 let test_summarize () =
   let s = Stats.summarize [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in

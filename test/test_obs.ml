@@ -87,117 +87,58 @@ let test_iter_scalars () =
     [ ("c", 1); ("h.count", 1); ("h.sum", 2); ("g", 9) ]
     (scalars r)
 
-(* --- a tiny validating JSON parser ------------------------------------- *)
+(* --- the JSON reader ------------------------------------------------------ *)
 
-exception Bad_json
+module Json = Resoc_obs.Json
 
-let json_check s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Bad_json in
-  let adv () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c = if peek () <> c then raise Bad_json else adv () in
-  let lit w = String.iter (fun c -> if peek () <> c then raise Bad_json else adv ()) w in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | '"' -> adv ()
-      | '\\' ->
-        adv ();
-        (match peek () with
-        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
-          adv ();
-          go ()
-        | 'u' ->
-          adv ();
-          for _ = 1 to 4 do
-            match peek () with
-            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> adv ()
-            | _ -> raise Bad_json
-          done;
-          go ()
-        | _ -> raise Bad_json)
-      | c when Char.code c < 0x20 -> raise Bad_json
-      | _ ->
-        adv ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = '-' then adv ();
-    let digits () =
-      (match peek () with '0' .. '9' -> adv () | _ -> raise Bad_json);
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        incr pos
-      done
-    in
-    digits ();
-    if !pos < n && s.[!pos] = '.' then begin
-      adv ();
-      digits ()
-    end;
-    if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-      adv ();
-      if peek () = '+' || peek () = '-' then adv ();
-      digits ()
-    end
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      adv ();
-      skip_ws ();
-      if peek () = '}' then adv ()
-      else
-        let rec members () =
-          skip_ws ();
-          string_ ();
-          skip_ws ();
-          expect ':';
-          value ();
-          skip_ws ();
-          if peek () = ',' then begin
-            adv ();
-            members ()
-          end
-          else expect '}'
-        in
-        members ()
-    | '[' ->
-      adv ();
-      skip_ws ();
-      if peek () = ']' then adv ()
-      else
-        let rec elems () =
-          value ();
-          skip_ws ();
-          if peek () = ',' then begin
-            adv ();
-            elems ()
-          end
-          else expect ']'
-        in
-        elems ()
-    | '"' -> string_ ()
-    | 't' -> lit "true"
-    | 'f' -> lit "false"
-    | 'n' -> lit "null"
-    | '-' | '0' .. '9' -> number ()
-    | _ -> raise Bad_json
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then raise Bad_json
+let json_ok s = match Json.parse s with _ -> true | exception Failure _ -> false
 
-let json_ok s = match json_check s with () -> true | exception Bad_json -> false
+let test_json_values () =
+  let v =
+    Json.parse
+      {| {"seed": -6413476535016377137, "big": 9223372036854775808, "x": 1.5e3, "n": -0.25,
+          "l": [true, false, null, 0], "s": "a\"b\\c\/d\n\u00e9\ud83d\ude00"} |}
+  in
+  let get name = Json.member name v in
+  Alcotest.(check bool) "seed exact past 2^53" true
+    (get "seed" = Some (Json.Int (-6413476535016377137L)));
+  Alcotest.(check bool) "past int64 is a float" true
+    (get "big" = Some (Json.Float 9223372036854775808.));
+  Alcotest.(check bool) "exponent" true (get "x" = Some (Json.Float 1500.));
+  Alcotest.(check bool) "fraction" true (get "n" = Some (Json.Float (-0.25)));
+  Alcotest.(check bool) "list" true
+    (get "l" = Some (Json.List [ Json.Bool true; Json.Bool false; Json.Null; Json.Int 0L ]));
+  Alcotest.(check (option string)) "escapes and UTF-8" (Some "a\"b\\c/d\n\xc3\xa9\xf0\x9f\x98\x80")
+    (match get "s" with Some (Json.String s) -> Some s | _ -> None);
+  Alcotest.(check bool) "missing member" true (get "nope" = None)
+
+let test_json_rejects () =
+  List.iter
+    (fun doc -> Alcotest.(check bool) ("rejects " ^ String.escaped doc) false (json_ok doc))
+    [
+      "";
+      "{";
+      "[1,]";
+      "{\"a\" 1}";
+      "\"raw\ncontrol\"";
+      "\"\\x\"";
+      "\"\\ud800\"";
+      "\"\\udc00\"";
+      "\"\\u12g4\"";
+      "01";
+      "1.";
+      "-";
+      "1e";
+      "[1] 2";
+      "tru";
+    ]
+
+let test_json_string_roundtrip () =
+  let all_bytes = String.init 256 Char.chr in
+  let buf = Buffer.create 512 in
+  Json.add_string buf all_bytes;
+  Alcotest.(check bool) "every byte survives add_string then parse" true
+    (Json.parse (Buffer.contents buf) = Json.String all_bytes)
 
 let test_registry_json_csv () =
   let r = Registry.create () in
@@ -424,6 +365,12 @@ let () =
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "iter_scalars" `Quick test_iter_scalars;
           Alcotest.test_case "json and csv" `Quick test_registry_json_csv;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "values" `Quick test_json_values;
+          Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
+          Alcotest.test_case "string round trip" `Quick test_json_string_roundtrip;
         ] );
       ( "ring",
         [
