@@ -2,17 +2,25 @@
    BENCH_<id>.json against reference files, aggregate by aggregate.
 
      equiv.exe [--moved FILE] REF_DIR RUN_DIR
+     equiv.exe --emit-moved REASON REF_DIR RUN_DIR
 
    Every (experiment, cell, metric) summary in a reference file is an
    aggregate. With m aggregates, each gets a Bonferroni-corrected interval
    mean ± t(1 - alpha/m, n - 1) · stddev / sqrt n with alpha = 0.05, so
    the chance that any of them misses on an unchanged simulator is at
    most 5% (DESIGN.md §13). An aggregate fails when its two intervals do
-   not overlap (two zero-width intervals must be equal), when it is
-   missing from the run, or when its cell has more failed replicates
-   than the reference. A failure listed in the moved file (experiment,
-   cell, metric and a reason, tab-separated) is reported with its reason
-   and does not fail the gate. Exit status 1 when anything else fails. *)
+   not overlap (two zero-width intervals must be equal; a null, which the
+   emitter writes for NaN, only equals a null), when it is missing from
+   the run, or when its cell has more failed replicates than the
+   reference.
+
+   A change that moves aggregates on purpose lists them in the moved file,
+   one per line: experiment, cell, metric, the changed tree's mean and
+   half-width, and a reason, tab-separated. A listed aggregate is checked
+   against that recorded interval instead of the reference, so it stays
+   gated at its new value; a line that matches no aggregate fails.
+   [--emit-moved REASON] prints such a line for every aggregate that fails
+   against the reference. Exit status 1 when anything fails. *)
 
 module Json = Resoc_obs.Json
 module Stats = Resoc_campaign.Stats
@@ -36,6 +44,7 @@ let field name v =
 let num = function
   | Json.Int i -> Int64.to_float i
   | Json.Float f -> f
+  | Json.Null -> Float.nan
   | _ -> failwith "expected a number"
 
 let str = function Json.String s -> s | _ -> failwith "expected a string"
@@ -77,18 +86,34 @@ let read_moved path =
       List.rev acc
     | line when String.trim line = "" || line.[0] = '#' -> loop acc
     | line -> (
+      let bad () =
+        failwith (path ^ ": expected experiment<TAB>cell<TAB>metric<TAB>mean<TAB>half<TAB>reason: " ^ line)
+      in
       match String.split_on_char '\t' line with
-      | [ exp; cell; metric; reason ] -> loop (((exp, cell, metric), reason) :: acc)
-      | _ -> failwith (path ^ ": expected experiment<TAB>cell<TAB>metric<TAB>reason: " ^ line))
+      | [ exp; cell; metric; mean; half; reason ] -> (
+        match (float_of_string_opt mean, float_of_string_opt half) with
+        | Some mean, Some half -> loop (((exp, cell, metric), (mean, half, reason)) :: acc)
+        | _ -> bad ())
+      | _ -> bad ())
   in
   loop []
 
+let show x = if Float.is_nan x then "null" else Printf.sprintf "%g" x
+
+(* Two intervals (mean, half-width) overlap; nulls only match nulls. *)
+let overlap (m1, h1) (m2, h2) =
+  if Float.is_nan m1 || Float.is_nan m2 then Float.is_nan m1 && Float.is_nan m2
+  else Float.abs (m1 -. m2) <= h1 +. h2 +. (1e-9 *. Float.max 1.0 (Float.abs m1))
+
 let () =
-  let moved_file = ref "" and dirs = ref [] in
+  let moved_file = ref "" and emit_reason = ref "" and dirs = ref [] in
   Arg.parse
-    [ ("--moved", Arg.Set_string moved_file, "FILE  failures accepted on purpose, with reasons") ]
+    [
+      ("--moved", Arg.Set_string moved_file, "FILE  aggregates moved on purpose, with their new intervals");
+      ("--emit-moved", Arg.Set_string emit_reason, "REASON  print a moved line per failing aggregate");
+    ]
     (fun d -> dirs := !dirs @ [ d ])
-    "equiv.exe [--moved FILE] REF_DIR RUN_DIR";
+    "equiv.exe [--moved FILE | --emit-moved REASON] REF_DIR RUN_DIR";
   let ref_dir, run_dir =
     match !dirs with
     | [ r; c ] -> (r, c)
@@ -96,7 +121,8 @@ let () =
       prerr_endline "equiv.exe: expected REF_DIR RUN_DIR";
       exit 2
   in
-  let moved = if !moved_file = "" then [] else read_moved !moved_file in
+  let emit = !emit_reason <> "" in
+  let moved = if !moved_file = "" || emit then [] else read_moved !moved_file in
   let files = bench_files ref_dir in
   let pairs =
     List.map
@@ -118,19 +144,37 @@ let () =
   end;
   let p = 1.0 -. (alpha /. float_of_int m) in
   let half s =
-    if s.n < 2 || s.stddev = 0.0 then 0.0
+    if s.n < 2 || not (s.stddev > 0.0) then 0.0
     else Stats.t_quantile ~df:(s.n - 1) ~p *. s.stddev /. sqrt (float_of_int s.n)
   in
-  let failed = ref 0 and accepted = ref 0 in
-  let report key what =
+  let failed = ref 0 and accepted = ref 0 and used = Hashtbl.create 16 in
+  let fail (exp, cell, metric) what =
+    incr failed;
+    (if emit then Printf.eprintf else Printf.printf) "FAIL   %s %s %s: %s\n" exp cell metric what
+  in
+  let compare key r c =
     let exp, cell, metric = key in
+    let run = (c.mean, half c) in
     match List.assoc_opt key moved with
-    | Some reason ->
-      incr accepted;
-      Printf.printf "moved  %s %s %s: %s (%s)\n" exp cell metric what reason
+    | Some (mean, h, reason) ->
+      if overlap (mean, h) run then begin
+        incr accepted;
+        Printf.printf "moved  %s %s %s: run %s ±%g, recorded %s ±%g (%s)\n" exp cell metric
+          (show c.mean) (snd run) (show mean) h reason
+      end
+      else
+        fail key
+          (Printf.sprintf "run %s ±%g, recorded moved value %s ±%g" (show c.mean) (snd run)
+             (show mean) h)
     | None ->
-      incr failed;
-      Printf.printf "FAIL   %s %s %s: %s\n" exp cell metric what
+      if not (overlap (r.mean, half r) run) then begin
+        fail key
+          (Printf.sprintf "reference %s ±%g, run %s ±%g" (show r.mean) (half r) (show c.mean)
+             (snd run));
+        if emit then
+          Printf.printf "%s\t%s\t%s\t%.17g\t%.17g\t%s\n" exp cell metric c.mean (snd run)
+            !emit_reason
+      end
   in
   List.iter
     (fun (exp, ref_cells, run_cells) ->
@@ -139,25 +183,27 @@ let () =
           let run = List.find_opt (fun (c, _, _) -> c = cell) run_cells in
           (match run with
           | Some (_, run_failures, _) when run_failures > ref_failures ->
-            report (exp, cell, "failures")
+            fail (exp, cell, "failures")
               (Printf.sprintf "%d failed replicates, reference %d" run_failures ref_failures)
           | Some _ | None -> ());
           List.iter
             (fun (metric, r) ->
+              let key = (exp, cell, metric) in
+              if List.mem_assoc key moved then Hashtbl.replace used key ();
               match run with
-              | None -> report (exp, cell, metric) "missing from the run"
+              | None -> fail key "missing from the run"
               | Some (_, _, run_stats) -> (
                 match List.assoc_opt metric run_stats with
-                | None -> report (exp, cell, metric) "missing from the run"
-                | Some c ->
-                  let hr = half r and hc = half c in
-                  let tol = 1e-9 *. Float.max 1.0 (Float.abs r.mean) in
-                  if Float.abs (r.mean -. c.mean) > hr +. hc +. tol then
-                    report (exp, cell, metric)
-                      (Printf.sprintf "reference %g ±%g, run %g ±%g" r.mean hr c.mean hc)))
+                | None -> fail key "missing from the run"
+                | Some c -> compare key r c))
             ref_stats)
         ref_cells)
     pairs;
-  Printf.printf "%d aggregates, Bonferroni t at p = %.6f: %d failed, %d moved on purpose\n" m p
-    !failed !accepted;
+  List.iter
+    (fun (key, _) ->
+      if not (Hashtbl.mem used key) then fail key "moved entry matches no aggregate")
+    moved;
+  if not emit then
+    Printf.printf "%d aggregates, Bonferroni t at p = %.6f: %d failed, %d moved on purpose\n" m p
+      !failed !accepted;
   exit (if !failed > 0 then 1 else 0)

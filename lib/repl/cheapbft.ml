@@ -79,6 +79,7 @@ type replica = {
   mono : Monotonic.checker;
   baseline_pending : bool array;  (* per-signer counter resync after transition *)
   vc_rounds : Quorum.Rounds.t;
+  mutable vc_voted : int;
   initial_active_others : int array;  (* ids 0..f minus self *)
   initial_passive : int array;  (* ids f+1..n-1 *)
   mutable gap_drops : int;
@@ -121,6 +122,15 @@ let passive_ids (r : replica) = if r.transitioned then empty_ids else r.initial_
 (* Fault-free quorum: every active replica (f+1 of f+1). After a
    transition: f+1 of 2f+1. Either way the count is f+1. *)
 let commit_quorum (r : replica) = r.f + 1
+
+(* Any replica that sees a request starve votes to transition/rotate:
+   repeated timeouts propose ever-higher views until a live primary is
+   reached. Unlike the other protocols this fires on an offline replica
+   too; its Activate is muted by the send gate. *)
+let on_expire r () =
+  let new_view = max r.view r.vc_voted + 1 in
+  r.vc_voted <- new_view;
+  Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
 
 (* One agreed counter carries a batch (a single request is a batch of
    one); the attestation binds its batch digest. *)
@@ -187,6 +197,7 @@ let on_checkpoint_vote r ~src ~seq ~digest =
    a replay. *)
 let install_transfer (r : replica) (c : Checkpoint.completion) =
   r.view <- max r.view c.Checkpoint.c_view;
+  r.vc_voted <- max r.vc_voted r.view;
   if c.Checkpoint.c_view > 0 then begin
     r.transitioned <- true;
     r.is_active <- true
@@ -281,13 +292,14 @@ let ship_updates r =
 
 let adopt_new_view r ~view ~base ~state ~rid_table =
   r.view <- view;
+  r.vc_voted <- max r.vc_voted view;
   r.transitioned <- true;
   r.is_active <- true;
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
   r.last_exec_counter <- base;
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
+  Replica.adopt r.core ~state ~rid_table ~seq:(Int64.to_int base)
 
 let become_primary r ~view =
   let rid_table = Replica.rid_table r.core in
@@ -305,7 +317,10 @@ let on_activate r ~src ~new_view =
       Quorum.Rounds.note r.vc_rounds ~current:r.view ~view:new_view ~voter:src ~value:0
     in
     if voters >= r.f + 1 then begin
-      Replica.join r.core new_view;
+      if r.vc_voted < new_view then begin
+        r.vc_voted <- new_view;
+        Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
+      end;
       if primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
         Replica.view_changed r.core ~view:new_view;
         become_primary r ~view:new_view
@@ -320,7 +335,13 @@ let note_repeat r ~client ~rid =
   let key = (client, rid) in
   let n = 1 + (match Hashtbl.find_opt r.repeat_counts key with Some n -> n | None -> 0) in
   Hashtbl.replace r.repeat_counts key n;
-  if n >= 3 && not r.transitioned then Replica.join r.core (r.view + 1)
+  if n >= 3 && not r.transitioned then begin
+    let new_view = r.view + 1 in
+    if new_view > r.vc_voted then begin
+      r.vc_voted <- new_view;
+      Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
+    end
+  end
 
 let on_request r (request : Types.request) =
   if Replica.executed r.core request then begin
@@ -330,6 +351,10 @@ let on_request r (request : Types.request) =
   else begin
     let digest = Types.request_digest request in
     let was_pending = Replica.admit r.core request digest in
+    (* Every replica — the primary included — watches the request: in the
+       all-active configuration a single silent active denies the quorum,
+       and someone must call for the transition. *)
+    Replica.watch r.core digest;
     if is_primary r && r.is_active then (
       match r.core.batcher with
       | Some b ->
@@ -347,10 +372,18 @@ let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
     let digest = Types.batch_digest requests in
     if verify_cert r ~digest cert && continuity_ok r ~signer:src ~counter:cert.Trinc.current
     then begin
-      Replica.hold_all r.core requests;
+      List.iter
+        (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+        requests;
       ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:src);
       send_own_commit r ~view ~requests ~primary_cert:cert
     end
+    else
+      List.iter
+        (fun (req : Types.request) ->
+          let d = Types.request_digest req in
+          if Hashtbl.mem r.core.pending d then Replica.watch r.core d)
+        requests
   end
 
 let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
@@ -376,7 +409,17 @@ let on_update r ~view ~upto ~state ~rid_table =
     r.last_exec_counter <- upto;
     App.set_state r.core.app state;
     Replica.import_rid_table r.core rid_table;
-    Replica.caught_up r.core
+    (* Requests the actives already served are no longer pending here. *)
+    let stale =
+      Hashtbl.fold
+        (fun digest req acc -> if Replica.executed r.core req then digest :: acc else acc)
+        r.core.pending []
+    in
+    List.iter
+      (fun digest ->
+        Hashtbl.remove r.core.pending digest;
+        Replica.cancel_timer r.core digest)
+      stale
   end
 
 let on_new_view r ~src ~view ~base ~state ~rid_table =
@@ -435,6 +478,7 @@ let make_replica (config : config) keychain (core : msg Replica.t) =
       mono = Monotonic.create ();
       baseline_pending = Array.make n false;
       vc_rounds = Quorum.Rounds.create ~n ();
+      vc_voted = 0;
       initial_active_others =
         (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
          Array.of_list act);
@@ -444,20 +488,15 @@ let make_replica (config : config) keychain (core : msg Replica.t) =
       repeat_counts = Hashtbl.create 8;
     }
   in
+  core.Replica.on_expire <- on_expire r;
   r
-
-(* The progress timer's vote: transition to all-active, or rotate past a
-   stalled primary. Every replica holds the requests it sees, the primary
-   included: in the all-active configuration a single silent active denies
-   the quorum, and someone must call for the transition. *)
-let vote _ new_view = Activate { new_view }
 
 let start engine fabric config ?behaviors () =
   Quorum.check_n (n_replicas config) "Cheapbft.start";
   let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
   let spec = spec config in
   let replicas, stats =
-    Replica.start engine fabric kit spec ?behaviors ~vote (make_replica config keychain)
+    Replica.start engine fabric kit spec ?behaviors (make_replica config keychain)
   in
   Array.iter
     (fun r ->
@@ -498,6 +537,7 @@ let set_online t ~replica =
          counter is hardware and persists): rejoin by certified
          transfer instead of a free peer copy. *)
       r.view <- 0;
+      r.vc_voted <- 0;
       r.transitioned <- false;
       r.is_active <- r.core.id <= r.f;
       r.last_exec_counter <- 0L;
@@ -515,7 +555,7 @@ let set_online t ~replica =
       with
       | Some peer ->
         r.view <- peer.view;
-        r.core.voted <- max r.core.voted peer.view;
+        r.vc_voted <- max r.vc_voted peer.view;
         r.transitioned <- peer.transitioned;
         r.is_active <- (if peer.transitioned then true else r.core.id <= r.f);
         r.last_exec_counter <- peer.last_exec_counter;

@@ -1,7 +1,7 @@
 (* Open-addressed hash map from 64-bit digests to arbitrary values.
 
    Replaces the [(Hash.t, _) Hashtbl.t] digest tables on the replication
-   hot path ([ordered], request indexes). Digests are already
+   hot path ([ordered], [timers], request indexes). Digests are already
    avalanched (see Hash), so the bucket is just the low bits; collisions
    resolve by linear probing. Deletion uses tombstones; the table
    rebuilds when live entries or tombstones pass the load thresholds.
@@ -65,6 +65,11 @@ let remove t k =
 let get t k =
   let i = index t k in
   if i >= 0 then Some (value_at t i) else None
+
+let iter f t =
+  for i = 0 to Bytes.length t.state - 1 do
+    if Bytes.unsafe_get t.state i = full_slot then f t.keys.(i) t.vals.(i)
+  done
 
 let fold f t acc =
   let acc = ref acc in

@@ -37,6 +37,8 @@ val value_at : 'a t -> int -> 'a
 val remove_at : 'a t -> int -> unit
 (** Delete the entry in a slot returned by {!index}. *)
 
+val iter : (int64 -> 'a -> unit) -> 'a t -> unit
+
 val fold : (int64 -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
 
 val reset : 'a t -> unit

@@ -153,6 +153,7 @@ module Make (H : HYBRID) = struct
     mono : Usig.Monotonic.checker;  (* per-sender UI continuity *)
     baseline_pending : bool array;  (* per-sender resync after rejoin *)
     vc_rounds : Quorum.Rounds.t;
+    mutable vc_voted : int;
     mutable own_commits_sent : int;
     mutable gap_drops : int;
   }
@@ -180,6 +181,15 @@ module Make (H : HYBRID) = struct
       fetch_state = (fun have -> Fetch_state { have });
       state_chunk = (fun chunk -> State_chunk chunk);
     }
+
+  (* A request timer fired on a pending request: escalate past views whose
+     primary never answered. *)
+  let on_expire r () =
+    if r.core.online then begin
+      let new_view = max r.view r.vc_voted + 1 in
+      r.vc_voted <- new_view;
+      Replica.broadcast r.core ~to_:r.core.all_ids (Req_view_change { new_view })
+    end
 
   (* One certificate covers a whole batch: the digest chains the requests in
      order, so verifiers agree on both membership and sequence. The shared
@@ -249,6 +259,7 @@ module Make (H : HYBRID) = struct
 
   let install_transfer (r : replica) (c : Checkpoint.completion) =
     r.view <- max r.view c.Checkpoint.c_view;
+    r.vc_voted <- max r.vc_voted r.view;
     r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
     (* We missed every hybrid counter issued during the outage. *)
     Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
@@ -351,12 +362,13 @@ module Make (H : HYBRID) = struct
 
   let adopt_new_view r ~view ~base ~state ~rid_table =
     r.view <- view;
+    r.vc_voted <- max r.vc_voted view;
     Slot_ring.reset r.log;
     Digest_map.reset r.ordered;
     r.last_exec_counter <- base;
     (* Counter expectations restart from whatever peers send next. *)
     Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-    Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
+    Replica.adopt r.core ~state ~rid_table ~seq:(Int64.to_int base)
 
   let become_primary r ~view =
     let rid_table = Replica.rid_table r.core in
@@ -388,7 +400,10 @@ module Make (H : HYBRID) = struct
         Quorum.Rounds.note r.vc_rounds ~current:r.view ~view:new_view ~voter:src ~value:0
       in
       if voters >= r.f + 1 then begin
-        Replica.join r.core new_view;
+        if r.vc_voted < new_view then begin
+          r.vc_voted <- new_view;
+          Replica.broadcast r.core ~to_:r.core.all_ids (Req_view_change { new_view })
+        end;
         if primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
           Replica.view_changed r.core ~view:new_view;
           become_primary r ~view:new_view
@@ -408,7 +423,10 @@ module Make (H : HYBRID) = struct
              or already ordered must not enter a second batch. *)
           if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
         | None -> order_batch r [ request ])
-      else Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request)
+      else begin
+        Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request);
+        Replica.watch r.core digest
+      end
     end
 
   let on_prepare r ~src ~view ~requests ~cert =
@@ -418,10 +436,20 @@ module Make (H : HYBRID) = struct
       if verify_cert r ~digest:(batch_digest requests) cert
          && continuity_ok r ~signer:src ~counter:(H.cert_counter cert)
       then begin
-        Replica.hold_all r.core requests;
+        List.iter
+          (fun req -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+          requests;
         ignore (note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:src);
         send_own_commit r ~view ~requests ~primary_cert:cert
       end
+      else
+        (* Bad or gapped certificate from the primary: keep pressure on the
+           timers of whichever requests we already know. *)
+        List.iter
+          (fun req ->
+            let digest = Types.request_digest req in
+            if Hashtbl.mem r.core.pending digest then Replica.watch r.core digest)
+          requests
     end
 
   let on_commit r ~src ~view ~requests ~primary_cert ~cert =
@@ -498,14 +526,13 @@ module Make (H : HYBRID) = struct
         mono = Usig.Monotonic.create ();
         baseline_pending = Array.make n false;
         vc_rounds = Quorum.Rounds.create ~n ();
+        vc_voted = 0;
         own_commits_sent = 0;
         gap_drops = 0;
       }
     in
+    core.Replica.on_expire <- on_expire r;
     r
-
-  (* The progress timer's vote: move past the views whose primary stalled. *)
-  let vote _ new_view = Req_view_change { new_view }
 
   (* The batching in force: the shared config when active, else a legacy
      [batch_window] re-expressed on the same Batcher with no pipeline
@@ -529,7 +556,7 @@ module Make (H : HYBRID) = struct
     let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
     let spec = spec config in
     let replicas, stats =
-      Replica.start engine fabric kit spec ?behaviors ~vote (make_replica config keychain)
+      Replica.start engine fabric kit spec ?behaviors (make_replica config keychain)
     in
     Array.iter
       (fun r ->
@@ -571,6 +598,7 @@ module Make (H : HYBRID) = struct
         (* Rejuvenation wiped the replica: rejoin by certified transfer
            instead of a free peer copy. *)
         r.view <- 0;
+        r.vc_voted <- 0;
         r.last_exec_counter <- 0L;
         Slot_ring.reset r.log;
         Digest_map.reset r.ordered;
@@ -584,7 +612,7 @@ module Make (H : HYBRID) = struct
         with
         | Some peer ->
           r.view <- peer.view;
-          r.core.voted <- max r.core.voted peer.view;
+          r.vc_voted <- max r.vc_voted peer.view;
           r.last_exec_counter <- peer.last_exec_counter;
           Slot_ring.reset r.log;
           Digest_map.reset r.ordered;

@@ -60,6 +60,7 @@ type replica = {
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
   election_rounds : Quorum.Rounds.t;  (* term -> voter -> last_exec *)
+  mutable voted : int;
 }
 
 type t = {
@@ -83,6 +84,15 @@ let kit =
     fetch_state = (fun have -> Fetch_state { have });
     state_chunk = (fun chunk -> State_chunk chunk);
   }
+
+(* A request timer fired on a pending request: escalate past terms whose
+   leader never answered. *)
+let on_expire r () =
+  if r.core.online then begin
+    let new_term = max r.term r.voted + 1 in
+    r.voted <- new_term;
+    Replica.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
+  end
 
 (* One agreed slot carries a batch (a single request is a batch of one);
    agreement keys on its batch digest. *)
@@ -139,6 +149,7 @@ let on_checkpoint_vote r ~src ~seq ~digest =
 (* Install a completed, verified transfer and rejoin execution at the tip. *)
 let install_transfer (r : replica) (c : Checkpoint.completion) =
   r.term <- max r.term c.Checkpoint.c_view;
+  r.voted <- max r.voted r.term;
   r.last_exec <- Replica.install ~log:r.log r.core c;
   r.next_seq <- max r.next_seq (r.last_exec + 1);
   try_execute r
@@ -172,11 +183,12 @@ let order_one r (request : Types.request) digest =
 
 let adopt_new_term r ~term ~start_seq ~state ~rid_table =
   r.term <- term;
+  r.voted <- max r.voted term;
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
   r.last_exec <- start_seq - 1;
   r.next_seq <- start_seq;
-  Replica.adopt r.core ~view:term ~state ~rid_table ~seq:(start_seq - 1)
+  Replica.adopt r.core ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_leader r ~term ~start_seq =
   let rid_table = Replica.rid_table r.core in
@@ -193,8 +205,11 @@ let on_term_change r ~src ~new_term ~last_exec =
       Quorum.Rounds.note r.election_rounds ~current:r.term ~view:new_term ~voter:src
         ~value:last_exec
     in
-    (* Crash model: one timeout report is credible; join immediately. *)
-    if voters >= 1 then Replica.join r.core new_term;
+    if voters >= 1 && r.voted < new_term then begin
+      (* Crash model: one timeout report is credible; join immediately. *)
+      r.voted <- new_term;
+      Replica.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
+    end;
     if voters >= r.f + 1 && leader_of ~term:new_term ~n:r.core.n = r.core.id then begin
       let max_exec = Quorum.Rounds.max_value r.election_rounds ~view:new_term ~default:r.last_exec in
       Replica.view_changed r.core ~view:new_term;
@@ -214,13 +229,18 @@ let on_request r (request : Types.request) =
            or already ordered must not enter a second batch. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
       | None -> order_one r request digest)
-    else Replica.send r.core ~dst:(leader_of ~term:r.term ~n:r.core.n) (Request request)
+    else begin
+      Replica.send r.core ~dst:(leader_of ~term:r.term ~n:r.core.n) (Request request);
+      Replica.watch r.core digest
+    end
   end
 
 let on_accept r ~src ~term ~seq ~requests =
   if term = r.term && src = leader_of ~term ~n:r.core.n && (not (is_leader r)) && requests <> []
   then begin
-    Replica.hold_all r.core requests;
+    List.iter
+      (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+      requests;
     let e, fresh = Slot_ring.bind r.log seq in
     if fresh then begin
       e.batch <- requests;
@@ -302,27 +322,27 @@ let spec (config : config) =
   }
 
 let make_replica (config : config) (core : msg Replica.t) =
-  {
-    core;
-    f = config.f;
-    config;
-    term = 0;
-    next_seq = 1;
-    last_exec = 0;
-    log = Replica.create_log fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-    election_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
-  }
-
-(* The progress timer's vote: move past the terms whose leader stalled. *)
-let vote r new_term = Term_change { new_term; last_exec = r.last_exec }
+  let r =
+    {
+      core;
+      f = config.f;
+      config;
+      term = 0;
+      next_seq = 1;
+      last_exec = 0;
+      log = Replica.create_log fresh_entry;
+      ordered = Digest_map.create ~capacity:64 ();
+      election_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
+      voted = 0;
+    }
+  in
+  core.Replica.on_expire <- on_expire r;
+  r
 
 let start engine fabric config ?behaviors () =
   Quorum.check_n (n_replicas config) "Paxos.start";
   let spec = spec config in
-  let replicas, stats =
-    Replica.start engine fabric kit spec ?behaviors ~vote (make_replica config)
-  in
+  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
   Array.iter
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
@@ -358,6 +378,7 @@ let set_online t ~replica =
       (* Rejuvenation wiped the replica: rejoin by certified transfer
          instead of a free peer copy. *)
       r.term <- 0;
+      r.voted <- 0;
       r.last_exec <- 0;
       r.next_seq <- 1;
       Slot_ring.reset r.log;
@@ -370,7 +391,7 @@ let set_online t ~replica =
       with
       | Some peer ->
         r.term <- peer.term;
-        r.core.voted <- max r.core.voted peer.term;
+        r.voted <- max r.voted peer.term;
         r.last_exec <- peer.last_exec;
         r.next_seq <- peer.last_exec + 1;
         Slot_ring.reset r.log;

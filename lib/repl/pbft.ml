@@ -83,6 +83,7 @@ type replica = {
   log : entry Slot_ring.t;  (* seq -> entry (current view only) *)
   ordered : int Digest_map.t;  (* digest -> seq, current view *)
   vc_rounds : Quorum.Rounds.t;  (* view -> voter -> last_exec *)
+  mutable vc_voted : int;  (* highest view we voted for *)
 }
 
 type t = {
@@ -195,6 +196,7 @@ let on_checkpoint_vote r ~src ~seq ~digest =
 (* Install a completed, verified transfer and rejoin execution at the tip. *)
 let install_transfer r (c : Checkpoint.completion) =
   r.view <- max r.view c.Checkpoint.c_view;
+  r.vc_voted <- max r.vc_voted r.view;
   r.last_exec <- Replica.install ~log:r.log r.core c;
   r.next_seq <- max r.next_seq (r.last_exec + 1);
   try_execute r
@@ -227,6 +229,15 @@ let send_commit_if_prepared r ~seq (e : entry) =
   end
 
 (* --- view changes --- *)
+
+(* A request timer fired on a pending request: escalate past views whose
+   primary never answered. *)
+let on_expire r () =
+  if r.core.online then begin
+    let new_view = max r.view r.vc_voted + 1 in
+    r.vc_voted <- new_view;
+    Replica.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
+  end
 
 (* One sequence number covers the whole batch, agreed under its batch
    digest, shipped as one (multicast-able) flight per destination. Callers
@@ -276,11 +287,12 @@ let order_one r (request : Types.request) digest =
    watermarks rebase onto the adopted last_exec. *)
 let adopt_new_view r ~view ~start_seq ~state ~rid_table =
   r.view <- view;
+  r.vc_voted <- max r.vc_voted view;
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
   r.last_exec <- start_seq - 1;
   r.next_seq <- start_seq;
-  Replica.adopt r.core ~view ~state ~rid_table ~seq:(start_seq - 1)
+  Replica.adopt r.core ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_primary r ~view ~start_seq =
   let rid_table = Replica.rid_table r.core in
@@ -299,7 +311,10 @@ let on_view_change r ~src ~new_view ~last_exec =
     in
     (* Join the view change once f+1 replicas are committed to it: at least
        one of them is honest, so the timeout was genuine. *)
-    if voters >= r.f + 1 then Replica.join r.core new_view;
+    if voters >= r.f + 1 && r.vc_voted < new_view then begin
+      r.vc_voted <- new_view;
+      Replica.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
+    end;
     if voters >= (2 * r.f) + 1 && primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
       let max_exec = Quorum.Rounds.max_value r.vc_rounds ~view:new_view ~default:r.last_exec in
       Replica.view_changed r.core ~view:new_view;
@@ -324,18 +339,20 @@ let on_request r (request : Types.request) =
            membership covers exactly that interval. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
       | None -> order_one r request digest)
-    else
-      (* Forward to the primary; the progress timer watches it. *)
-      Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request)
+    else begin
+      (* Forward to the primary and watch it. *)
+      Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request);
+      Replica.watch r.core digest
+    end
   end
 
 let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   if view = r.view && src = primary_of ~view ~n:r.core.n && (not (is_primary r)) && requests <> []
   then begin
-    (* Held even on a batch digest mismatch (an equivocating or corrupt
-       primary): the progress timer then pushes a view change. *)
-    Replica.hold_all r.core requests;
     if Hash.equal digest (Types.batch_digest requests) then begin
+      List.iter
+        (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+        requests;
       let e = entry_for r ~view ~seq ~digest in
       if e != null_entry && Hash.equal e.digest digest then begin
         e.batch <- requests;
@@ -347,6 +364,14 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
         send_commit_if_prepared r ~seq e
       end
     end
+    else
+      (* Batch digest mismatch: equivocating or corrupt primary. Watch
+         every carried request; the timers push a view change. *)
+      List.iter
+        (fun (req : Types.request) ->
+          Hashtbl.replace r.core.pending (Types.request_digest req) req;
+          Replica.watch r.core (Types.request_digest req))
+        requests
   end
 
 let on_prepare r ~src ~view ~seq ~digest =
@@ -408,27 +433,27 @@ let spec (config : config) =
   }
 
 let make_replica (config : config) (core : msg Replica.t) =
-  {
-    core;
-    f = config.f;
-    config;
-    view = 0;
-    next_seq = 1;
-    last_exec = 0;
-    log = Replica.create_log fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-    vc_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
-  }
-
-(* The progress timer's vote: move past the views whose primary stalled. *)
-let vote r new_view = View_change { new_view; last_exec = r.last_exec }
+  let r =
+    {
+      core;
+      f = config.f;
+      config;
+      view = 0;
+      next_seq = 1;
+      last_exec = 0;
+      log = Replica.create_log fresh_entry;
+      ordered = Digest_map.create ~capacity:64 ();
+      vc_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
+      vc_voted = 0;
+    }
+  in
+  core.Replica.on_expire <- on_expire r;
+  r
 
 let start engine fabric config ?behaviors () =
   Quorum.check_n (n_replicas config) "Pbft.start";
   let spec = spec config in
-  let replicas, stats =
-    Replica.start engine fabric kit spec ?behaviors ~vote (make_replica config)
-  in
+  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
   Array.iter
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
@@ -465,6 +490,7 @@ let set_online t ~replica =
          by fetching the latest certified checkpoint plus log suffix
          from the peers — state is earned, not received for free. *)
       r.view <- 0;
+      r.vc_voted <- 0;
       r.last_exec <- 0;
       r.next_seq <- 1;
       Slot_ring.reset r.log;
@@ -478,7 +504,7 @@ let set_online t ~replica =
       with
       | Some peer ->
         r.view <- peer.view;
-        r.core.voted <- max r.core.voted peer.view;
+        r.vc_voted <- max r.vc_voted peer.view;
         r.last_exec <- peer.last_exec;
         r.next_seq <- peer.last_exec + 1;
         Slot_ring.reset r.log;

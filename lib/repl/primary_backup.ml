@@ -39,7 +39,7 @@ let default_config =
 let n_replicas config = config.n_backups + 1
 
 type replica = {
-  core : msg Replica.t;  (* no pending requests or progress timer here *)
+  core : msg Replica.t;  (* no pending requests or request timers here *)
   config : config;
   mutable epoch : int;
   mutable seq : int;  (* primary: updates shipped; backup: updates applied *)
@@ -280,7 +280,7 @@ let spec (config : config) =
     n_clients = config.n_clients;
     client_quorum = 1;
     request_timeout = config.request_timeout;
-    watch_delay = 0;  (* no progress timer: failover is heartbeat-driven *)
+    watch_delay = 0;  (* no request timers: failover is heartbeat-driven *)
     checkpoint = config.checkpoint;
     cp_quorum = 1;
     multicast = config.multicast;

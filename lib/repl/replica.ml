@@ -49,11 +49,9 @@ type 'msg t = {
   peer_ids : int array;
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
   pending : (Hash.t, Types.request) Hashtbl.t;
+  timers : Engine.handle Digest_map.t;
   watch_delay : int;
-  mutable timer : Engine.handle option;
-  mutable last_progress : int;
-  mutable voted : int;
-  mutable vote : int -> 'msg;
+  mutable on_expire : unit -> unit;
   mutable rid_last : int array;
   mutable rid_result : int64 array;
   cp : Checkpoint.t option;
@@ -102,11 +100,9 @@ let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk =
     peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
     mcast = (if spec.multicast then fabric.Transport.multicast else None);
     pending = Hashtbl.create 16;
+    timers = Digest_map.create ~capacity:16 ();
     watch_delay = spec.watch_delay;
-    timer = None;
-    last_progress = 0;
-    voted = 0;
-    vote = (fun _ -> invalid_arg (spec.label ^ ": no view-change vote"));
+    on_expire = ignore;
     rid_last = Array.make (n + spec.n_clients) min_int;
     rid_result = Array.make (n + spec.n_clients) 0L;
     cp =
@@ -236,66 +232,27 @@ let copy_rids t ~from =
     if from.rid_last.(c) <> min_int then record t ~client:c ~rid:from.rid_last.(c) from.rid_result.(c)
   done
 
-(* --- pending requests and the progress timer --- *)
+(* --- pending requests and their timers --- *)
 
-let cancel_progress_timer t =
-  match t.timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    t.timer <- None
-  | None -> ()
-
-(* Requests the reply cache covers were executed through an installed or
-   adopted state; nobody needs a view change for them. *)
-let drop_covered t =
-  let covered =
-    Hashtbl.fold (fun d req acc -> if executed t req then d :: acc else acc) t.pending []
-  in
-  List.iter (Hashtbl.remove t.pending) covered
-
-let join t view =
-  if t.voted < view then begin
-    t.voted <- view;
-    broadcast t ~to_:t.all_ids (t.vote view)
+let cancel_timer t digest =
+  let i = Digest_map.index t.timers digest in
+  if i >= 0 then begin
+    Engine.cancel t.engine (Digest_map.value_at t.timers i);
+    Digest_map.remove_at t.timers i
   end
 
-(* The timer is lazy: execution never cancels it, it only moves
-   [last_progress]. On expiry an idle replica disarms, one that made
-   progress re-arms for [last_progress + watch_delay], and one that made
-   none casts the next vote and re-arms. *)
-let rec arm t ~time = t.timer <- Some (Engine.at t.engine ~time (fun () -> expire t))
+let cancel_timers t =
+  Digest_map.iter (fun _ h -> Engine.cancel t.engine h) t.timers;
+  Digest_map.reset t.timers
 
-and expire t =
-  t.timer <- None;
-  if live t then begin
-    drop_covered t;
-    if Hashtbl.length t.pending > 0 then begin
-      let now = Engine.now t.engine in
-      let deadline = t.last_progress + t.watch_delay in
-      if deadline > now then arm t ~time:deadline
-      else begin
-        join t (t.voted + 1);
-        arm t ~time:(now + t.watch_delay)
-      end
-    end
-  end
-
-(* Restart the patience from now for whatever is pending. *)
-let reset_timer t =
-  cancel_progress_timer t;
-  if Hashtbl.length t.pending > 0 then begin
-    t.last_progress <- Engine.now t.engine;
-    arm t ~time:(t.last_progress + t.watch_delay)
-  end
-
-(* Every insertion into [pending] goes through here. The one that ends an
-   idle spell starts the patience clock, and arms the timer unless it
-   still runs. *)
-let hold t digest request =
-  let idle = Option.is_none t.timer in
-  if idle || Hashtbl.length t.pending = 0 then t.last_progress <- Engine.now t.engine;
-  Hashtbl.replace t.pending digest request;
-  if idle && t.watch_delay > 0 then arm t ~time:(t.last_progress + t.watch_delay)
+(* Arm [digest]'s timer unless one runs; when it fires with the request
+   still pending, the protocol's [on_expire] escalates. *)
+let watch t digest =
+  if not (Digest_map.mem t.timers digest) then
+    Digest_map.set t.timers digest
+      (Engine.schedule t.engine ~delay:t.watch_delay (fun () ->
+           Digest_map.remove t.timers digest;
+           if Hashtbl.mem t.pending digest then t.on_expire ()))
 
 (* Mark [request] pending; returns whether it already was. *)
 let admit t (request : Types.request) digest =
@@ -304,17 +261,8 @@ let admit t (request : Types.request) digest =
     Ring.async_begin t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
       ~id:(Obs.repl_request_span ~replica:t.id ~client:request.Types.client ~rid:request.Types.rid)
       ~arg:0;
-  hold t digest request;
+  Hashtbl.replace t.pending digest request;
   was_pending
-
-let hold_all t requests =
-  List.iter (fun (req : Types.request) -> hold t (Types.request_digest req) req) requests
-
-(* A passive replica adopted state the active ones executed: the requests
-   it covers leave [pending], and that is progress. *)
-let caught_up t =
-  drop_covered t;
-  t.last_progress <- Engine.now t.engine
 
 (* Pending requests in (client, rid) order, for a new primary to re-propose. *)
 let pending_sorted t =
@@ -324,11 +272,12 @@ let pending_sorted t =
     pending
 
 (* Per-request execution tail, run for each request of an instance:
-   exactly-once via the reply cache, pending cleanup, progress, reply. *)
+   exactly-once via the reply cache, pending/timer cleanup, reply. *)
 let execute t (request : Types.request) =
   let result = apply t request in
-  Hashtbl.remove t.pending (Types.request_digest request);
-  t.last_progress <- Engine.now t.engine;
+  let digest = Types.request_digest request in
+  Hashtbl.remove t.pending digest;
+  cancel_timer t digest;
   if t.spans && !Obs.trace_on then
     Ring.async_end t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
       ~id:(Obs.repl_request_span ~replica:t.id ~client:request.Types.client ~rid:request.Types.rid)
@@ -518,36 +467,32 @@ let install ?log t (c : Checkpoint.completion) =
     t.stats.Stats.state_transfers <- t.stats.Stats.state_transfers + 1;
     t.stats.Stats.transfer_bytes <- t.stats.Stats.transfer_bytes + c.Checkpoint.c_bytes;
     t.stats.Stats.transfer_cycles <- t.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed;
-    t.voted <- max t.voted c.Checkpoint.c_view;
-    t.last_progress <- Engine.now t.engine;
     last
 
 (* --- views, churn and group assembly --- *)
 
-let adopt t ~view ~state ~rid_table ~seq =
-  t.voted <- max t.voted view;
+let adopt t ~state ~rid_table ~seq =
   (match t.batcher with Some b -> Batcher.clear b | None -> ());
   App.set_state t.app state;
   import_rid_table t rid_table;
+  cancel_timers t;
   (match t.cp with
   | Some cp ->
     cancel_recover_timer t;
     Checkpoint.rebase cp ~seq
   | None -> ());
-  reset_timer t
+  Hashtbl.iter (fun digest _ -> watch t digest) t.pending
 
 let set_offline t =
   t.online <- false;
   (match t.batcher with Some b -> Batcher.clear b | None -> ());
-  cancel_progress_timer t;
+  cancel_timers t;
   cancel_recover_timer t
 
 let rejoin_wiped t cp =
   App.set_state t.app 0L;
   rid_reset t;
   Hashtbl.reset t.pending;
-  t.voted <- 0;
-  cancel_progress_timer t;
   Checkpoint.reset cp;
   start_recovery t cp
 
@@ -570,7 +515,7 @@ let legacy_rejoin t peers ~core ~progress =
   | None -> ());
   !best
 
-let start engine fabric kit (spec : spec) ?behaviors ?vote make =
+let start engine fabric kit (spec : spec) ?behaviors make =
   let chk = if !Check.enabled then Check.new_session ~protocol:spec.protocol else -1 in
   let behaviors =
     match behaviors with
@@ -585,10 +530,7 @@ let start engine fabric kit (spec : spec) ?behaviors ?vote make =
   let stats = Stats.create () in
   let replicas =
     Array.init spec.n (fun id ->
-        let core = create engine fabric kit spec ~id ~behavior:behaviors.(id) ~stats ~chk in
-        let r = make core in
-        (match vote with Some vote -> core.vote <- vote r | None -> ());
-        r)
+        make (create engine fabric kit spec ~id ~behavior:behaviors.(id) ~stats ~chk))
   in
   (replicas, stats)
 

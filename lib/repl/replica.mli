@@ -4,9 +4,8 @@
     agreement logic, log entries and view/term/epoch rules. The core
     owns the behaviour-gated [send]/[broadcast] (with the multicast
     resolution), the corrupt-aware client reply, the reply cache, the
-    pending requests with the one progress timer that triggers view
-    changes, the per-request execution tail, checkpoint recovery and
-    transfer installation, the legacy free-copy rejoin, and group
+    per-request execution tail and request timers, checkpoint recovery
+    and transfer installation, the legacy free-copy rejoin, and group
     assembly. Where the protocols differ, the difference is a [spec]
     field or a callback the protocol supplies. *)
 
@@ -32,9 +31,7 @@ type spec = {
   n_clients : int;
   client_quorum : int;  (** Matching replies a client waits for. *)
   request_timeout : int;  (** Client retry and recovery re-fetch cadence. *)
-  watch_delay : int;
-      (** Progress-timer patience (view-change / election timeout); 0 = no
-          timer (primary-backup fails over on heartbeats). *)
+  watch_delay : int;  (** Request timer: view-change / election patience. *)
   checkpoint : Checkpoint.config option;
   cp_quorum : int;  (** Checkpoint certificate threshold. *)
   multicast : bool;
@@ -61,14 +58,12 @@ type 'msg t = {
   peer_ids : int array;  (** 0 .. n-1 minus self *)
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
       (** Fabric multicast, resolved once; [None] = per-destination sends. *)
-  pending : (Hash.t, Types.request) Hashtbl.t;
-      (** Seen, not yet executed. Filled only through {!hold_all}/{!admit}. *)
+  pending : (Hash.t, Types.request) Hashtbl.t;  (** Seen, not yet executed. *)
+  timers : Engine.handle Digest_map.t;  (** Request timers by digest. *)
   watch_delay : int;
-  mutable timer : Engine.handle option;  (** The progress timer, when armed. *)
-  mutable last_progress : int;
-      (** Last execution, or the cycle [pending] last stopped being empty. *)
-  mutable voted : int;  (** Highest view (term) this replica voted for. *)
-  mutable vote : int -> 'msg;  (** The protocol's vote for a view; see {!start}. *)
+  mutable on_expire : unit -> unit;
+      (** Called when a request timer fires on a still-pending request;
+          the protocol installs its escalation (and any [online] guard). *)
   mutable rid_last : int array;  (** client -> last rid, [min_int] = none *)
   mutable rid_result : int64 array;  (** client -> cached result *)
   cp : Checkpoint.t option;  (** [None] = checkpointing off (default). *)
@@ -115,45 +110,23 @@ val apply : 'msg t -> Types.request -> int64
 val rid_table : 'msg t -> (int * (int * int64)) list
 val import_rid_table : 'msg t -> (int * (int * int64)) list -> unit
 
-(** {2 Pending requests and the progress timer}
+(** {2 Pending requests and request timers} *)
 
-    One lazy timer per replica triggers view changes. A write that makes
-    [pending] non-empty starts the patience clock and arms the timer
-    unless it still runs. Execution never cancels the timer; it only
-    records [last_progress]. On expiry a replica that is not {!live}
-    disarms; otherwise pending requests the reply cache covers are
-    dropped, and then:
-    - with nothing pending, the timer disarms;
-    - with progress in the last [watch_delay] cycles, it re-arms for
-      [last_progress + watch_delay];
-    - otherwise the replica broadcasts [vote (voted + 1)] to every
-      replica, [voted] included, and re-arms [watch_delay] later.
+val cancel_timer : 'msg t -> Hash.t -> unit
 
-    Votes of this replica never skip a view: k stalled requests cost one
-    vote per round, not k. {!adopt} restarts the patience; {!set_offline}
-    and {!rejoin_wiped} disarm. *)
-
-val hold_all : 'msg t -> Types.request list -> unit
-(** Mark requests pending; arms the timer as above. *)
+val watch : 'msg t -> Hash.t -> unit
+(** Arm the request timer for a digest unless one is running. *)
 
 val admit : 'msg t -> Types.request -> Hash.t -> bool
-(** Mark one request pending and open its trace span; returns whether it
-    already was pending. *)
-
-val join : 'msg t -> int -> unit
-(** Vote for a view, unless this replica already voted that far: the
-    protocols' join rule (enough peers moved) and the timer's vote. *)
-
-val caught_up : 'msg t -> unit
-(** A passive replica adopted state the active ones executed: pending
-    requests the reply cache now covers are dropped, as progress. *)
+(** Mark a request pending (opening its trace span); returns whether it
+    already was. *)
 
 val pending_sorted : 'msg t -> Types.request list
 (** Pending requests in (client, rid) order. *)
 
 val execute : 'msg t -> Types.request -> unit
-(** The per-request execution tail: [apply], retire the pending entry,
-    record progress, close the span, reply. *)
+(** The per-request execution tail: [apply], retire the pending entry
+    and its timer, close the span, reply. *)
 
 val view_changed : 'msg t -> view:int -> unit
 
@@ -214,24 +187,20 @@ val on_state_chunk :
 
 val install : ?log:'e Slot_ring.t -> 'msg t -> Checkpoint.completion -> int
 (** The shared half of installing a transfer: state, reply cache, log
-    suffix replayed without replies, log truncated, stats, progress, and
-    [voted] raised to the transfer's view. Returns the new execution
-    frontier; the caller adopts view and sequence state. *)
+    suffix replayed without replies, log truncated, stats. Returns the
+    new execution frontier; the caller adopts view and sequence state. *)
 
 (** {2 Views, churn and assembly} *)
 
-val adopt :
-  'msg t -> view:int -> state:int64 -> rid_table:(int * (int * int64)) list -> seq:int -> unit
-(** A new view's baseline: [voted] raised to [view], batcher emptied,
-    state and reply cache adopted, watermarks rebased at [seq], and the
-    progress timer restarted for whatever is still pending. *)
+val adopt : 'msg t -> state:int64 -> rid_table:(int * (int * int64)) list -> seq:int -> unit
+(** A new view's baseline: batcher emptied, state and reply cache
+    adopted, watermarks rebased at [seq], pending requests re-timed. *)
 
 val set_offline : 'msg t -> unit
-(** Mute the replica, empty its batcher, disarm its timers. *)
 
 val rejoin_wiped : 'msg t -> Checkpoint.t -> unit
-(** Rejuvenation wiped the replica: clear state, reply cache, pending
-    requests and [voted], then rejoin by certified transfer. *)
+(** Rejuvenation wiped the replica: clear state, reply cache and pending
+    requests, then rejoin by certified transfer. *)
 
 val legacy_rejoin : 'msg t -> 'r array -> core:('r -> 'msg t) -> progress:('r -> int) -> 'r option
 (** Without checkpoints: copy state and reply cache from the online peer
@@ -240,11 +209,9 @@ val legacy_rejoin : 'msg t -> 'r array -> core:('r -> 'msg t) -> progress:('r ->
 
 val start :
   Engine.t -> 'msg Transport.fabric -> 'msg kit -> spec -> ?behaviors:Behavior.t array ->
-  ?vote:('r -> int -> 'msg) -> ('msg t -> 'r) -> 'r array * Stats.t
+  ('msg t -> 'r) -> 'r array * Stats.t
 (** Validate behaviours and fabric size, open the checker session, and
-    build every replica around a fresh core. [vote r v] is the message
-    with which replica [r]'s progress timer votes for view [v]; it is
-    required whenever [spec.watch_delay > 0]. *)
+    build every replica around a fresh core. *)
 
 val clients : Engine.t -> 'msg Transport.fabric -> 'msg kit -> spec -> stats:Stats.t -> 'msg Client.t array
 

@@ -226,11 +226,11 @@ let expectations =
        mean=4034000000000000 p99=4034000000000000 states=128,128,128" );
     ( "wipe/cheapbft",
       wiped `Cheapbft,
-      "completed=800 submitted=800 retx=4 wrong=0 vc=1 ckpt=66 xfer=1 xbytes=584 \
-       msgs=9852 mean=4042700000000000 p99=4034000000000000 states=800,800,800" );
+      "completed=800 submitted=800 retx=4 wrong=0 vc=4 ckpt=66 xfer=1 xbytes=584 \
+       msgs=9913 mean=4042700000000000 p99=4034000000000000 states=800,800,800" );
     ( "legacy-rejoin/cheapbft",
       legacy_rejoin `Cheapbft,
-      "completed=800 submitted=800 retx=4 wrong=0 vc=1 ckpt=0 xfer=0 xbytes=0 msgs=9732 \
+      "completed=800 submitted=800 retx=4 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 msgs=9793 \
        mean=4042700000000000 p99=4034000000000000 states=800,800,800" );
     ( "batch/paxos",
       batched `Paxos,
@@ -262,7 +262,7 @@ let expectations =
        p99=4060000000000000 state=20" );
     ( "e4/cheapbft",
       (fun () -> e4_summary `Cheapbft),
-      "completed=249 submitted=249 retx=0 vc=1 msgs=2474 p99=4034000000000000 \
+      "completed=249 submitted=249 retx=0 vc=1 msgs=2486 p99=4034000000000000 \
        max=40a3b20000000000 state=249" );
     ( "pbft/delay",
       pbft_behaving ~replica:0 (Behavior.byzantine (Behavior.Delay 300)),
@@ -270,20 +270,20 @@ let expectations =
        msgs=28000 mean=4074500000000000 p99=4074500000000000 states=800,800,800,800" );
     ( "pbft/silent",
       pbft_behaving ~replica:0 (Behavior.byzantine ~from_cycle:1_000 Behavior.Silent),
-      "completed=800 submitted=800 retx=0 wrong=0 vc=1 ckpt=0 xfer=0 xbytes=0 \
-       msgs=22899 mean=4042c33333333333 p99=4039000000000000 states=800,800,800,800" );
+      "completed=800 submitted=800 retx=0 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 \
+       msgs=22977 mean=4042c33333333333 p99=4039000000000000 states=160,800,800,800" );
     ( "pbft/corrupt",
       pbft_behaving ~replica:0 (Behavior.byzantine Behavior.Corrupt_execution),
       "completed=800 submitted=800 retx=0 wrong=800 vc=0 ckpt=0 xfer=0 xbytes=0 \
        msgs=28000 mean=4039000000000000 p99=4039000000000000 states=800,800,800,800" );
     ( "pbft/equivocate",
       pbft_behaving ~replica:0 (Behavior.byzantine Behavior.Equivocate),
-      "completed=800 submitted=800 retx=0 wrong=0 vc=1 ckpt=0 xfer=0 xbytes=0 msgs=28043 \
-       mean=4042c33333333333 p99=4039000000000000 states=800,800,800,800" );
+      "completed=0 submitted=4 retx=1000 wrong=0 vc=1592 ckpt=0 xfer=0 xbytes=0 msgs=75496 \
+       mean=0 p99=0 states=0,0,0,0" );
     ( "pbft/equivocate-batch",
       pbft_behaving ?batching ~replica:0 (Behavior.byzantine Behavior.Equivocate),
-      "completed=800 submitted=800 retx=0 wrong=0 vc=1 ckpt=0 xfer=0 xbytes=0 msgs=13697 \
-       mean=4055d1999999999a p99=4052c00000000000 states=800,800,800,800" );
+      "completed=0 submitted=4 retx=1000 wrong=0 vc=1592 ckpt=0 xfer=0 xbytes=0 msgs=75478 \
+       mean=0 p99=0 states=0,0,0,0" );
     ( "e3/paxos",
       (fun () -> e3_summary `Paxos),
       "completed=20 submitted=20 retx=0 vc=0 msgs=280 bytes=13440 mean=4051800000000000 \

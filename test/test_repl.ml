@@ -825,116 +825,6 @@ let test_pb_failover_window_visible () =
   let s = Primary_backup.stats sys in
   Alcotest.(check bool) "retransmissions during failover" true (s.Stats.retransmissions >= 1)
 
-(* --- liveness: one progress timer per replica --- *)
-
-(* Replica 0, the first primary (leader), is offline from t=0 on a 5-cycle
-   hub, and every client submits 8 requests at once. *)
-let offline_primary ~clients ~n start =
-  let engine = Engine.create () in
-  let fabric = Transport.hub engine ~n:(n + clients) () in
-  let submit, set_offline, stats = start engine fabric in
-  set_offline ~replica:0;
-  for client = 0 to clients - 1 do
-    submit_series submit ~client ~count:8
-  done;
-  Engine.run ~until:horizon engine;
-  (stats () : Stats.t)
-
-let offline_primary_runs =
-  [
-    ( "pbft",
-      fun ~clients ->
-        let config = { Pbft.default_config with n_clients = clients } in
-        offline_primary ~clients ~n:(Pbft.n_replicas config) (fun engine fabric ->
-            let sys = Pbft.start engine fabric config () in
-            (Pbft.submit sys, Pbft.set_offline sys, fun () -> Pbft.stats sys)) );
-    ( "minbft",
-      fun ~clients ->
-        let config = { Minbft.default_config with n_clients = clients } in
-        offline_primary ~clients ~n:(Minbft.n_replicas config) (fun engine fabric ->
-            let sys = Minbft.start engine fabric config () in
-            (Minbft.submit sys, Minbft.set_offline sys, fun () -> Minbft.stats sys)) );
-    ( "a2m-bft",
-      fun ~clients ->
-        let config = { A2m_bft.default_config with n_clients = clients } in
-        offline_primary ~clients ~n:(A2m_bft.n_replicas config) (fun engine fabric ->
-            let sys = A2m_bft.start engine fabric config () in
-            (A2m_bft.submit sys, A2m_bft.set_offline sys, fun () -> A2m_bft.stats sys)) );
-    ( "paxos",
-      fun ~clients ->
-        let config = { Paxos.default_config with n_clients = clients } in
-        offline_primary ~clients ~n:(Paxos.n_replicas config) (fun engine fabric ->
-            let sys = Paxos.start engine fabric config () in
-            (Paxos.submit sys, Paxos.set_offline sys, fun () -> Paxos.stats sys)) );
-    ( "cheapbft",
-      fun ~clients ->
-        let config = { Cheapbft.default_config with n_clients = clients } in
-        offline_primary ~clients ~n:(Cheapbft.n_replicas config) (fun engine fabric ->
-            let sys = Cheapbft.start engine fabric config () in
-            (Cheapbft.submit sys, Cheapbft.set_offline sys, fun () -> Cheapbft.stats sys)) );
-  ]
-
-(* One timer per replica votes once per silent round, however many
-   requests wait: the view-change count stays bounded as clients grow. *)
-let test_offline_primary_bounded (name, run) () =
-  for clients = 1 to 9 do
-    let s = run ~clients in
-    let label = Printf.sprintf "%s, %d clients" name clients in
-    Alcotest.(check int) (label ^ ": every request completes") (8 * clients) s.Stats.completed;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: at most 2 view changes (got %d)" label s.Stats.view_changes)
-      true (s.Stats.view_changes <= 2)
-  done
-
-(* With k pending requests each voting one view further, an equivocating
-   primary stayed in power whenever k was a multiple of n. *)
-let test_pbft_equivocating_primary_any_load () =
-  List.iter
-    (fun n_clients ->
-      let behaviors =
-        [| Behavior.byzantine Behavior.Equivocate; Behavior.honest; Behavior.honest; Behavior.honest |]
-      in
-      let engine, sys, _ = pbft_setup ~n_clients ~behaviors () in
-      for client = 0 to n_clients - 1 do
-        submit_series (Pbft.submit sys) ~client ~count:50
-      done;
-      Engine.run ~until:1_000_000 engine;
-      let s = Pbft.stats sys in
-      Alcotest.(check int)
-        (Printf.sprintf "%d clients: every request completes" n_clients)
-        (50 * n_clients) s.Stats.completed;
-      Alcotest.(check int) (Printf.sprintf "%d clients: one view change" n_clients) 1
-        s.Stats.view_changes)
-    [ 4; 8 ]
-
-(* A fault-free run cancels no replica timer: execution never touches the
-   progress timer, so the only cancellations left are the clients'
-   retransmission timers, at most one per request. *)
-let test_fault_free_cancels_no_replica_timer () =
-  let module Obs = Resoc_obs.Obs in
-  Fun.protect ~finally:Obs.disable (fun () ->
-      Obs.disable ();
-      Obs.begin_replicate ();
-      Obs.enable_metrics ();
-      let n_clients = 16 in
-      let engine, sys, _ = pbft_setup ~n_clients () in
-      for client = 0 to n_clients - 1 do
-        submit_series (Pbft.submit sys) ~client ~count:20
-      done;
-      Engine.run ~until:horizon engine;
-      let s = Pbft.stats sys in
-      Alcotest.(check int) "every request completes" (20 * n_clients) s.Stats.completed;
-      Alcotest.(check int) "no view change" 0 s.Stats.view_changes;
-      let cancelled =
-        match List.assoc_opt "obs.des.events_cancelled" (Obs.replicate_metrics ()) with
-        | Some v -> int_of_float v
-        | None -> 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d cancelled events <= %d requests" cancelled s.Stats.completed)
-        true
-        (cancelled <= s.Stats.completed))
-
 let () =
   Alcotest.run "resoc_repl"
     [
@@ -1019,16 +909,4 @@ let () =
             test_pb_batching_exactly_once;
           Alcotest.test_case "invalid config rejected" `Quick test_invalid_batching_rejected;
         ] );
-      ( "liveness",
-        List.map
-          (fun ((name, _) as run) ->
-            Alcotest.test_case (name ^ " offline primary, 1-9 clients") `Quick
-              (test_offline_primary_bounded run))
-          offline_primary_runs
-        @ [
-            Alcotest.test_case "pbft equivocating primary, 4 and 8 clients" `Quick
-              test_pbft_equivocating_primary_any_load;
-            Alcotest.test_case "fault-free run cancels no replica timer" `Quick
-              test_fault_free_cancels_no_replica_timer;
-          ] );
     ]
