@@ -152,7 +152,7 @@ let () =
     incr failed;
     (if emit then Printf.eprintf else Printf.printf) "FAIL   %s %s %s: %s\n" exp cell metric what
   in
-  let compare key r c =
+  let check key r c =
     let exp, cell, metric = key in
     let run = (c.mean, half c) in
     match List.assoc_opt key moved with
@@ -195,7 +195,7 @@ let () =
               | Some (_, _, run_stats) -> (
                 match List.assoc_opt metric run_stats with
                 | None -> fail key "missing from the run"
-                | Some c -> compare key r c))
+                | Some c -> check key r c))
             ref_stats)
         ref_cells)
     pairs;
