@@ -1,5 +1,4 @@
 module Engine = Resoc_des.Engine
-module Metrics = Resoc_des.Metrics
 module Obs = Resoc_obs.Obs
 module Registry = Resoc_obs.Registry
 module Ring = Resoc_obs.Ring
@@ -83,7 +82,6 @@ type 'msg t = {
   mutable dropped : int;
   mutable bytes_sent : int;
   mutable partition_handler : (reachable:int -> total:int -> unit) option;
-  latency : Metrics.Histogram.t;
   obs : Obs.t;
   obs_link_base : int;  (* counter cells, one per link id *)
   obs_delivered : int;
@@ -205,7 +203,6 @@ let create engine mesh config =
       dropped = 0;
       bytes_sent = 0;
       partition_handler = None;
-      latency = Metrics.Histogram.create "noc.latency";
       obs;
       obs_link_base;
       obs_delivered;
@@ -286,11 +283,9 @@ let deliver t ~src ~dst ~start msg =
   | Some handler ->
     t.delivered <- t.delivered + 1;
     if t.chk >= 0 then Check.flit_delivered ~net:t.chk;
-    let lat = Engine.now t.engine - start in
-    Metrics.Histogram.add t.latency (float_of_int lat);
     if !Obs.metrics_on then begin
       Registry.incr t.obs.Obs.metrics t.obs_delivered;
-      Registry.observe t.obs.Obs.metrics t.obs_latency lat
+      Registry.observe t.obs.Obs.metrics t.obs_latency (Engine.now t.engine - start)
     end;
     handler ~src msg
 
@@ -766,7 +761,6 @@ let sent t = t.sent
 let delivered t = t.delivered
 let dropped t = t.dropped
 let bytes_sent t = t.bytes_sent
-let latency t = t.latency
 
 let reachable t ~src ~dst =
   match t.adaptive with

@@ -83,8 +83,6 @@ val sent : 'msg t -> int
 val delivered : 'msg t -> int
 val dropped : 'msg t -> int
 val bytes_sent : 'msg t -> int
-val latency : 'msg t -> Resoc_des.Metrics.Histogram.t
-(** Delivery latencies in cycles. *)
 
 val hop_load : 'msg t -> (Mesh.link * int) list
 (** Messages carried per link (congestion map). Allocates the assoc

@@ -8,6 +8,7 @@ module A2m_hybrid = struct
   type t = A2m.t
   type cert = A2m.attestation
 
+  let module_name = "A2m_bft"
   let protocol_name = "a2m-bft"
 
   (* The log lives in protected memory conceptually; the [protection]

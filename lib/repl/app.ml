@@ -80,8 +80,6 @@ let state t = t.state
 
 let set_state t s = t.state <- s
 
-let state_digest t = Hash.combine (Hash.of_string "app-state") t.state
-
 let executions t = t.executions
 
 let corrupted t = { t with mangle = (fun r -> Int64.logxor r 0x5A5A5A5A5A5A5A5AL) }

@@ -41,8 +41,6 @@ val state : t -> int64
 val set_state : t -> int64 -> unit
 (** State transfer onto a recovering replica. *)
 
-val state_digest : t -> Hash.t
-
 val executions : t -> int
 
 val corrupted : t -> t

@@ -70,16 +70,12 @@ type replica = {
   config : config;
   trinc : Trinc.t;
   keychain : Keychain.t;
-  mutable view : int;
   mutable is_active : bool;
-  mutable transitioned : bool;
   mutable last_exec_counter : int64;
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
   mono : Monotonic.checker;
   baseline_pending : bool array;  (* per-signer counter resync after transition *)
-  vc_rounds : Quorum.Rounds.t;
-  mutable vc_voted : int;
   initial_active_others : int array;  (* ids 0..f minus self *)
   initial_passive : int array;  (* ids f+1..n-1 *)
   mutable gap_drops : int;
@@ -96,10 +92,6 @@ type t = {
   keychain : Keychain.t;
 }
 
-let primary_of ~view ~n = view mod n
-
-let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
-
 let kit =
   {
     Replica.request = (fun request -> Request request);
@@ -112,25 +104,20 @@ let kit =
 
 let empty_ids : int array = [||]
 
+(* The first view change is the transition to all-active: every view
+   above 0 runs with all 2f+1 replicas. *)
+let transitioned r = r.core.view > 0
+
 (* The replicas that participate in agreement right now: the initial f+1
    active ones, or everyone after a transition. Activeness is tracked per
    replica, so views during/after the transition stay consistent. *)
-let active_others r = if r.transitioned then r.core.peer_ids else r.initial_active_others
+let active_others r = if transitioned r then r.core.peer_ids else r.initial_active_others
 
-let passive_ids (r : replica) = if r.transitioned then empty_ids else r.initial_passive
+let passive_ids (r : replica) = if transitioned r then empty_ids else r.initial_passive
 
 (* Fault-free quorum: every active replica (f+1 of f+1). After a
    transition: f+1 of 2f+1. Either way the count is f+1. *)
 let commit_quorum (r : replica) = r.f + 1
-
-(* Any replica that sees a request starve votes to transition/rotate:
-   repeated timeouts propose ever-higher views until a live primary is
-   reached. Unlike the other protocols this fires on an offline replica
-   too; its Activate is muted by the send gate. *)
-let on_expire r () =
-  let new_view = max r.view r.vc_voted + 1 in
-  r.vc_voted <- new_view;
-  Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
 
 (* One agreed counter carries a batch (a single request is a batch of
    one); the attestation binds its batch digest. *)
@@ -147,12 +134,12 @@ let rec try_execute r =
       r.last_exec_counter <- next;
       Replica.check_window r.core ~seq:next_i;
       if r.core.chk >= 0 then begin
-        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.view ~seq:next_i
+        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:next_i
           ~digest:(entry_digest e)
           ~signers:(Quorum.count e.commit_votes)
           ~quorum:(commit_quorum r)
           ~faulty:(Replica.faulty r.core);
-        Replica.check_batch r.core ~view:r.view ~seq:next_i e.batch
+        Replica.check_batch r.core ~view:r.core.view ~seq:next_i e.batch
       end;
       List.iter (Replica.execute r.core) e.batch;
       Replica.kick r.core;
@@ -177,7 +164,7 @@ let executed_batch (e : entry) = if e.executed then e.batch else []
 let on_fetch_state r ~src ~have =
   match r.core.cp with
   | Some cp when r.is_active ->
-    Replica.serve r.core cp ~src ~have ~view:r.view
+    Replica.serve r.core cp ~src ~have ~view:r.core.view
       ~suffix:
         (Replica.log_suffix r.log ~from:(Checkpoint.low cp)
            ~upto:(Int64.to_int r.last_exec_counter) ~batch:executed_batch)
@@ -196,12 +183,7 @@ let on_checkpoint_vote r ~src ~seq ~digest =
    survived the wipe, so peers re-baseline this signer instead of seeing
    a replay. *)
 let install_transfer (r : replica) (c : Checkpoint.completion) =
-  r.view <- max r.view c.Checkpoint.c_view;
-  r.vc_voted <- max r.vc_voted r.view;
-  if c.Checkpoint.c_view > 0 then begin
-    r.transitioned <- true;
-    r.is_active <- true
-  end;
+  if c.Checkpoint.c_view > 0 then r.is_active <- true;
   r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
   r.last_shipped <- r.last_exec_counter;
   Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
@@ -268,7 +250,8 @@ let order_batch r (requests : Types.request list) =
         (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) 0)
         requests;
       ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
-      Replica.broadcast r.core ~to_:(active_others r) (Prepare_b { view = r.view; requests; cert });
+      Replica.broadcast r.core ~to_:(active_others r)
+        (Prepare_b { view = r.core.view; requests; cert });
       try_execute r
 
 (* Without a batcher a request is ordered as a batch of one, unless it is
@@ -279,27 +262,30 @@ let order_one r (request : Types.request) digest =
 (* Actives ship attested state to the passive set periodically; one sender
    (the primary) suffices in the fault-free case. *)
 let ship_updates r =
-  if is_primary r && (not r.transitioned) && Int64.compare r.last_exec_counter r.last_shipped > 0
+  if Replica.is_primary r.core && (not (transitioned r))
+     && Int64.compare r.last_exec_counter r.last_shipped > 0
   then begin
     r.last_shipped <- r.last_exec_counter;
     let rid_table = Replica.rid_table r.core in
+    let state = App.state r.core.app in
     let passive = passive_ids r in
     for i = 0 to Array.length passive - 1 do
       Replica.send r.core ~dst:passive.(i)
-        (Update { view = r.view; upto = r.last_exec_counter; state = App.state r.core.app; rid_table })
+        (Update { view = r.core.view; upto = r.last_exec_counter; state; rid_table })
     done
   end
 
-let adopt_new_view r ~view ~base ~state ~rid_table =
-  r.view <- view;
-  r.vc_voted <- max r.vc_voted view;
-  r.transitioned <- true;
-  r.is_active <- true;
+(* Forget the log and expect any counter from every signer next. *)
+let restart_log r ~last_exec =
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
-  r.last_exec_counter <- base;
-  Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  Replica.adopt r.core ~state ~rid_table ~seq:(Int64.to_int base)
+  r.last_exec_counter <- last_exec;
+  Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
+
+let adopt_new_view r ~view ~base ~state ~rid_table =
+  r.is_active <- true;
+  restart_log r ~last_exec:base;
+  Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
 
 let become_primary r ~view =
   let rid_table = Replica.rid_table r.core in
@@ -311,23 +297,6 @@ let become_primary r ~view =
     (fun (req : Types.request) -> order_one r req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
-let on_activate r ~src ~new_view =
-  if new_view > r.view then begin
-    let voters =
-      Quorum.Rounds.note r.vc_rounds ~current:r.view ~view:new_view ~voter:src ~value:0
-    in
-    if voters >= r.f + 1 then begin
-      if r.vc_voted < new_view then begin
-        r.vc_voted <- new_view;
-        Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
-      end;
-      if primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
-        Replica.view_changed r.core ~view:new_view;
-        become_primary r ~view:new_view
-      end
-    end
-  end
-
 (* A client re-asking for an already-executed request means it could not
    assemble an f+1 reply quorum — with only f+1 executing replicas, that is
    evidence one of them is lying (CheapBFT's PANIC case). *)
@@ -335,13 +304,7 @@ let note_repeat r ~client ~rid =
   let key = (client, rid) in
   let n = 1 + (match Hashtbl.find_opt r.repeat_counts key with Some n -> n | None -> 0) in
   Hashtbl.replace r.repeat_counts key n;
-  if n >= 3 && not r.transitioned then begin
-    let new_view = r.view + 1 in
-    if new_view > r.vc_voted then begin
-      r.vc_voted <- new_view;
-      Replica.broadcast r.core ~to_:r.core.all_ids (Activate { new_view })
-    end
-  end
+  if n >= 3 && not (transitioned r) then Replica.vote r.core ~view:(r.core.view + 1)
 
 let on_request r (request : Types.request) =
   if Replica.executed r.core request then begin
@@ -355,18 +318,18 @@ let on_request r (request : Types.request) =
        all-active configuration a single silent active denies the quorum,
        and someone must call for the transition. *)
     Replica.watch r.core digest;
-    if is_primary r && r.is_active then (
+    if Replica.is_primary r.core && r.is_active then (
       match r.core.batcher with
       | Some b ->
         (* Retransmissions of a request already buffered (still pending)
            or already ordered must not enter a second batch. *)
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
       | None -> order_one r request digest)
-    else Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request)
+    else Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request)
   end
 
 let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && src = primary_of ~view ~n:r.core.n
+  if view = r.core.view && r.is_active && src = Replica.primary r.core view
      && cert.Trinc.signer = src && requests <> []
   then begin
     let digest = Types.batch_digest requests in
@@ -388,8 +351,8 @@ let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
 
 let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
-  if view = r.view && r.is_active && cert.Trinc.signer = src
-     && primary_cert.Trinc.signer = primary_of ~view ~n:r.core.n
+  if view = r.core.view && r.is_active && cert.Trinc.signer = src
+     && primary_cert.Trinc.signer = Replica.primary r.core view
      && requests <> []
   then begin
     let digest = Types.batch_digest requests in
@@ -405,7 +368,8 @@ let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
   end
 
 let on_update r ~view ~upto ~state ~rid_table =
-  if (not r.is_active) && view >= r.view && Int64.compare upto r.last_exec_counter > 0 then begin
+  if (not r.is_active) && view >= r.core.view && Int64.compare upto r.last_exec_counter > 0
+  then begin
     r.last_exec_counter <- upto;
     App.set_state r.core.app state;
     Replica.import_rid_table r.core rid_table;
@@ -422,10 +386,6 @@ let on_update r ~view ~upto ~state ~rid_table =
       stale
   end
 
-let on_new_view r ~src ~view ~base ~state ~rid_table =
-  if view > r.view && src = primary_of ~view ~n:r.core.n then
-    adopt_new_view r ~view ~base ~state ~rid_table
-
 let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
@@ -434,8 +394,10 @@ let handle (r : replica) ~src msg =
     | Commit_b { view; requests; primary_cert; cert } ->
       on_commit r ~src ~view ~requests ~primary_cert ~cert
     | Update { view; upto; state; rid_table } -> on_update r ~view ~upto ~state ~rid_table
-    | Activate { new_view } -> on_activate r ~src ~new_view
-    | New_view { view; base; state; rid_table } -> on_new_view r ~src ~view ~base ~state ~rid_table
+    | Activate { new_view } -> Replica.on_vote r.core ~src ~view:new_view ~value:0
+    | New_view { view; base; state; rid_table } ->
+      if Replica.accepts_new_view r.core ~src ~view then
+        adopt_new_view r ~view ~base ~state ~rid_table
     | Reply _ -> ()
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
@@ -461,42 +423,54 @@ let spec (config : config) =
 
 let make_replica (config : config) keychain (core : msg Replica.t) =
   let id = core.Replica.id and n = core.Replica.n and f = config.f in
-  let r =
-    {
-      core;
-      f;
-      config;
-      trinc =
-        Trinc.create ~id ~key:(Keychain.component keychain id) ~protection:config.trinc_protection;
-      keychain;
-      view = 0;
-      is_active = id <= f;
-      transitioned = false;
-      last_exec_counter = 0L;
-      log = Replica.create_log fresh_entry;
-      ordered = Digest_map.create ~capacity:64 ();
-      mono = Monotonic.create ();
-      baseline_pending = Array.make n false;
-      vc_rounds = Quorum.Rounds.create ~n ();
-      vc_voted = 0;
-      initial_active_others =
-        (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
-         Array.of_list act);
-      initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
-      gap_drops = 0;
-      last_shipped = 0L;
-      repeat_counts = Hashtbl.create 8;
-    }
-  in
-  core.Replica.on_expire <- on_expire r;
-  r
+  {
+    core;
+    f;
+    config;
+    trinc =
+      Trinc.create ~id ~key:(Keychain.component keychain id) ~protection:config.trinc_protection;
+    keychain;
+    is_active = id <= f;
+    last_exec_counter = 0L;
+    log = Replica.create_log fresh_entry;
+    ordered = Digest_map.create ~capacity:64 ();
+    mono = Monotonic.create ();
+    baseline_pending = Array.make n false;
+    initial_active_others =
+      (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
+       Array.of_list act);
+    initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
+    gap_drops = 0;
+    last_shipped = 0L;
+    repeat_counts = Hashtbl.create 8;
+  }
+
+(* Any replica that sees a request starve votes to transition/rotate:
+   repeated timeouts propose ever-higher views until a live primary is
+   reached. *)
+let hooks r =
+  {
+    Replica.vote = (fun new_view -> Activate { new_view });
+    take_over = (fun ~view ~max_exec:_ -> become_primary r ~view);
+    progress = (fun () -> r.last_exec_counter);
+    wipe =
+      (fun () ->
+        (* The TrInc counter is hardware and survives the wipe. *)
+        r.is_active <- r.core.id <= r.f;
+        r.last_shipped <- 0L;
+        Hashtbl.reset r.repeat_counts;
+        restart_log r ~last_exec:0L);
+    adopt_peer =
+      (fun ~progress ->
+        r.is_active <- transitioned r || r.core.id <= r.f;
+        restart_log r ~last_exec:progress);
+  }
 
 let start engine fabric config ?behaviors () =
-  Quorum.check_n (n_replicas config) "Cheapbft.start";
   let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
   let spec = spec config in
   let replicas, stats =
-    Replica.start engine fabric kit spec ?behaviors (make_replica config keychain)
+    Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config keychain)
   in
   Array.iter
     (fun r ->
@@ -517,50 +491,14 @@ let submit t ~client ~payload = Replica.submit "Cheapbft" t.clients ~client ~pay
 
 let stats t = t.shared_stats
 
-let view t ~replica = t.replicas.(replica).view
+let view t ~replica = t.replicas.(replica).core.view
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
 let active t ~replica = t.replicas.(replica).is_active
-let transitioned t = Array.exists (fun r -> r.transitioned) t.replicas
+let transitioned t = Array.exists transitioned t.replicas
 let trinc t ~replica = t.replicas.(replica).trinc
 
 let replica_online t ~replica = t.replicas.(replica).core.online
 
 let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
-let set_online t ~replica =
-  let r = t.replicas.(replica) in
-  if not r.core.online then begin
-    r.core.online <- true;
-    match r.core.cp with
-    | Some cp ->
-      (* Rejuvenation wiped the replica's untrusted state (the TrInc
-         counter is hardware and persists): rejoin by certified
-         transfer instead of a free peer copy. *)
-      r.view <- 0;
-      r.vc_voted <- 0;
-      r.transitioned <- false;
-      r.is_active <- r.core.id <= r.f;
-      r.last_exec_counter <- 0L;
-      r.last_shipped <- 0L;
-      Slot_ring.reset r.log;
-      Digest_map.reset r.ordered;
-      Hashtbl.reset r.repeat_counts;
-      Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-      Replica.rejoin_wiped r.core cp
-    | None -> (
-      (* Legacy model: free state copy from the most advanced online peer. *)
-      match
-        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core)
-          ~progress:(fun p -> Int64.to_int p.last_exec_counter)
-      with
-      | Some peer ->
-        r.view <- peer.view;
-        r.vc_voted <- max r.vc_voted peer.view;
-        r.transitioned <- peer.transitioned;
-        r.is_active <- (if peer.transitioned then true else r.core.id <= r.f);
-        r.last_exec_counter <- peer.last_exec_counter;
-        Slot_ring.reset r.log;
-        Digest_map.reset r.ordered;
-        Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-      | None -> ())
-  end
+let set_online t ~replica = Replica.set_online t.replicas.(replica).core

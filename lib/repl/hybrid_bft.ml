@@ -13,6 +13,7 @@ module type HYBRID = sig
   type t
   type cert
 
+  val module_name : string
   val protocol_name : string
   val make : id:int -> key:Mac.key -> protection:Register.protection -> t
   val create_cert : t -> Hash.t -> (cert, string) result
@@ -146,14 +147,11 @@ module Make (H : HYBRID) = struct
     config : config;
     hybrid_instance : H.t;
     keychain : Keychain.t;
-    mutable view : int;
     mutable last_exec_counter : int64;  (* primary counters up to here executed *)
     log : entry Slot_ring.t;  (* primary counter -> entry (current view) *)
     ordered : int Digest_map.t;  (* digests this primary already assigned *)
     mono : Usig.Monotonic.checker;  (* per-sender UI continuity *)
     baseline_pending : bool array;  (* per-sender resync after rejoin *)
-    vc_rounds : Quorum.Rounds.t;
-    mutable vc_voted : int;
     mutable own_commits_sent : int;
     mutable gap_drops : int;
   }
@@ -168,10 +166,6 @@ module Make (H : HYBRID) = struct
     keychain : Keychain.t;
   }
 
-  let primary_of ~view ~n = view mod n
-
-  let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
-
   let kit =
     {
       Replica.request = (fun request -> Request request);
@@ -181,15 +175,6 @@ module Make (H : HYBRID) = struct
       fetch_state = (fun have -> Fetch_state { have });
       state_chunk = (fun chunk -> State_chunk chunk);
     }
-
-  (* A request timer fired on a pending request: escalate past views whose
-     primary never answered. *)
-  let on_expire r () =
-    if r.core.online then begin
-      let new_view = max r.view r.vc_voted + 1 in
-      r.vc_voted <- new_view;
-      Replica.broadcast r.core ~to_:r.core.all_ids (Req_view_change { new_view })
-    end
 
   (* One certificate covers a whole batch: the digest chains the requests in
      order, so verifiers agree on both membership and sequence. The shared
@@ -208,14 +193,14 @@ module Make (H : HYBRID) = struct
           e.executed <- true;
           r.last_exec_counter <- next;
           if r.core.chk >= 0 then begin
-            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.view ~seq:next_i
+            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:next_i
               ~digest:(batch_digest e.requests)
               ~signers:(Quorum.count e.commit_votes)
               ~quorum:(r.f + 1)
               ~faulty:(Replica.faulty r.core);
             (* The batch is this protocol's native unit, so the atomicity
                invariant covers singletons and legacy-window batches too. *)
-            Replica.check_batch r.core ~view:r.view ~seq:next_i e.requests
+            Replica.check_batch r.core ~view:r.core.view ~seq:next_i e.requests
           end;
           if !Obs.trace_on then
             Ring.async_end r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
@@ -245,7 +230,7 @@ module Make (H : HYBRID) = struct
     match r.core.cp with
     | None -> ()
     | Some cp ->
-      Replica.serve r.core cp ~src ~have ~view:r.view
+      Replica.serve r.core cp ~src ~have ~view:r.core.view
         ~suffix:
           (Replica.log_suffix r.log ~from:(Checkpoint.low cp)
              ~upto:(Int64.to_int r.last_exec_counter) ~batch:executed_batch)
@@ -258,8 +243,6 @@ module Make (H : HYBRID) = struct
       Replica.maybe_catchup r.core cp
 
   let install_transfer (r : replica) (c : Checkpoint.completion) =
-    r.view <- max r.view c.Checkpoint.c_view;
-    r.vc_voted <- max r.vc_voted r.view;
     r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
     (* We missed every hybrid counter issued during the outage. *)
     Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
@@ -321,6 +304,7 @@ module Make (H : HYBRID) = struct
       match H.create_cert r.hybrid_instance (batch_digest requests) with
       | Error _ -> ()  (* hybrid fail-stop: the group will time out on us *)
       | Ok cert ->
+        let view = r.core.view in
         List.iter (fun req -> Digest_map.set r.ordered (Types.request_digest req) 0) requests;
         if !Obs.trace_on then
           Ring.instant r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
@@ -339,7 +323,7 @@ module Make (H : HYBRID) = struct
           in
           match H.create_cert r.hybrid_instance (batch_digest fake) with
           | Error _ ->
-            Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view = r.view; requests; cert })
+            Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view; requests; cert })
           | Ok fake_cert ->
             ignore (note_entry r ~counter:(H.cert_counter fake_cert) ~requests:fake ~voter:r.core.id);
             let backups = r.core.peer_ids in
@@ -347,28 +331,30 @@ module Make (H : HYBRID) = struct
             Array.iteri
               (fun i dst ->
                 if i < half then begin
-                  Replica.send r.core ~dst (Prepare { view = r.view; requests = fake; cert = fake_cert });
-                  Replica.send r.core ~dst (Prepare { view = r.view; requests; cert })
+                  Replica.send r.core ~dst (Prepare { view; requests = fake; cert = fake_cert });
+                  Replica.send r.core ~dst (Prepare { view; requests; cert })
                 end
                 else begin
-                  Replica.send r.core ~dst (Prepare { view = r.view; requests; cert });
-                  Replica.send r.core ~dst (Prepare { view = r.view; requests = fake; cert = fake_cert })
+                  Replica.send r.core ~dst (Prepare { view; requests; cert });
+                  Replica.send r.core ~dst (Prepare { view; requests = fake; cert = fake_cert })
                 end)
               backups
         end
-        else Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view = r.view; requests; cert });
+        else Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view; requests; cert });
         try_execute r
     end
 
-  let adopt_new_view r ~view ~base ~state ~rid_table =
-    r.view <- view;
-    r.vc_voted <- max r.vc_voted view;
+  (* Forget the log; counter expectations restart from whatever peers
+     send next. *)
+  let restart_log r ~last_exec =
     Slot_ring.reset r.log;
     Digest_map.reset r.ordered;
-    r.last_exec_counter <- base;
-    (* Counter expectations restart from whatever peers send next. *)
-    Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-    Replica.adopt r.core ~state ~rid_table ~seq:(Int64.to_int base)
+    r.last_exec_counter <- last_exec;
+    Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
+
+  let adopt_new_view r ~view ~base ~state ~rid_table =
+    restart_log r ~last_exec:base;
+    Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
 
   let become_primary r ~view =
     let rid_table = Replica.rid_table r.core in
@@ -394,29 +380,12 @@ module Make (H : HYBRID) = struct
     in
     chunks (Replica.pending_sorted r.core)
 
-  let on_req_view_change r ~src ~new_view =
-    if new_view > r.view then begin
-      let voters =
-        Quorum.Rounds.note r.vc_rounds ~current:r.view ~view:new_view ~voter:src ~value:0
-      in
-      if voters >= r.f + 1 then begin
-        if r.vc_voted < new_view then begin
-          r.vc_voted <- new_view;
-          Replica.broadcast r.core ~to_:r.core.all_ids (Req_view_change { new_view })
-        end;
-        if primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
-          Replica.view_changed r.core ~view:new_view;
-          become_primary r ~view:new_view
-        end
-      end
-    end
-
   let on_request r (request : Types.request) =
     if Replica.executed r.core request then Replica.reply_cached r.core request
     else begin
       let digest = Types.request_digest request in
       let was_pending = Replica.admit r.core request digest in
-      if is_primary r then (
+      if Replica.is_primary r.core then (
         match r.core.batcher with
         | Some b ->
           (* Retransmissions of a request already buffered (still pending)
@@ -424,13 +393,13 @@ module Make (H : HYBRID) = struct
           if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
         | None -> order_batch r [ request ])
       else begin
-        Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request);
+        Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
         Replica.watch r.core digest
       end
     end
 
   let on_prepare r ~src ~view ~requests ~cert =
-    if view = r.view && src = primary_of ~view ~n:r.core.n && H.cert_signer cert = src
+    if view = r.core.view && src = Replica.primary r.core view && H.cert_signer cert = src
        && requests <> []
     then begin
       if verify_cert r ~digest:(batch_digest requests) cert
@@ -453,8 +422,8 @@ module Make (H : HYBRID) = struct
     end
 
   let on_commit r ~src ~view ~requests ~primary_cert ~cert =
-    if view = r.view && H.cert_signer cert = src
-       && H.cert_signer primary_cert = primary_of ~view ~n:r.core.n
+    if view = r.core.view && H.cert_signer cert = src
+       && H.cert_signer primary_cert = Replica.primary r.core view
        && requests <> []
     then begin
       let digest = batch_digest requests in
@@ -473,10 +442,6 @@ module Make (H : HYBRID) = struct
       end
     end
 
-  let on_new_view r ~src ~view ~base ~state ~rid_table =
-    if view > r.view && src = primary_of ~view ~n:r.core.n then
-      adopt_new_view r ~view ~base ~state ~rid_table
-
   let handle (r : replica) ~src msg =
     if Replica.live r.core then
       match msg with
@@ -484,8 +449,10 @@ module Make (H : HYBRID) = struct
       | Prepare { view; requests; cert } -> on_prepare r ~src ~view ~requests ~cert
       | Commit { view; requests; primary_cert; cert } ->
         on_commit r ~src ~view ~requests ~primary_cert ~cert
-      | Req_view_change { new_view } -> on_req_view_change r ~src ~new_view
-      | New_view { view; base; state; rid_table } -> on_new_view r ~src ~view ~base ~state ~rid_table
+      | Req_view_change { new_view } -> Replica.on_vote r.core ~src ~view:new_view ~value:0
+      | New_view { view; base; state; rid_table } ->
+        if Replica.accepts_new_view r.core ~src ~view then
+          adopt_new_view r ~view ~base ~state ~rid_table
       | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
       | Fetch_state { have } -> on_fetch_state r ~src ~have
       | State_chunk chunk ->
@@ -495,7 +462,7 @@ module Make (H : HYBRID) = struct
 
   let spec (config : config) =
     {
-      Replica.label = "Minbft";
+      Replica.label = H.module_name;
       protocol = H.protocol_name;
       n = n_replicas config;
       n_clients = config.n_clients;
@@ -511,28 +478,30 @@ module Make (H : HYBRID) = struct
 
   let make_replica (config : config) keychain (core : msg Replica.t) =
     let id = core.Replica.id and n = core.Replica.n in
-    let r =
-      {
-        core;
-        f = config.f;
-        config;
-        hybrid_instance =
-          H.make ~id ~key:(Keychain.component keychain id) ~protection:config.usig_protection;
-        keychain;
-        view = 0;
-        last_exec_counter = 0L;
-        log = Replica.create_log fresh_entry;
-        ordered = Digest_map.create ~capacity:64 ();
-        mono = Usig.Monotonic.create ();
-        baseline_pending = Array.make n false;
-        vc_rounds = Quorum.Rounds.create ~n ();
-        vc_voted = 0;
-        own_commits_sent = 0;
-        gap_drops = 0;
-      }
-    in
-    core.Replica.on_expire <- on_expire r;
-    r
+    {
+      core;
+      f = config.f;
+      config;
+      hybrid_instance =
+        H.make ~id ~key:(Keychain.component keychain id) ~protection:config.usig_protection;
+      keychain;
+      last_exec_counter = 0L;
+      log = Replica.create_log fresh_entry;
+      ordered = Digest_map.create ~capacity:64 ();
+      mono = Usig.Monotonic.create ();
+      baseline_pending = Array.make n false;
+      own_commits_sent = 0;
+      gap_drops = 0;
+    }
+
+  let hooks r =
+    {
+      Replica.vote = (fun new_view -> Req_view_change { new_view });
+      take_over = (fun ~view ~max_exec:_ -> become_primary r ~view);
+      progress = (fun () -> r.last_exec_counter);
+      wipe = (fun () -> restart_log r ~last_exec:0L);
+      adopt_peer = (fun ~progress -> restart_log r ~last_exec:progress);
+    }
 
   (* The batching in force: the shared config when active, else a legacy
      [batch_window] re-expressed on the same Batcher with no pipeline
@@ -552,11 +521,10 @@ module Make (H : HYBRID) = struct
       else None
 
   let start engine fabric config ?behaviors () =
-    Quorum.check_n (n_replicas config) "Hybrid_bft.start";
     let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
     let spec = spec config in
     let replicas, stats =
-      Replica.start engine fabric kit spec ?behaviors (make_replica config keychain)
+      Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config keychain)
     in
     Array.iter
       (fun r ->
@@ -571,11 +539,11 @@ module Make (H : HYBRID) = struct
     let clients = Replica.clients engine fabric kit spec ~stats in
     { engine; fabric; config; replicas; clients; shared_stats = stats; keychain }
 
-  let submit t ~client ~payload = Replica.submit "Minbft" t.clients ~client ~payload
+  let submit t ~client ~payload = Replica.submit H.module_name t.clients ~client ~payload
 
   let stats t = t.shared_stats
 
-  let view t ~replica = t.replicas.(replica).view
+  let view t ~replica = t.replicas.(replica).core.view
 
   let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
@@ -589,34 +557,5 @@ module Make (H : HYBRID) = struct
 
   let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
-  let set_online t ~replica =
-    let r = t.replicas.(replica) in
-    if not r.core.online then begin
-      r.core.online <- true;
-      match r.core.cp with
-      | Some cp ->
-        (* Rejuvenation wiped the replica: rejoin by certified transfer
-           instead of a free peer copy. *)
-        r.view <- 0;
-        r.vc_voted <- 0;
-        r.last_exec_counter <- 0L;
-        Slot_ring.reset r.log;
-        Digest_map.reset r.ordered;
-        Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-        Replica.rejoin_wiped r.core cp
-      | None -> (
-        (* Legacy model: free state copy from the most advanced online peer. *)
-        match
-          Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core)
-            ~progress:(fun p -> Int64.to_int p.last_exec_counter)
-        with
-        | Some peer ->
-          r.view <- peer.view;
-          r.vc_voted <- max r.vc_voted peer.view;
-          r.last_exec_counter <- peer.last_exec_counter;
-          Slot_ring.reset r.log;
-          Digest_map.reset r.ordered;
-          Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-        | None -> ())
-    end
+  let set_online t ~replica = Replica.set_online t.replicas.(replica).core
 end

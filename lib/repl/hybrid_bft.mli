@@ -24,6 +24,9 @@ module type HYBRID = sig
   type cert
   (** A certificate binding (signer, counter, digest). *)
 
+  val module_name : string
+  (** The instantiating module's name, for [Invalid_argument] messages. *)
+
   val protocol_name : string
 
   val make : id:int -> key:Mac.key -> protection:Register.protection -> t

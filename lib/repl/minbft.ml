@@ -7,6 +7,7 @@ module Usig_hybrid = struct
   type t = Usig.t
   type cert = Usig.ui
 
+  let module_name = "Minbft"
   let protocol_name = "minbft"
   let make ~id ~key ~protection = Usig.create ~id ~key ~protection
   let create_cert = Usig.create_ui

@@ -54,13 +54,10 @@ type replica = {
   core : msg Replica.t;
   f : int;
   config : config;
-  mutable term : int;
   mutable next_seq : int;
   mutable last_exec : int;
   log : entry Slot_ring.t;
   ordered : int Digest_map.t;
-  election_rounds : Quorum.Rounds.t;  (* term -> voter -> last_exec *)
-  mutable voted : int;
 }
 
 type t = {
@@ -71,10 +68,6 @@ type t = {
   shared_stats : Stats.t;
 }
 
-let leader_of ~term ~n = term mod n
-
-let is_leader (r : replica) = leader_of ~term:r.term ~n:r.core.n = r.core.id
-
 let kit =
   {
     Replica.request = (fun request -> Request request);
@@ -84,15 +77,6 @@ let kit =
     fetch_state = (fun have -> Fetch_state { have });
     state_chunk = (fun chunk -> State_chunk chunk);
   }
-
-(* A request timer fired on a pending request: escalate past terms whose
-   leader never answered. *)
-let on_expire r () =
-  if r.core.online then begin
-    let new_term = max r.term r.voted + 1 in
-    r.voted <- new_term;
-    Replica.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
-  end
 
 (* One agreed slot carries a batch (a single request is a batch of one);
    agreement keys on its batch digest. *)
@@ -110,10 +94,10 @@ let rec try_execute r =
       if r.core.chk >= 0 then begin
         (* [-1] signers: followers apply leader decisions without a local
            certificate; the leader's quorum is checked in [on_accepted]. *)
-        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.term ~seq:r.last_exec
+        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:r.last_exec
           ~digest:(entry_digest e) ~signers:(-1) ~quorum:(r.f + 1)
           ~faulty:(Replica.faulty r.core);
-        Replica.check_batch r.core ~view:r.term ~seq:next e.batch
+        Replica.check_batch r.core ~view:r.core.view ~seq:next e.batch
       end;
       List.iter (Replica.execute r.core) e.batch;
       Replica.kick r.core;
@@ -136,7 +120,7 @@ let on_fetch_state r ~src ~have =
   match r.core.cp with
   | None -> ()
   | Some cp ->
-    Replica.serve r.core cp ~src ~have ~view:r.term
+    Replica.serve r.core cp ~src ~have ~view:r.core.view
       ~suffix:(Replica.log_suffix r.log ~from:(Checkpoint.low cp) ~upto:r.last_exec ~batch:executed_batch)
 
 let on_checkpoint_vote r ~src ~seq ~digest =
@@ -148,8 +132,6 @@ let on_checkpoint_vote r ~src ~seq ~digest =
 
 (* Install a completed, verified transfer and rejoin execution at the tip. *)
 let install_transfer (r : replica) (c : Checkpoint.completion) =
-  r.term <- max r.term c.Checkpoint.c_view;
-  r.voted <- max r.voted r.term;
   r.last_exec <- Replica.install ~log:r.log r.core c;
   r.next_seq <- max r.next_seq (r.last_exec + 1);
   try_execute r
@@ -173,7 +155,7 @@ let order_batch r (requests : Types.request list) =
     end
     else e.batch <- requests;
     e.acks <- Quorum.add e.acks r.core.id;
-    Replica.broadcast r.core ~to_:r.core.peer_ids (Accept_b { term = r.term; seq; requests })
+    Replica.broadcast r.core ~to_:r.core.peer_ids (Accept_b { term = r.core.view; seq; requests })
   end
 
 (* Without a batcher a request is ordered as a batch of one, unless it
@@ -181,14 +163,16 @@ let order_batch r (requests : Types.request list) =
 let order_one r (request : Types.request) digest =
   if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
 
-let adopt_new_term r ~term ~start_seq ~state ~rid_table =
-  r.term <- term;
-  r.voted <- max r.voted term;
+(* Forget the log and resume after [last_exec]. *)
+let restart r ~last_exec =
   Slot_ring.reset r.log;
   Digest_map.reset r.ordered;
-  r.last_exec <- start_seq - 1;
-  r.next_seq <- start_seq;
-  Replica.adopt r.core ~state ~rid_table ~seq:(start_seq - 1)
+  r.last_exec <- last_exec;
+  r.next_seq <- last_exec + 1
+
+let adopt_new_term r ~term ~start_seq ~state ~rid_table =
+  restart r ~last_exec:(start_seq - 1);
+  Replica.adopt r.core ~view:term ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_leader r ~term ~start_seq =
   let rid_table = Replica.rid_table r.core in
@@ -199,30 +183,12 @@ let become_leader r ~term ~start_seq =
     (fun (req : Types.request) -> order_one r req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
-let on_term_change r ~src ~new_term ~last_exec =
-  if new_term > r.term then begin
-    let voters =
-      Quorum.Rounds.note r.election_rounds ~current:r.term ~view:new_term ~voter:src
-        ~value:last_exec
-    in
-    if voters >= 1 && r.voted < new_term then begin
-      (* Crash model: one timeout report is credible; join immediately. *)
-      r.voted <- new_term;
-      Replica.broadcast r.core ~to_:r.core.all_ids (Term_change { new_term; last_exec = r.last_exec })
-    end;
-    if voters >= r.f + 1 && leader_of ~term:new_term ~n:r.core.n = r.core.id then begin
-      let max_exec = Quorum.Rounds.max_value r.election_rounds ~view:new_term ~default:r.last_exec in
-      Replica.view_changed r.core ~view:new_term;
-      become_leader r ~term:new_term ~start_seq:(max_exec + 1)
-    end
-  end
-
 let on_request r (request : Types.request) =
   if Replica.executed r.core request then Replica.reply_cached r.core request
   else begin
     let digest = Types.request_digest request in
     let was_pending = Replica.admit r.core request digest in
-    if is_leader r then (
+    if Replica.is_primary r.core then (
       match r.core.batcher with
       | Some b ->
         (* Retransmissions of a request already buffered (still pending)
@@ -230,13 +196,15 @@ let on_request r (request : Types.request) =
         if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
       | None -> order_one r request digest)
     else begin
-      Replica.send r.core ~dst:(leader_of ~term:r.term ~n:r.core.n) (Request request);
+      Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
       Replica.watch r.core digest
     end
   end
 
 let on_accept r ~src ~term ~seq ~requests =
-  if term = r.term && src = leader_of ~term ~n:r.core.n && (not (is_leader r)) && requests <> []
+  if term = r.core.view && src = Replica.primary r.core term
+     && (not (Replica.is_primary r.core))
+     && requests <> []
   then begin
     List.iter
       (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
@@ -252,7 +220,7 @@ let on_accept r ~src ~term ~seq ~requests =
   end
 
 let on_accepted r ~src ~term ~seq =
-  if term = r.term && is_leader r then begin
+  if term = r.core.view && Replica.is_primary r.core then begin
     let slot = Slot_ring.slot r.log seq in
     if slot >= 0 then begin
       let e = Slot_ring.entry r.log slot in
@@ -261,7 +229,7 @@ let on_accepted r ~src ~term ~seq =
         if Quorum.reached e.acks ~threshold:(r.f + 1) then begin
           e.committed <- true;
           if r.core.chk >= 0 then
-            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.term ~seq
+            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq
               ~digest:(entry_digest e) ~signers:(Quorum.count e.acks) ~quorum:(r.f + 1)
               ~faulty:(Replica.faulty r.core);
           Replica.broadcast r.core ~to_:r.core.peer_ids (Commit { term; seq });
@@ -272,17 +240,13 @@ let on_accepted r ~src ~term ~seq =
   end
 
 let on_commit r ~src ~term ~seq =
-  if term = r.term && src = leader_of ~term ~n:r.core.n then begin
+  if term = r.core.view && src = Replica.primary r.core term then begin
     let slot = Slot_ring.slot r.log seq in
     if slot >= 0 then begin
       (Slot_ring.entry r.log slot).committed <- true;
       try_execute r
     end
   end
-
-let on_new_term r ~src ~term ~start_seq ~state ~rid_table =
-  if term > r.term && src = leader_of ~term ~n:r.core.n then
-    adopt_new_term r ~term ~start_seq ~state ~rid_table
 
 (* Crash faults only: Byzantine strategies other than Silent and Delay
    (which the core's send gate applies) degrade to honest behaviour here,
@@ -295,9 +259,11 @@ let handle (r : replica) ~src msg =
     | Accept_b { term; seq; requests } -> on_accept r ~src ~term ~seq ~requests
     | Accepted { term; seq } -> on_accepted r ~src ~term ~seq
     | Commit { term; seq } -> on_commit r ~src ~term ~seq
-    | Term_change { new_term; last_exec } -> on_term_change r ~src ~new_term ~last_exec
+    | Term_change { new_term; last_exec } ->
+      Replica.on_vote r.core ~src ~view:new_term ~value:last_exec
     | New_term { term; start_seq; state; rid_table } ->
-      on_new_term r ~src ~term ~start_seq ~state ~rid_table
+      if Replica.accepts_new_view r.core ~src ~view:term then
+        adopt_new_term r ~term ~start_seq ~state ~rid_table
     | Reply _ -> ()
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
@@ -311,6 +277,9 @@ let spec (config : config) =
     protocol = "paxos";
     n = n_replicas config;
     n_clients = config.n_clients;
+    (* Crash model: one reply is credible, and so is one timeout report,
+       so a replica joins an election at once; f+1 votes elect the new
+       leader. *)
     client_quorum = 1;
     request_timeout = config.request_timeout;
     watch_delay = config.election_timeout;
@@ -322,27 +291,30 @@ let spec (config : config) =
   }
 
 let make_replica (config : config) (core : msg Replica.t) =
-  let r =
-    {
-      core;
-      f = config.f;
-      config;
-      term = 0;
-      next_seq = 1;
-      last_exec = 0;
-      log = Replica.create_log fresh_entry;
-      ordered = Digest_map.create ~capacity:64 ();
-      election_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
-      voted = 0;
-    }
-  in
-  core.Replica.on_expire <- on_expire r;
-  r
+  {
+    core;
+    f = config.f;
+    config;
+    next_seq = 1;
+    last_exec = 0;
+    log = Replica.create_log fresh_entry;
+    ordered = Digest_map.create ~capacity:64 ();
+  }
+
+let hooks r =
+  {
+    Replica.vote = (fun new_term -> Term_change { new_term; last_exec = r.last_exec });
+    take_over = (fun ~view ~max_exec -> become_leader r ~term:view ~start_seq:(max_exec + 1));
+    progress = (fun () -> Int64.of_int r.last_exec);
+    wipe = (fun () -> restart r ~last_exec:0);
+    adopt_peer = (fun ~progress -> restart r ~last_exec:(Int64.to_int progress));
+  }
 
 let start engine fabric config ?behaviors () =
-  Quorum.check_n (n_replicas config) "Paxos.start";
   let spec = spec config in
-  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
+  let replicas, stats =
+    Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config)
+  in
   Array.iter
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
@@ -359,7 +331,7 @@ let submit t ~client ~payload = Replica.submit "Paxos" t.clients ~client ~payloa
 
 let stats t = t.shared_stats
 
-let term t ~replica = t.replicas.(replica).term
+let term t ~replica = t.replicas.(replica).core.view
 
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
@@ -369,32 +341,4 @@ let replica_online t ~replica = t.replicas.(replica).core.online
 
 let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
-let set_online t ~replica =
-  let r = t.replicas.(replica) in
-  if not r.core.online then begin
-    r.core.online <- true;
-    match r.core.cp with
-    | Some cp ->
-      (* Rejuvenation wiped the replica: rejoin by certified transfer
-         instead of a free peer copy. *)
-      r.term <- 0;
-      r.voted <- 0;
-      r.last_exec <- 0;
-      r.next_seq <- 1;
-      Slot_ring.reset r.log;
-      Digest_map.reset r.ordered;
-      Replica.rejoin_wiped r.core cp
-    | None -> (
-      (* Legacy model: free state copy from the most advanced online peer. *)
-      match
-        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core) ~progress:(fun p -> p.last_exec)
-      with
-      | Some peer ->
-        r.term <- peer.term;
-        r.voted <- max r.voted peer.term;
-        r.last_exec <- peer.last_exec;
-        r.next_seq <- peer.last_exec + 1;
-        Slot_ring.reset r.log;
-        Digest_map.reset r.ordered
-      | None -> ())
-  end
+let set_online t ~replica = Replica.set_online t.replicas.(replica).core

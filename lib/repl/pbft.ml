@@ -77,13 +77,10 @@ type replica = {
   core : msg Replica.t;
   f : int;
   config : config;
-  mutable view : int;
   mutable next_seq : int;  (* next sequence number to assign (when primary) *)
   mutable last_exec : int;
   log : entry Slot_ring.t;  (* seq -> entry (current view only) *)
   ordered : int Digest_map.t;  (* digest -> seq, current view *)
-  vc_rounds : Quorum.Rounds.t;  (* view -> voter -> last_exec *)
-  mutable vc_voted : int;  (* highest view we voted for *)
 }
 
 type t = {
@@ -94,10 +91,6 @@ type t = {
   clients : msg Client.t array;
   shared_stats : Stats.t;
 }
-
-let primary_of ~view ~n = view mod n
-
-let is_primary (r : replica) = primary_of ~view:r.view ~n:r.core.n = r.core.id
 
 let kit =
   {
@@ -183,7 +176,7 @@ let on_fetch_state r ~src ~have =
   match r.core.cp with
   | None -> ()
   | Some cp ->
-    Replica.serve r.core cp ~src ~have ~view:r.view
+    Replica.serve r.core cp ~src ~have ~view:r.core.view
       ~suffix:(Replica.log_suffix r.log ~from:(Checkpoint.low cp) ~upto:r.last_exec ~batch:executed_batch)
 
 let on_checkpoint_vote r ~src ~seq ~digest =
@@ -195,8 +188,6 @@ let on_checkpoint_vote r ~src ~seq ~digest =
 
 (* Install a completed, verified transfer and rejoin execution at the tip. *)
 let install_transfer r (c : Checkpoint.completion) =
-  r.view <- max r.view c.Checkpoint.c_view;
-  r.vc_voted <- max r.vc_voted r.view;
   r.last_exec <- Replica.install ~log:r.log r.core c;
   r.next_seq <- max r.next_seq (r.last_exec + 1);
   try_execute r
@@ -209,11 +200,11 @@ let try_commit r ~seq (e : entry) =
   then begin
     e.committed <- true;
     if r.core.chk >= 0 then begin
-      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.view ~seq ~digest:e.digest
+      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq ~digest:e.digest
         ~signers:(Quorum.count e.commits)
         ~quorum:((2 * r.f) + 1)
         ~faulty:(Replica.faulty r.core);
-      Replica.check_batch r.core ~view:r.view ~seq e.batch
+      Replica.check_batch r.core ~view:r.core.view ~seq e.batch
     end;
     try_execute r
   end
@@ -224,20 +215,12 @@ let send_commit_if_prepared r ~seq (e : entry) =
   then begin
     e.sent_commit <- true;
     e.commits <- Quorum.add e.commits r.core.id;
-    Replica.broadcast r.core ~to_:r.core.peer_ids (Commit { view = r.view; seq; digest = e.digest });
+    Replica.broadcast r.core ~to_:r.core.peer_ids
+      (Commit { view = r.core.view; seq; digest = e.digest });
     try_commit r ~seq e
   end
 
 (* --- view changes --- *)
-
-(* A request timer fired on a pending request: escalate past views whose
-   primary never answered. *)
-let on_expire r () =
-  if r.core.online then begin
-    let new_view = max r.view r.vc_voted + 1 in
-    r.vc_voted <- new_view;
-    Replica.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
-  end
 
 (* One sequence number covers the whole batch, agreed under its batch
    digest, shipped as one (multicast-able) flight per destination. Callers
@@ -257,7 +240,8 @@ let order_batch r (requests : Types.request list) =
         ~id:(Obs.repl_event ~replica:r.core.id ~code:Obs.code_pre_prepare)
         ~arg:seq;
     let equivocating = Replica.equivocating r.core in
-    let e = entry_for r ~view:r.view ~seq ~digest in
+    let view = r.core.view in
+    let e = entry_for r ~view ~seq ~digest in
     if e != null_entry then begin
       e.batch <- requests;
       e.prepares <- Quorum.add e.prepares r.core.id
@@ -271,10 +255,10 @@ let order_batch r (requests : Types.request list) =
       for i = 0 to Array.length backups - 1 do
         let digest' = if i < lies then Hash.combine digest (Hash.of_string "lie") else digest in
         Replica.send r.core ~dst:backups.(i)
-          (Pre_prepare_b { view = r.view; seq; digest = digest'; requests })
+          (Pre_prepare_b { view; seq; digest = digest'; requests })
       done
     end
-    else Replica.broadcast r.core ~to_:backups (Pre_prepare_b { view = r.view; seq; digest; requests })
+    else Replica.broadcast r.core ~to_:backups (Pre_prepare_b { view; seq; digest; requests })
   end
 
 (* Without a batcher a request is ordered as a batch of one, unless it
@@ -282,17 +266,19 @@ let order_batch r (requests : Types.request list) =
 let order_one r (request : Types.request) digest =
   if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
 
+(* Forget the log and resume after [last_exec]. *)
+let restart r ~last_exec =
+  Slot_ring.reset r.log;
+  Digest_map.reset r.ordered;
+  r.last_exec <- last_exec;
+  r.next_seq <- last_exec + 1
+
 (* The new view is a fresh proof baseline: state and reply cache come
    from its primary, pending requests restart their patience, and the
    watermarks rebase onto the adopted last_exec. *)
 let adopt_new_view r ~view ~start_seq ~state ~rid_table =
-  r.view <- view;
-  r.vc_voted <- max r.vc_voted view;
-  Slot_ring.reset r.log;
-  Digest_map.reset r.ordered;
-  r.last_exec <- start_seq - 1;
-  r.next_seq <- start_seq;
-  Replica.adopt r.core ~state ~rid_table ~seq:(start_seq - 1)
+  restart r ~last_exec:(start_seq - 1);
+  Replica.adopt r.core ~view ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_primary r ~view ~start_seq =
   let rid_table = Replica.rid_table r.core in
@@ -304,24 +290,6 @@ let become_primary r ~view ~start_seq =
     (fun (req : Types.request) -> order_one r req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
-let on_view_change r ~src ~new_view ~last_exec =
-  if new_view > r.view then begin
-    let voters =
-      Quorum.Rounds.note r.vc_rounds ~current:r.view ~view:new_view ~voter:src ~value:last_exec
-    in
-    (* Join the view change once f+1 replicas are committed to it: at least
-       one of them is honest, so the timeout was genuine. *)
-    if voters >= r.f + 1 && r.vc_voted < new_view then begin
-      r.vc_voted <- new_view;
-      Replica.broadcast r.core ~to_:r.core.all_ids (View_change { new_view; last_exec = r.last_exec })
-    end;
-    if voters >= (2 * r.f) + 1 && primary_of ~view:new_view ~n:r.core.n = r.core.id then begin
-      let max_exec = Quorum.Rounds.max_value r.vc_rounds ~view:new_view ~default:r.last_exec in
-      Replica.view_changed r.core ~view:new_view;
-      become_primary r ~view:new_view ~start_seq:(max_exec + 1)
-    end
-  end
-
 (* --- message handling --- *)
 
 let on_request r (request : Types.request) =
@@ -331,7 +299,7 @@ let on_request r (request : Types.request) =
   else begin
     let digest = Types.request_digest request in
     let was_pending = Replica.admit r.core request digest in
-    if is_primary r then (
+    if Replica.is_primary r.core then (
       match r.core.batcher with
       | Some b ->
         (* A retransmission of a request that is already buffered here or
@@ -341,13 +309,14 @@ let on_request r (request : Types.request) =
       | None -> order_one r request digest)
     else begin
       (* Forward to the primary and watch it. *)
-      Replica.send r.core ~dst:(primary_of ~view:r.view ~n:r.core.n) (Request request);
+      Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
       Replica.watch r.core digest
     end
   end
 
 let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
-  if view = r.view && src = primary_of ~view ~n:r.core.n && (not (is_primary r)) && requests <> []
+  if view = r.core.view && src = Replica.primary r.core view && (not (Replica.is_primary r.core))
+     && requests <> []
   then begin
     if Hash.equal digest (Types.batch_digest requests) then begin
       List.iter
@@ -375,7 +344,7 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   end
 
 let on_prepare r ~src ~view ~seq ~digest =
-  if view = r.view then begin
+  if view = r.core.view then begin
     let e = entry_for r ~view ~seq ~digest in
     if e != null_entry && Hash.equal e.digest digest then begin
       e.prepares <- Quorum.add e.prepares src;
@@ -384,17 +353,13 @@ let on_prepare r ~src ~view ~seq ~digest =
   end
 
 let on_commit r ~src ~view ~seq ~digest =
-  if view = r.view then begin
+  if view = r.core.view then begin
     let e = entry_for r ~view ~seq ~digest in
     if e != null_entry && Hash.equal e.digest digest then begin
       e.commits <- Quorum.add e.commits src;
       try_commit r ~seq e
     end
   end
-
-let on_new_view r ~src ~view ~start_seq ~state ~rid_table =
-  if view > r.view && src = primary_of ~view ~n:r.core.n then
-    adopt_new_view r ~view ~start_seq ~state ~rid_table
 
 let handle (r : replica) ~src msg =
   if Replica.live r.core then
@@ -404,9 +369,11 @@ let handle (r : replica) ~src msg =
       on_pre_prepare r ~src ~view ~seq ~digest ~requests
     | Prepare { view; seq; digest } -> on_prepare r ~src ~view ~seq ~digest
     | Commit { view; seq; digest } -> on_commit r ~src ~view ~seq ~digest
-    | View_change { new_view; last_exec } -> on_view_change r ~src ~new_view ~last_exec
+    | View_change { new_view; last_exec } ->
+      Replica.on_vote r.core ~src ~view:new_view ~value:last_exec
     | New_view { view; start_seq; state; rid_table } ->
-      on_new_view r ~src ~view ~start_seq ~state ~rid_table
+      if Replica.accepts_new_view r.core ~src ~view then
+        adopt_new_view r ~view ~start_seq ~state ~rid_table
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
     | State_chunk chunk ->
@@ -433,27 +400,30 @@ let spec (config : config) =
   }
 
 let make_replica (config : config) (core : msg Replica.t) =
-  let r =
-    {
-      core;
-      f = config.f;
-      config;
-      view = 0;
-      next_seq = 1;
-      last_exec = 0;
-      log = Replica.create_log fresh_entry;
-      ordered = Digest_map.create ~capacity:64 ();
-      vc_rounds = Quorum.Rounds.create ~n:core.Replica.n ();
-      vc_voted = 0;
-    }
-  in
-  core.Replica.on_expire <- on_expire r;
-  r
+  {
+    core;
+    f = config.f;
+    config;
+    next_seq = 1;
+    last_exec = 0;
+    log = Replica.create_log fresh_entry;
+    ordered = Digest_map.create ~capacity:64 ();
+  }
+
+let hooks r =
+  {
+    Replica.vote = (fun new_view -> View_change { new_view; last_exec = r.last_exec });
+    take_over = (fun ~view ~max_exec -> become_primary r ~view ~start_seq:(max_exec + 1));
+    progress = (fun () -> Int64.of_int r.last_exec);
+    wipe = (fun () -> restart r ~last_exec:0);
+    adopt_peer = (fun ~progress -> restart r ~last_exec:(Int64.to_int progress));
+  }
 
 let start engine fabric config ?behaviors () =
-  Quorum.check_n (n_replicas config) "Pbft.start";
   let spec = spec config in
-  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
+  let replicas, stats =
+    Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config)
+  in
   Array.iter
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
@@ -470,7 +440,7 @@ let submit t ~client ~payload = Replica.submit "Pbft" t.clients ~client ~payload
 
 let stats t = t.shared_stats
 
-let view t ~replica = t.replicas.(replica).view
+let view t ~replica = t.replicas.(replica).core.view
 
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
@@ -480,34 +450,4 @@ let replica_online t ~replica = t.replicas.(replica).core.online
 
 let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
-let set_online t ~replica =
-  let r = t.replicas.(replica) in
-  if not r.core.online then begin
-    r.core.online <- true;
-    match r.core.cp with
-    | Some cp ->
-      (* Rejuvenation wiped the replica: restart from nothing and rejoin
-         by fetching the latest certified checkpoint plus log suffix
-         from the peers — state is earned, not received for free. *)
-      r.view <- 0;
-      r.vc_voted <- 0;
-      r.last_exec <- 0;
-      r.next_seq <- 1;
-      Slot_ring.reset r.log;
-      Digest_map.reset r.ordered;
-      Replica.rejoin_wiped r.core cp
-    | None -> (
-      (* Legacy model: free state copy from the most advanced online
-         peer (the hand-waved post-reconfiguration fetch). *)
-      match
-        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core) ~progress:(fun p -> p.last_exec)
-      with
-      | Some peer ->
-        r.view <- peer.view;
-        r.vc_voted <- max r.vc_voted peer.view;
-        r.last_exec <- peer.last_exec;
-        r.next_seq <- peer.last_exec + 1;
-        Slot_ring.reset r.log;
-        Digest_map.reset r.ordered
-      | None -> ())
-  end
+let set_online t ~replica = Replica.set_online t.replicas.(replica).core

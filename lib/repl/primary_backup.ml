@@ -41,7 +41,6 @@ let n_replicas config = config.n_backups + 1
 type replica = {
   core : msg Replica.t;  (* no pending requests or request timers here *)
   config : config;
-  mutable epoch : int;
   mutable seq : int;  (* primary: updates shipped; backup: updates applied *)
   mutable last_heartbeat : int;
   buffered : (int * int, unit) Hashtbl.t;  (* (client, rid) parked in the batcher *)
@@ -54,10 +53,6 @@ type t = {
   clients : msg Client.t array;
   shared_stats : Stats.t;
 }
-
-let primary_of ~epoch ~n = epoch mod n
-
-let is_primary (r : replica) = primary_of ~epoch:r.epoch ~n:r.core.n = r.core.id
 
 let kit =
   {
@@ -109,7 +104,7 @@ let exec_batch r (requests : Types.request list) =
   List.iter
     (fun (req : Types.request) -> Hashtbl.remove r.buffered (req.Types.client, req.Types.rid))
     requests;
-  if requests <> [] && is_primary r then begin
+  if requests <> [] && Replica.is_primary r.core then begin
     let replies =
       List.map
         (fun (req : Types.request) -> (req.Types.client, req.Types.rid, Replica.apply r.core req))
@@ -118,25 +113,26 @@ let exec_batch r (requests : Types.request list) =
     r.seq <- r.seq + 1;
     let state = App.state r.core.app in
     if r.core.chk >= 0 then begin
-      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq
+      Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:r.seq
         ~digest:(update_digest ~state ~replies)
         ~signers:(-1) ~quorum:1
         ~faulty:(Replica.faulty r.core);
       let len = List.length replies in
       List.iteri
         (fun pos (client, rid, _) ->
-          Check.batch_commit ~session:r.core.chk ~replica:r.core.id ~view:r.epoch ~seq:r.seq ~pos
-            ~len ~client ~rid
+          Check.batch_commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:r.seq
+            ~pos ~len ~client ~rid
             ~faulty:(Replica.faulty r.core))
         replies
     end;
-    Replica.broadcast r.core ~to_:r.core.peer_ids (Update_b { epoch = r.epoch; seq = r.seq; state; replies });
+    Replica.broadcast r.core ~to_:r.core.peer_ids
+      (Update_b { epoch = r.core.view; seq = r.seq; state; replies });
     note_boundary r;
     List.iter (fun (client, rid, result) -> Replica.reply r.core ~client ~rid result) replies
   end
 
 let on_request r (request : Types.request) =
-  if is_primary r then begin
+  if Replica.is_primary r.core then begin
     let client = request.Types.client and rid = request.Types.rid in
     if Replica.executed r.core request then
       Replica.reply r.core ~client ~rid r.core.rid_result.(client)
@@ -153,8 +149,8 @@ let on_request r (request : Types.request) =
   end
 
 let on_update r ~epoch ~seq ~state ~(replies : (int * int * int64) list) =
-  if epoch >= r.epoch && seq > r.seq then begin
-    r.epoch <- max r.epoch epoch;
+  if epoch >= r.core.view && seq > r.seq then begin
+    r.core.view <- max r.core.view epoch;
     r.seq <- seq;
     App.set_state r.core.app state;
     if r.core.chk >= 0 then begin
@@ -211,24 +207,23 @@ let on_fetch_state r ~src ~have =
     if (not (Checkpoint.recovering cp)) && r.seq > Checkpoint.low cp then
       Checkpoint.force_stable cp ~seq:r.seq ~state:(App.state r.core.app)
         ~rid_last:r.core.rid_last ~rid_result:r.core.rid_result ~voter:r.core.id;
-    Replica.serve r.core cp ~src ~have ~view:r.epoch ~suffix:[]
+    Replica.serve r.core cp ~src ~have ~view:r.core.view ~suffix:[]
 
 let install_transfer (r : replica) (c : Checkpoint.completion) =
-  r.epoch <- max r.epoch c.Checkpoint.c_view;
   r.seq <- Replica.install r.core c;
   r.last_heartbeat <- Engine.now r.core.engine
 
 let on_heartbeat r ~epoch =
-  if epoch >= r.epoch then begin
-    r.epoch <- max r.epoch epoch;
+  if epoch >= r.core.view then begin
+    r.core.view <- max r.core.view epoch;
     r.last_heartbeat <- Engine.now r.core.engine
   end
 
 let on_promote r ~epoch =
-  if epoch > r.epoch then begin
-    r.epoch <- epoch;
+  if epoch > r.core.view then begin
+    r.core.view <- epoch;
     r.last_heartbeat <- Engine.now r.core.engine;
-    if is_primary r then Replica.view_changed r.core ~view:epoch
+    if Replica.is_primary r.core then Replica.view_changed r.core ~view:epoch
   end
 
 let handle (r : replica) ~src msg =
@@ -251,8 +246,8 @@ let handle (r : replica) ~src msg =
 let start_timers (r : replica) =
   Engine.every r.core.engine ~period:r.config.heartbeat_period (fun () ->
       if Replica.live r.core then
-        if is_primary r then
-          Replica.broadcast r.core ~to_:r.core.peer_ids (Heartbeat { epoch = r.epoch })
+        if Replica.is_primary r.core then
+          Replica.broadcast r.core ~to_:r.core.peer_ids (Heartbeat { epoch = r.core.view })
         else begin
           let n = r.core.n in
           let silence = Engine.now r.core.engine - r.last_heartbeat in
@@ -260,12 +255,12 @@ let start_timers (r : replica) =
              extra stagger lets closer-ranked backups claim first, so a dead
              next-in-line does not wedge the failover chain. *)
           let mine =
-            let offset = ((r.core.id - (r.epoch + 1)) mod n + n) mod n in
-            r.epoch + 1 + offset
+            let offset = ((r.core.id - (r.core.view + 1)) mod n + n) mod n in
+            r.core.view + 1 + offset
           in
-          let rank = mine - r.epoch - 1 in
+          let rank = mine - r.core.view - 1 in
           if silence > r.config.detection_timeout + (rank * r.config.heartbeat_period) then begin
-            r.epoch <- mine;
+            r.core.view <- mine;
             Replica.view_changed r.core ~view:mine;
             r.last_heartbeat <- Engine.now r.core.engine;
             Replica.broadcast r.core ~to_:r.core.peer_ids (Promote { epoch = mine })
@@ -289,7 +284,18 @@ let spec (config : config) =
   }
 
 let make_replica config core =
-  { core; config; epoch = 0; seq = 0; last_heartbeat = 0; buffered = Hashtbl.create 16 }
+  { core; config; seq = 0; last_heartbeat = 0; buffered = Hashtbl.create 16 }
+
+(* Failover is heartbeat-driven: no request timer runs and no vote is
+   ever cast or tallied, so [vote] and [take_over] are never called. *)
+let hooks r =
+  {
+    Replica.vote = (fun epoch -> Promote { epoch });
+    take_over = (fun ~view:_ ~max_exec:_ -> ());
+    progress = (fun () -> Int64.of_int r.seq);
+    wipe = (fun () -> r.seq <- 0);
+    adopt_peer = (fun ~progress -> r.seq <- Int64.to_int progress);
+  }
 
 (* The primary executes and replies the moment it seals, so there is no
    in-flight agreement to bound: the pipeline gate is trivially open and
@@ -307,7 +313,9 @@ let attach_batcher engine (r : replica) =
 
 let start engine fabric config ?behaviors () =
   let spec = spec config in
-  let replicas, stats = Replica.start engine fabric kit spec ?behaviors (make_replica config) in
+  let replicas, stats =
+    Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config)
+  in
   Array.iter
     (fun r ->
       attach_batcher engine r;
@@ -321,11 +329,15 @@ let submit t ~client ~payload = Replica.submit "Primary_backup" t.clients ~clien
 
 let stats t = t.shared_stats
 
-let epoch t ~replica = t.replicas.(replica).epoch
+let epoch t ~replica = t.replicas.(replica).core.view
 
 let current_primary t =
-  let best = Array.fold_left (fun acc r -> if r.epoch > acc.epoch then r else acc) t.replicas.(0) t.replicas in
-  primary_of ~epoch:best.epoch ~n:best.core.n
+  let best =
+    Array.fold_left
+      (fun acc r -> if r.core.view > acc.core.view then r else acc)
+      t.replicas.(0) t.replicas
+  in
+  Replica.primary best.core best.core.view
 
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
@@ -340,24 +352,6 @@ let set_offline t ~replica =
 
 let set_online t ~replica =
   let r = t.replicas.(replica) in
-  if not r.core.online then begin
-    r.core.online <- true;
-    r.last_heartbeat <- Engine.now r.core.engine;
-    match r.core.cp with
-    | Some cp ->
-      (* Rejuvenation wiped the replica: rejoin by certified transfer
-         instead of a free peer copy. *)
-      r.epoch <- 0;
-      r.seq <- 0;
-      Replica.rejoin_wiped r.core cp
-    | None -> (
-      (* Legacy model: free state copy from the most advanced online peer. *)
-      match
-        Replica.legacy_rejoin r.core t.replicas ~core:(fun p -> p.core) ~progress:(fun p -> p.seq)
-      with
-      | Some peer ->
-        r.epoch <- peer.epoch;
-        r.seq <- peer.seq;
-        r.last_heartbeat <- Engine.now r.core.engine
-      | None -> ())
-  end
+  (* The failure detector's patience restarts when the replica returns. *)
+  if not r.core.online then r.last_heartbeat <- Engine.now r.core.engine;
+  Replica.set_online r.core

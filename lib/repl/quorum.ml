@@ -60,13 +60,6 @@ module Rounds = struct
     check_n n "Quorum.Rounds.create";
     { n; rounds = Array.init (max 1 rounds) (fun _ -> make_round n) }
 
-  let reset t =
-    Array.iter
-      (fun r ->
-        r.view <- -1;
-        r.votes <- empty)
-      t.rounds
-
   (* Find the slot tracking [view], claiming a free or stale one
      (stale = a view the replica has already reached) if absent. Grows
      when many future views are tallied concurrently — effectively never

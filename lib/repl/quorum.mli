@@ -60,6 +60,4 @@ module Rounds : sig
 
   val max_value : t -> view:int -> default:int -> int
   (** Maximum payload among [view]'s voters, at least [default]. *)
-
-  val reset : t -> unit
 end

@@ -45,19 +45,33 @@ type 'msg t = {
   spans : bool;
   count_views : bool;
   mutable online : bool;
+  mutable view : int;
+  mutable voted : int;
+  rounds : Quorum.Rounds.t;
+  client_quorum : int;
+  cp_quorum : int;
+  hooks : 'msg hooks Lazy.t;
+  mutable group : 'msg t array;
   all_ids : int array;
   peer_ids : int array;
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
   pending : (Hash.t, Types.request) Hashtbl.t;
   timers : Engine.handle Digest_map.t;
   watch_delay : int;
-  mutable on_expire : unit -> unit;
   mutable rid_last : int array;
   mutable rid_result : int64 array;
   cp : Checkpoint.t option;
   recover_delay : int;
   mutable recover_timer : Engine.handle option;
   mutable batcher : Batcher.t option;
+}
+
+and 'msg hooks = {
+  vote : int -> 'msg;
+  take_over : view:int -> max_exec:int -> unit;
+  progress : unit -> int64;
+  wipe : unit -> unit;
+  adopt_peer : progress:int64 -> unit;
 }
 
 (* Without checkpoints, executed log entries older than this many slots
@@ -73,7 +87,7 @@ let prune_margin = 1 lsl 15
 
 let create_log fresh = Slot_ring.create ~capacity:(2 * log_retention) ~fresh
 
-let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk =
+let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk ~hooks =
   let obs = Engine.obs engine in
   let obs_vc =
     if spec.count_views && !Obs.metrics_on then
@@ -96,13 +110,19 @@ let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk =
     spans = spec.spans;
     count_views = spec.count_views;
     online = true;
+    view = 0;
+    voted = 0;
+    rounds = Quorum.Rounds.create ~n ();
+    client_quorum = spec.client_quorum;
+    cp_quorum = spec.cp_quorum;
+    hooks;
+    group = [||];
     all_ids = Array.init n Fun.id;
     peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
     mcast = (if spec.multicast then fabric.Transport.multicast else None);
     pending = Hashtbl.create 16;
     timers = Digest_map.create ~capacity:16 ();
     watch_delay = spec.watch_delay;
-    on_expire = ignore;
     rid_last = Array.make (n + spec.n_clients) min_int;
     rid_result = Array.make (n + spec.n_clients) 0L;
     cp =
@@ -115,6 +135,12 @@ let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk =
   }
 
 let faulty t = Behavior.is_faulty t.behavior
+
+let hooks t = Lazy.force t.hooks
+
+let primary t view = view mod t.n
+
+let is_primary t = primary t t.view = t.id
 
 let live t = t.online && not (Behavior.is_crashed t.behavior ~now:(Engine.now t.engine))
 
@@ -245,14 +271,63 @@ let cancel_timers t =
   Digest_map.iter (fun _ h -> Engine.cancel t.engine h) t.timers;
   Digest_map.reset t.timers
 
+(* --- views and votes --- *)
+
+let view_changed t ~view =
+  t.stats.Stats.view_changes <- t.stats.Stats.view_changes + 1;
+  if t.count_views then begin
+    if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_vc;
+    if !Obs.trace_on then
+      Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
+        ~id:(Obs.repl_event ~replica:t.id ~code:Obs.code_view_change)
+        ~arg:view
+  end
+
+(* Vote for [view] unless this replica already voted that high. *)
+let vote t ~view =
+  if view > t.voted then begin
+    t.voted <- view;
+    broadcast t ~to_:t.all_ids ((hooks t).vote view)
+  end
+
+(* A request timer fired on a pending request: escalate past views whose
+   primary never answered. The [online] guard only matters for timers
+   that outlive [set_offline], and none do: it cancels every request
+   timer and an offline replica arms none. A crashed replica still
+   counts its vote; the send gate mutes it. *)
+let expire t = if t.online then vote t ~view:(max t.view t.voted + 1)
+
+(* A vote from [src] for [view], carrying its executed frontier in
+   [value]. The thresholds are the ones clients and checkpoints already
+   use: [client_quorum] votes include one honest voter, so the timeout
+   is genuine and this replica joins; at [cp_quorum] (a certificate) the
+   new view's primary takes over from the highest frontier any voter
+   reported. *)
+let on_vote t ~src ~view ~value =
+  if view > t.view then begin
+    let voters = Quorum.Rounds.note t.rounds ~current:t.view ~view ~voter:src ~value in
+    if voters >= t.client_quorum then vote t ~view;
+    if voters >= t.cp_quorum && primary t view = t.id then begin
+      let h = hooks t in
+      let max_exec =
+        Quorum.Rounds.max_value t.rounds ~view ~default:(Int64.to_int (h.progress ()))
+      in
+      view_changed t ~view;
+      h.take_over ~view ~max_exec
+    end
+  end
+
+(* A new view is adopted only from its own primary, and only forward. *)
+let accepts_new_view t ~src ~view = view > t.view && src = primary t view
+
 (* Arm [digest]'s timer unless one runs; when it fires with the request
-   still pending, the protocol's [on_expire] escalates. *)
+   still pending, [expire] escalates. *)
 let watch t digest =
   if not (Digest_map.mem t.timers digest) then
     Digest_map.set t.timers digest
       (Engine.schedule t.engine ~delay:t.watch_delay (fun () ->
            Digest_map.remove t.timers digest;
-           if Hashtbl.mem t.pending digest then t.on_expire ()))
+           if Hashtbl.mem t.pending digest then expire t))
 
 (* Mark [request] pending; returns whether it already was. *)
 let admit t (request : Types.request) digest =
@@ -283,16 +358,6 @@ let execute t (request : Types.request) =
       ~id:(Obs.repl_request_span ~replica:t.id ~client:request.Types.client ~rid:request.Types.rid)
       ~arg:0;
   reply t ~client:request.Types.client ~rid:request.Types.rid result
-
-let view_changed t ~view =
-  t.stats.Stats.view_changes <- t.stats.Stats.view_changes + 1;
-  if t.count_views then begin
-    if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_vc;
-    if !Obs.trace_on then
-      Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
-        ~id:(Obs.repl_event ~replica:t.id ~code:Obs.code_view_change)
-        ~arg:view
-  end
 
 (* --- checker hooks --- *)
 
@@ -451,6 +516,8 @@ let install ?log t (c : Checkpoint.completion) =
   | None -> invalid_arg "Replica.install: checkpointing is off"
   | Some cp ->
     cancel_recover_timer t;
+    t.view <- max t.view c.Checkpoint.c_view;
+    t.voted <- max t.voted t.view;
     let prev_low = Checkpoint.low cp in
     App.set_state t.app c.Checkpoint.c_state;
     rid_reset t;
@@ -469,9 +536,11 @@ let install ?log t (c : Checkpoint.completion) =
     t.stats.Stats.transfer_cycles <- t.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed;
     last
 
-(* --- views, churn and group assembly --- *)
+(* --- new views, churn and group assembly --- *)
 
-let adopt t ~state ~rid_table ~seq =
+let adopt t ~view ~state ~rid_table ~seq =
+  t.view <- view;
+  t.voted <- max t.voted view;
   (match t.batcher with Some b -> Batcher.clear b | None -> ());
   App.set_state t.app state;
   import_rid_table t rid_table;
@@ -489,33 +558,47 @@ let set_offline t =
   cancel_timers t;
   cancel_recover_timer t
 
-let rejoin_wiped t cp =
-  App.set_state t.app 0L;
-  rid_reset t;
-  Hashtbl.reset t.pending;
-  Checkpoint.reset cp;
-  start_recovery t cp
+(* Back from rejuvenation. With checkpoints the replica was wiped: it
+   restarts from nothing and rejoins by fetching the latest certified
+   checkpoint plus log suffix from its peers, so state is earned, not
+   received for free. Without them (the legacy model) it copies state,
+   reply cache and view from the online peer with the most progress (the
+   first on ties) and forgets its pending requests. *)
+let set_online t =
+  if not t.online then begin
+    t.online <- true;
+    let h = hooks t in
+    match t.cp with
+    | Some cp ->
+      t.view <- 0;
+      t.voted <- 0;
+      h.wipe ();
+      App.set_state t.app 0L;
+      rid_reset t;
+      Hashtbl.reset t.pending;
+      Checkpoint.reset cp;
+      start_recovery t cp
+    | None -> (
+      let progress p = Int64.to_int ((hooks p).progress ()) in
+      let better best p =
+        match best with
+        | _ when p.id = t.id || not p.online -> best
+        | Some b when progress b >= progress p -> best
+        | Some _ | None -> Some p
+      in
+      match Array.fold_left better None t.group with
+      | Some p ->
+        App.set_state t.app (App.state p.app);
+        copy_rids t ~from:p;
+        Hashtbl.reset t.pending;
+        t.view <- p.view;
+        t.voted <- max t.voted p.view;
+        h.adopt_peer ~progress:((hooks p).progress ())
+      | None -> ())
+  end
 
-let legacy_rejoin t peers ~core ~progress =
-  let best = ref None in
-  Array.iter
-    (fun p ->
-      let c = core p in
-      if c.id <> t.id && c.online then
-        match !best with
-        | Some b when progress b >= progress p -> ()
-        | Some _ | None -> best := Some p)
-    peers;
-  (match !best with
-  | Some p ->
-    let from = core p in
-    App.set_state t.app (App.state from.app);
-    copy_rids t ~from;
-    Hashtbl.reset t.pending
-  | None -> ());
-  !best
-
-let start engine fabric kit (spec : spec) ?behaviors make =
+let start engine fabric kit (spec : spec) ?behaviors ~hooks make =
+  Quorum.check_n spec.n (spec.label ^ ".start");
   let chk = if !Check.enabled then Check.new_session ~protocol:spec.protocol else -1 in
   let behaviors =
     match behaviors with
@@ -528,10 +611,24 @@ let start engine fabric kit (spec : spec) ?behaviors make =
   if fabric.Transport.n_endpoints < spec.n + spec.n_clients then
     invalid_arg (spec.label ^ ".start: fabric too small");
   let stats = Stats.create () in
+  let cores = ref [] in
   let replicas =
     Array.init spec.n (fun id ->
-        make (create engine fabric kit spec ~id ~behavior:behaviors.(id) ~stats ~chk))
+        (* The hooks close over the protocol replica that [make] builds
+           around this core, so the core holds them lazily. *)
+        let rec r =
+          lazy
+            (let core =
+               create engine fabric kit spec ~id ~behavior:behaviors.(id) ~stats ~chk
+                 ~hooks:(lazy (hooks (Lazy.force r)))
+             in
+             cores := core :: !cores;
+             make core)
+        in
+        Lazy.force r)
   in
+  let group = Array.of_list (List.rev !cores) in
+  Array.iter (fun c -> c.group <- group) group;
   (replicas, stats)
 
 let clients engine fabric kit (spec : spec) ~stats =

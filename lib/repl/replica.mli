@@ -1,13 +1,17 @@
 (** The replica plumbing the five protocols share.
 
     Each protocol's replica embeds one ['msg t] and keeps only its own
-    agreement logic, log entries and view/term/epoch rules. The core
-    owns the behaviour-gated [send]/[broadcast] (with the multicast
-    resolution), the corrupt-aware client reply, the reply cache, the
-    per-request execution tail and request timers, checkpoint recovery
-    and transfer installation, the legacy free-copy rejoin, and group
-    assembly. Where the protocols differ, the difference is a [spec]
-    field or a callback the protocol supplies. *)
+    agreement logic, log entries and message decoding. The core owns the
+    behaviour-gated [send]/[broadcast] (with the multicast resolution),
+    the corrupt-aware client reply, the reply cache, the per-request
+    execution tail and request timers, checkpoint recovery and transfer
+    installation, and group assembly. It also owns the view-change state
+    machine: the view (PBFT's view, Paxos's term, primary-backup's
+    epoch) and its primary, the replica's highest vote, the vote tally,
+    the expiry vote, the join and install rules, the new-view guard, and
+    the rejoin after rejuvenation (certified transfer after a wipe, a
+    peer copy without checkpoints). Where the protocols differ, the
+    difference is a [spec] field or one of the protocol's [hooks]. *)
 
 module Engine = Resoc_des.Engine
 module Hash = Resoc_crypto.Hash
@@ -29,11 +33,15 @@ type spec = {
   protocol : string;  (** Checker session name. *)
   n : int;
   n_clients : int;
-  client_quorum : int;  (** Matching replies a client waits for. *)
+  client_quorum : int;
+      (** Matching replies a client waits for; also the view-change votes
+          that make a replica join (one honest voter). *)
   request_timeout : int;  (** Client retry and recovery re-fetch cadence. *)
   watch_delay : int;  (** Request timer: view-change / election patience. *)
   checkpoint : Checkpoint.config option;
-  cp_quorum : int;  (** Checkpoint certificate threshold. *)
+  cp_quorum : int;
+      (** Checkpoint certificate threshold; also the view-change votes that
+          let the new view's primary take over. *)
   multicast : bool;
   spans : bool;  (** Trace a span per request from admission to execution. *)
   count_views : bool;  (** [repl.view_changes] counter and trace instant. *)
@@ -54,6 +62,13 @@ type 'msg t = {
   spans : bool;
   count_views : bool;
   mutable online : bool;
+  mutable view : int;  (** PBFT view, Paxos term, primary-backup epoch. *)
+  mutable voted : int;  (** Highest view this replica voted for. *)
+  rounds : Quorum.Rounds.t;  (** view -> voter -> the voter's executed frontier *)
+  client_quorum : int;
+  cp_quorum : int;
+  hooks : 'msg hooks Lazy.t;  (** Built around the protocol replica, after the core. *)
+  mutable group : 'msg t array;  (** Every core of the group, this one included. *)
   all_ids : int array;  (** 0 .. n-1 *)
   peer_ids : int array;  (** 0 .. n-1 minus self *)
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
@@ -61,9 +76,6 @@ type 'msg t = {
   pending : (Hash.t, Types.request) Hashtbl.t;  (** Seen, not yet executed. *)
   timers : Engine.handle Digest_map.t;  (** Request timers by digest. *)
   watch_delay : int;
-  mutable on_expire : unit -> unit;
-      (** Called when a request timer fires on a still-pending request;
-          the protocol installs its escalation (and any [online] guard). *)
   mutable rid_last : int array;  (** client -> last rid, [min_int] = none *)
   mutable rid_result : int64 array;  (** client -> cached result *)
   cp : Checkpoint.t option;  (** [None] = checkpointing off (default). *)
@@ -72,10 +84,30 @@ type 'msg t = {
   mutable batcher : Batcher.t option;
 }
 
+(** What the view-change state machine asks of the protocol. *)
+and 'msg hooks = {
+  vote : int -> 'msg;  (** The vote for a view, carrying this replica's frontier. *)
+  take_over : view:int -> max_exec:int -> unit;
+      (** Enough votes made this replica the primary of [view]; [max_exec]
+          is the highest frontier any voter reported. *)
+  progress : unit -> int64;
+      (** The executed frontier; an [int64] so that the hybrids' trusted
+          counters survive the legacy peer copy exactly. *)
+  wipe : unit -> unit;  (** Rejuvenation wiped the replica: reset the protocol's own state. *)
+  adopt_peer : progress:int64 -> unit;
+      (** Legacy rejoin: the core copied a peer's state, reply cache and
+          view; take over its frontier. *)
+}
+
 val create_log : (int -> 'e) -> 'e Slot_ring.t
 (** A slot ring sized for [log_retention]. *)
 
 val faulty : 'msg t -> bool
+
+val primary : 'msg t -> int -> int
+(** The primary of a view: [view mod n]. *)
+
+val is_primary : 'msg t -> bool
 
 val live : 'msg t -> bool
 (** Online and not crashed: the replica handles messages. *)
@@ -129,6 +161,21 @@ val execute : 'msg t -> Types.request -> unit
     and its timer, close the span, reply. *)
 
 val view_changed : 'msg t -> view:int -> unit
+(** Count a view change and trace it. *)
+
+(** {2 View changes} *)
+
+val vote : 'msg t -> view:int -> unit
+(** Broadcast a vote for [view] unless this replica already voted that
+    high. Request timers call it with [max view voted + 1]. *)
+
+val on_vote : 'msg t -> src:int -> view:int -> value:int -> unit
+(** Tally a vote for a higher [view] carrying the voter's frontier:
+    join at [client_quorum] votes, take over at [cp_quorum] when this replica
+    is the view's primary. *)
+
+val accepts_new_view : 'msg t -> src:int -> view:int -> bool
+(** A new view is adopted only from its primary, and only forward. *)
 
 (** {2 Checker hooks} *)
 
@@ -186,32 +233,33 @@ val on_state_chunk :
     [last_exec]. *)
 
 val install : ?log:'e Slot_ring.t -> 'msg t -> Checkpoint.completion -> int
-(** The shared half of installing a transfer: state, reply cache, log
-    suffix replayed without replies, log truncated, stats. Returns the
-    new execution frontier; the caller adopts view and sequence state. *)
+(** The shared half of installing a transfer: view and vote moved up to
+    the serving view, state, reply cache, log suffix replayed without
+    replies, log truncated, stats. Returns the new execution frontier;
+    the caller adopts its sequence state. *)
 
-(** {2 Views, churn and assembly} *)
+(** {2 New views, churn and assembly} *)
 
-val adopt : 'msg t -> state:int64 -> rid_table:(int * (int * int64)) list -> seq:int -> unit
-(** A new view's baseline: batcher emptied, state and reply cache
-    adopted, watermarks rebased at [seq], pending requests re-timed. *)
+val adopt :
+  'msg t -> view:int -> state:int64 -> rid_table:(int * (int * int64)) list -> seq:int -> unit
+(** A new view's baseline: view and vote moved to [view], batcher
+    emptied, state and reply cache adopted, watermarks rebased at [seq],
+    pending requests re-timed. *)
 
 val set_offline : 'msg t -> unit
 
-val rejoin_wiped : 'msg t -> Checkpoint.t -> unit
-(** Rejuvenation wiped the replica: clear state, reply cache and pending
-    requests, then rejoin by certified transfer. *)
-
-val legacy_rejoin : 'msg t -> 'r array -> core:('r -> 'msg t) -> progress:('r -> int) -> 'r option
-(** Without checkpoints: copy state and reply cache from the online peer
-    with the most [progress] (the first on ties) and forget pending
-    requests; the caller adopts that peer's view and sequence state. *)
+val set_online : 'msg t -> unit
+(** Back from rejuvenation. With checkpoints: view, vote, state, reply
+    cache and pending requests cleared, the protocol's [wipe], then a
+    rejoin by certified transfer. Without: state, reply cache and view
+    copied from the online peer with the most [progress] (the first on
+    ties), pending requests forgotten, the protocol's [adopt_peer]. *)
 
 val start :
   Engine.t -> 'msg Transport.fabric -> 'msg kit -> spec -> ?behaviors:Behavior.t array ->
-  ('msg t -> 'r) -> 'r array * Stats.t
-(** Validate behaviours and fabric size, open the checker session, and
-    build every replica around a fresh core. *)
+  hooks:('r -> 'msg hooks) -> ('msg t -> 'r) -> 'r array * Stats.t
+(** Validate the replica count, behaviours and fabric size, open the
+    checker session, and build every replica around a fresh core. *)
 
 val clients : Engine.t -> 'msg Transport.fabric -> 'msg kit -> spec -> stats:Stats.t -> 'msg Client.t array
 

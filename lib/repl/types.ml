@@ -14,8 +14,6 @@ let request_tag = Hash.of_string "request"
 let request_digest r =
   Hash.combine_int (Hash.combine request_tag r.payload) ((r.client * 1_000_003) + r.rid)
 
-let request_equal (a : request) (b : request) = a.client = b.client && a.rid = b.rid && Int64.equal a.payload b.payload
-
 (* Config for the shared request-batching / agreement-pipelining layer
    (Batcher). [None] on a protocol config only means no batcher is built:
    each request is ordered on arrival as a batch of one, on the same

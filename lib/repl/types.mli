@@ -18,8 +18,6 @@ val make_request : client:int -> rid:int -> payload:int64 -> request
 
 val request_digest : request -> Hash.t
 
-val request_equal : request -> request -> bool
-
 type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
 (** Shared batching/pipelining knob ([Batcher]): the primary buffers
     requests for up to [window_cycles] (0 = seal as soon as possible),

@@ -7,8 +7,9 @@
    purely structural changes to lib/repl. The second group pins the paths
    the shared replica core serves for every protocol: batching, checkpoint
    wipe-and-rejoin, legacy free-copy rejoin, Byzantine PBFT primaries,
-   CheapBFT in the E3/E4 shapes and MinBFT over NoC multicast. Floats are
-   compared by their IEEE-754 bit patterns, so even a 1-ulp drift fails.
+   CheapBFT in the E3/E4 shapes, MinBFT over NoC multicast and a primary
+   crashed from the start under 1 and 9 clients. Floats are compared by
+   their IEEE-754 bit patterns, so even a 1-ulp drift fails.
 
    If a PR changes these values it changed protocol behaviour, not just
    data layout — that needs an explicit expectation refresh plus a
@@ -180,6 +181,27 @@ let e3_minbft_mcast () =
     (bits (Histogram.percentile s.Stats.latency 99.0))
     (group.Group.replica_state ~replica:0)
 
+(* Replica 0, the first primary, crashed from cycle 0 on a 5-cycle hub,
+   f=1, 8 requests per client. At 1 client one view change suffices; at
+   9 the request timers escalate once per pending request, so the count
+   grows with the load. *)
+let crashed_primary kind () =
+  let row clients =
+    let engine = Engine.create ~seed:7L () in
+    let spec = { Group.default_spec with kind; n_clients = clients } in
+    let behaviors = Array.make (Group.n_replicas_of spec) Behavior.honest in
+    behaviors.(0) <- Behavior.crash_at 0;
+    let group =
+      Group.build engine (Group.Hub { latency = 5 }) { spec with Group.behaviors = Some behaviors }
+    in
+    Generator.burst ~n_per_client:8 ~n_clients:clients ~submit:group.Group.submit;
+    Engine.run ~until:1_000_000 engine;
+    let s = group.Group.stats () in
+    Printf.sprintf "clients=%d completed=%d vc=%d msgs=%d" clients s.Stats.completed
+      s.Stats.view_changes (group.Group.messages ())
+  in
+  row 1 ^ " " ^ row 9
+
 (* --- pinned expectations --- *)
 
 let expectations =
@@ -324,6 +346,26 @@ let expectations =
       (fun () -> e4_summary `Pbft),
       "completed=249 submitted=249 retx=0 vc=1 msgs=7131 p99=4039000000000000 \
        max=40a3c40000000000 state=249" );
+    ( "crash/pbft",
+      crashed_primary `Pbft,
+      "clients=1 completed=8 vc=1 msgs=232 \
+       clients=9 completed=72 vc=7 msgs=2271" );
+    ( "crash/minbft",
+      crashed_primary `Minbft,
+      "clients=1 completed=8 vc=1 msgs=89 \
+       clients=9 completed=72 vc=6 msgs=773" );
+    ( "crash/a2m_bft",
+      crashed_primary `A2m_bft,
+      "clients=1 completed=8 vc=1 msgs=89 \
+       clients=9 completed=72 vc=6 msgs=773" );
+    ( "crash/cheapbft",
+      crashed_primary `Cheapbft,
+      "clients=1 completed=8 vc=1 msgs=89 \
+       clients=9 completed=72 vc=6 msgs=885" );
+    ( "crash/paxos",
+      crashed_primary `Paxos,
+      "clients=1 completed=8 vc=1 msgs=97 \
+       clients=9 completed=72 vc=6 msgs=957" );
     ("e9/crossover", e9_summary, "crossover=14 gates=29500 pc8=3f5ca59d13891c00 ps8=3f66943aedc08600");
   ]
 

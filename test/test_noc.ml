@@ -1,6 +1,5 @@
 open Resoc_noc
 module Engine = Resoc_des.Engine
-module Metrics = Resoc_des.Metrics
 
 (* --- Mesh --- *)
 
@@ -219,9 +218,7 @@ let test_stats_accumulate () =
   Engine.run engine;
   Alcotest.(check int) "sent" 10 (Network.sent net);
   Alcotest.(check int) "delivered" 10 (Network.delivered net);
-  Alcotest.(check int) "bytes" 640 (Network.bytes_sent net);
-  Alcotest.(check bool) "latency histogram populated" true
-    (Metrics.Histogram.count (Network.latency net) = 10)
+  Alcotest.(check int) "bytes" 640 (Network.bytes_sent net)
 
 let test_hop_load () =
   let engine, net = make_net ~width:3 ~height:1 () in

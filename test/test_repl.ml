@@ -713,6 +713,47 @@ let test_invalid_batching_rejected () =
   Alcotest.(check bool) "legacy window, max_batch 16" false
     (rejects (legacy ~batch_window:10 ~max_batch:16))
 
+(* Every protocol names itself in its construction and submit errors:
+   a fabric one endpoint short, and a client id past the configured
+   ones (every default config has 2 clients). *)
+let test_errors_name_the_module () =
+  let on_hub start ~endpoints =
+    let engine = Engine.create () in
+    start engine (Transport.hub engine ~n:endpoints ())
+  in
+  let protocols =
+    [
+      ( "Pbft",
+        Pbft.n_replicas Pbft.default_config,
+        on_hub (fun e fab -> Pbft.submit (Pbft.start e fab Pbft.default_config ())) );
+      ( "Minbft",
+        Minbft.n_replicas Minbft.default_config,
+        on_hub (fun e fab -> Minbft.submit (Minbft.start e fab Minbft.default_config ())) );
+      ( "A2m_bft",
+        A2m_bft.n_replicas A2m_bft.default_config,
+        on_hub (fun e fab -> A2m_bft.submit (A2m_bft.start e fab A2m_bft.default_config ())) );
+      ( "Cheapbft",
+        Cheapbft.n_replicas Cheapbft.default_config,
+        on_hub (fun e fab -> Cheapbft.submit (Cheapbft.start e fab Cheapbft.default_config ())) );
+      ( "Paxos",
+        Paxos.n_replicas Paxos.default_config,
+        on_hub (fun e fab -> Paxos.submit (Paxos.start e fab Paxos.default_config ())) );
+      ( "Primary_backup",
+        Primary_backup.n_replicas Primary_backup.default_config,
+        on_hub (fun e fab ->
+            Primary_backup.submit (Primary_backup.start e fab Primary_backup.default_config ())) );
+    ]
+  in
+  let message f = match f () with () -> "no exception" | exception Invalid_argument m -> m in
+  List.iter
+    (fun (name, n, boot) ->
+      Alcotest.(check string) (name ^ " start") (name ^ ".start: fabric too small")
+        (message (fun () -> boot ~endpoints:(n + 1) ~client:0 ~payload:1L));
+      let submit = boot ~endpoints:(n + 2) in
+      Alcotest.(check string) (name ^ " submit") (name ^ ".submit: unknown client")
+        (message (fun () -> submit ~client:2 ~payload:1L)))
+    protocols
+
 (* --- Paxos --- *)
 
 let paxos_setup ?(f = 1) ?(n_clients = 1) ?behaviors () =
@@ -909,4 +950,6 @@ let () =
             test_pb_batching_exactly_once;
           Alcotest.test_case "invalid config rejected" `Quick test_invalid_batching_rejected;
         ] );
+      ( "construction",
+        [ Alcotest.test_case "errors name the module" `Quick test_errors_name_the_module ] );
     ]
