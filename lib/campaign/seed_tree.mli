@@ -6,12 +6,9 @@
     order, and [--seeds N] scales every experiment uniformly from one root
     seed instead of ad-hoc hardcoded lists. *)
 
-val cell_seed : root:int64 -> cell:int -> int64
-(** Seed of the [cell]-th cell stream under [root]. *)
-
 val replicate_seed : root:int64 -> cell:int -> replicate:int -> int64
 (** Seed of the [replicate]-th replicate within a cell: one more level of
-    the split tree below {!cell_seed}. *)
+    the split tree below the cell's own stream. *)
 
 val replicate_seeds : root:int64 -> cell:int -> n:int -> int64 array
 (** The first [n] replicate seeds of a cell, in replicate order. *)

@@ -91,16 +91,37 @@ let make_fabric engine kind ~size_of ~n_endpoints =
 let build engine kind spec =
   let n = n_replicas_of spec in
   let n_endpoints = n + spec.n_clients in
+  let bytes = message_bytes spec.kind in
+  let batched = spec.batching <> None in
+  let size_of_batch payload = batch_bytes ~base:bytes ~len:(List.length payload) in
+  (* CheapBFT and primary-backup only churn when they can rejoin by
+     certified transfer; without checkpoints their replicas stay up. *)
+  let with_checkpoint f = match spec.checkpoint with Some _ -> f | None -> fun ~replica:_ -> () in
+  let group ~protocol (fabric : _ Transport.fabric) ~submit ~stats ~replica_state ~set_replica_state
+      ~set_offline ~set_online ~usig_of =
+    {
+      protocol;
+      n_replicas = n;
+      f = spec.f;
+      submit;
+      stats;
+      replica_state;
+      set_replica_state;
+      set_offline;
+      set_online;
+      messages = fabric.Transport.messages_sent;
+      bytes = fabric.Transport.bytes_sent;
+      usig_of;
+    }
+  in
   match spec.kind with
   | `Pbft ->
-    let bytes = message_bytes spec.kind in
-    let size_of = function
-      | Pbft.State_chunk c -> Checkpoint.chunk_bytes c
-      | Pbft.Pre_prepare_b { requests; _ } ->
-        batch_bytes ~base:bytes ~len:(List.length requests)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | Pbft.State_chunk c -> Checkpoint.chunk_bytes c
+        | Pbft.Pre_prepare_b { requests; _ } -> size_of_batch requests
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         Pbft.f = spec.f;
@@ -113,34 +134,25 @@ let build engine kind spec =
       }
     in
     let sys = Pbft.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "pbft";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> Pbft.submit sys ~client ~payload);
-      stats = (fun () -> Pbft.stats sys);
-      replica_state = (fun ~replica -> Pbft.replica_state sys ~replica);
-      set_replica_state = (fun ~replica v -> Pbft.set_replica_state sys ~replica v);
-      set_offline = (fun ~replica -> Pbft.set_offline sys ~replica);
-      set_online = (fun ~replica -> Pbft.set_online sys ~replica);
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = None;
-    }
+    group ~protocol:"pbft" fabric
+      ~submit:(fun ~client ~payload -> Pbft.submit sys ~client ~payload)
+      ~stats:(fun () -> Pbft.stats sys)
+      ~replica_state:(fun ~replica -> Pbft.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica v -> Pbft.set_replica_state sys ~replica v)
+      ~set_offline:(fun ~replica -> Pbft.set_offline sys ~replica)
+      ~set_online:(fun ~replica -> Pbft.set_online sys ~replica)
+      ~usig_of:None
   | `Minbft ->
-    let bytes = message_bytes spec.kind in
     (* Hybrid Prepare/Commit always carry a request list (legacy window
        batching); only charge content-derived bytes under the new batching
        config so legacy runs (A8 included) keep their flat accounting. *)
-    let size_of =
-      let batched = spec.batching <> None in
-      function
-      | Minbft.State_chunk c -> Checkpoint.chunk_bytes c
-      | (Minbft.Prepare { requests; _ } | Minbft.Commit { requests; _ }) when batched ->
-        batch_bytes ~base:bytes ~len:(List.length requests)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | Minbft.State_chunk c -> Checkpoint.chunk_bytes c
+        | (Minbft.Prepare { requests; _ } | Minbft.Commit { requests; _ }) when batched ->
+          size_of_batch requests
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         Minbft.f = spec.f;
@@ -157,31 +169,22 @@ let build engine kind spec =
       }
     in
     let sys = Minbft.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "minbft";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> Minbft.submit sys ~client ~payload);
-      stats = (fun () -> Minbft.stats sys);
-      replica_state = (fun ~replica -> Minbft.replica_state sys ~replica);
-      set_replica_state = (fun ~replica v -> Minbft.set_replica_state sys ~replica v);
-      set_offline = (fun ~replica -> Minbft.set_offline sys ~replica);
-      set_online = (fun ~replica -> Minbft.set_online sys ~replica);
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = Some (fun ~replica -> Minbft.usig sys ~replica);
-    }
+    group ~protocol:"minbft" fabric
+      ~submit:(fun ~client ~payload -> Minbft.submit sys ~client ~payload)
+      ~stats:(fun () -> Minbft.stats sys)
+      ~replica_state:(fun ~replica -> Minbft.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica v -> Minbft.set_replica_state sys ~replica v)
+      ~set_offline:(fun ~replica -> Minbft.set_offline sys ~replica)
+      ~set_online:(fun ~replica -> Minbft.set_online sys ~replica)
+      ~usig_of:(Some (fun ~replica -> Minbft.usig sys ~replica))
   | `A2m_bft ->
-    let bytes = message_bytes spec.kind in
-    let size_of =
-      let batched = spec.batching <> None in
-      function
-      | A2m_bft.State_chunk c -> Checkpoint.chunk_bytes c
-      | (A2m_bft.Prepare { requests; _ } | A2m_bft.Commit { requests; _ }) when batched ->
-        batch_bytes ~base:bytes ~len:(List.length requests)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | A2m_bft.State_chunk c -> Checkpoint.chunk_bytes c
+        | (A2m_bft.Prepare { requests; _ } | A2m_bft.Commit { requests; _ }) when batched ->
+          size_of_batch requests
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         A2m_bft.f = spec.f;
@@ -198,29 +201,22 @@ let build engine kind spec =
       }
     in
     let sys = A2m_bft.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "a2m-bft";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> A2m_bft.submit sys ~client ~payload);
-      stats = (fun () -> A2m_bft.stats sys);
-      replica_state = (fun ~replica -> A2m_bft.replica_state sys ~replica);
-      set_replica_state = (fun ~replica v -> A2m_bft.set_replica_state sys ~replica v);
-      set_offline = (fun ~replica -> A2m_bft.set_offline sys ~replica);
-      set_online = (fun ~replica -> A2m_bft.set_online sys ~replica);
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = None;
-    }
+    group ~protocol:"a2m-bft" fabric
+      ~submit:(fun ~client ~payload -> A2m_bft.submit sys ~client ~payload)
+      ~stats:(fun () -> A2m_bft.stats sys)
+      ~replica_state:(fun ~replica -> A2m_bft.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica v -> A2m_bft.set_replica_state sys ~replica v)
+      ~set_offline:(fun ~replica -> A2m_bft.set_offline sys ~replica)
+      ~set_online:(fun ~replica -> A2m_bft.set_online sys ~replica)
+      ~usig_of:None
   | `Cheapbft ->
-    let bytes = message_bytes spec.kind in
-    let size_of = function
-      | Cheapbft.State_chunk c -> Checkpoint.chunk_bytes c
-      | Cheapbft.Prepare_b { requests; _ } | Cheapbft.Commit_b { requests; _ } ->
-        batch_bytes ~base:bytes ~len:(List.length requests)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | Cheapbft.State_chunk c -> Checkpoint.chunk_bytes c
+        | Cheapbft.Prepare_b { requests; _ } | Cheapbft.Commit_b { requests; _ } ->
+          size_of_batch requests
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         Cheapbft.f = spec.f;
@@ -236,35 +232,21 @@ let build engine kind spec =
       }
     in
     let sys = Cheapbft.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "cheapbft";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> Cheapbft.submit sys ~client ~payload);
-      stats = (fun () -> Cheapbft.stats sys);
-      replica_state = (fun ~replica -> Cheapbft.replica_state sys ~replica);
-      set_replica_state = (fun ~replica:_ _ -> ());
-      set_offline =
-        (match spec.checkpoint with
-        | Some _ -> fun ~replica -> Cheapbft.set_offline sys ~replica
-        | None -> fun ~replica:_ -> ());
-      set_online =
-        (match spec.checkpoint with
-        | Some _ -> fun ~replica -> Cheapbft.set_online sys ~replica
-        | None -> fun ~replica:_ -> ());
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = None;
-    }
+    group ~protocol:"cheapbft" fabric
+      ~submit:(fun ~client ~payload -> Cheapbft.submit sys ~client ~payload)
+      ~stats:(fun () -> Cheapbft.stats sys)
+      ~replica_state:(fun ~replica -> Cheapbft.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica:_ _ -> ())
+      ~set_offline:(with_checkpoint (fun ~replica -> Cheapbft.set_offline sys ~replica))
+      ~set_online:(with_checkpoint (fun ~replica -> Cheapbft.set_online sys ~replica))
+      ~usig_of:None
   | `Paxos ->
-    let bytes = message_bytes spec.kind in
-    let size_of = function
-      | Paxos.State_chunk c -> Checkpoint.chunk_bytes c
-      | Paxos.Accept_b { requests; _ } ->
-        batch_bytes ~base:bytes ~len:(List.length requests)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | Paxos.State_chunk c -> Checkpoint.chunk_bytes c
+        | Paxos.Accept_b { requests; _ } -> size_of_batch requests
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         Paxos.f = spec.f;
@@ -277,29 +259,21 @@ let build engine kind spec =
       }
     in
     let sys = Paxos.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "paxos";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> Paxos.submit sys ~client ~payload);
-      stats = (fun () -> Paxos.stats sys);
-      replica_state = (fun ~replica -> Paxos.replica_state sys ~replica);
-      set_replica_state = (fun ~replica v -> Paxos.set_replica_state sys ~replica v);
-      set_offline = (fun ~replica -> Paxos.set_offline sys ~replica);
-      set_online = (fun ~replica -> Paxos.set_online sys ~replica);
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = None;
-    }
+    group ~protocol:"paxos" fabric
+      ~submit:(fun ~client ~payload -> Paxos.submit sys ~client ~payload)
+      ~stats:(fun () -> Paxos.stats sys)
+      ~replica_state:(fun ~replica -> Paxos.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica v -> Paxos.set_replica_state sys ~replica v)
+      ~set_offline:(fun ~replica -> Paxos.set_offline sys ~replica)
+      ~set_online:(fun ~replica -> Paxos.set_online sys ~replica)
+      ~usig_of:None
   | `Primary_backup ->
-    let bytes = message_bytes spec.kind in
-    let size_of = function
-      | Primary_backup.State_chunk c -> Checkpoint.chunk_bytes c
-      | Primary_backup.Update_b { replies; _ } ->
-        batch_bytes ~base:bytes ~len:(List.length replies)
-      | _ -> bytes
+    let fabric =
+      make_fabric engine kind ~n_endpoints ~size_of:(function
+        | Primary_backup.State_chunk c -> Checkpoint.chunk_bytes c
+        | Primary_backup.Update_b { replies; _ } -> size_of_batch replies
+        | _ -> bytes)
     in
-    let fabric = make_fabric engine kind ~size_of ~n_endpoints in
     let config =
       {
         Primary_backup.n_backups = spec.f;
@@ -313,23 +287,11 @@ let build engine kind spec =
       }
     in
     let sys = Primary_backup.start engine fabric config ?behaviors:spec.behaviors () in
-    {
-      protocol = "primary-backup";
-      n_replicas = n;
-      f = spec.f;
-      submit = (fun ~client ~payload -> Primary_backup.submit sys ~client ~payload);
-      stats = (fun () -> Primary_backup.stats sys);
-      replica_state = (fun ~replica -> Primary_backup.replica_state sys ~replica);
-      set_replica_state = (fun ~replica v -> Primary_backup.set_replica_state sys ~replica v);
-      set_offline =
-        (match spec.checkpoint with
-        | Some _ -> fun ~replica -> Primary_backup.set_offline sys ~replica
-        | None -> fun ~replica:_ -> ());
-      set_online =
-        (match spec.checkpoint with
-        | Some _ -> fun ~replica -> Primary_backup.set_online sys ~replica
-        | None -> fun ~replica:_ -> ());
-      messages = fabric.Transport.messages_sent;
-      bytes = fabric.Transport.bytes_sent;
-      usig_of = None;
-    }
+    group ~protocol:"primary-backup" fabric
+      ~submit:(fun ~client ~payload -> Primary_backup.submit sys ~client ~payload)
+      ~stats:(fun () -> Primary_backup.stats sys)
+      ~replica_state:(fun ~replica -> Primary_backup.replica_state sys ~replica)
+      ~set_replica_state:(fun ~replica v -> Primary_backup.set_replica_state sys ~replica v)
+      ~set_offline:(with_checkpoint (fun ~replica -> Primary_backup.set_offline sys ~replica))
+      ~set_online:(with_checkpoint (fun ~replica -> Primary_backup.set_online sys ~replica))
+      ~usig_of:None

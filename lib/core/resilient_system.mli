@@ -79,8 +79,6 @@ val group : t -> Group.t
 
 val variant_of : t -> replica:int -> int
 
-val compromised_now : t -> int
-
 val trace : t -> Trace.t
 (** Structured event log of the resilience machinery: compromises,
     rejuvenations, relocations, detections. Ring-buffered (last 4096). *)

@@ -154,15 +154,7 @@ let deactivate t target =
 
 let compromised target = target.compromised
 
-let target_id target = target.id
-let target_variant target = target.variant
-
 let compromised_count t =
   List.fold_left (fun acc tg -> if tg.active && tg.compromised then acc + 1 else acc) 0 t.targets
 
 let active_count t = List.fold_left (fun acc tg -> if tg.active then acc + 1 else acc) 0 t.targets
-
-let exploits_developed t ~now =
-  Array.fold_left
-    (fun acc d -> match d with Some done_at when done_at <= now -> acc + 1 | Some _ | None -> acc)
-    0 t.exploit_done

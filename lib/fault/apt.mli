@@ -52,13 +52,8 @@ val deactivate : t -> target -> unit
 
 val compromised : target -> bool
 
-val target_id : target -> int
-val target_variant : target -> int
-
 val compromised_count : t -> int
 (** Currently-compromised active targets. *)
 
 val active_count : t -> int
 
-val exploits_developed : t -> now:int -> int
-(** Exploits ready at time [now]. *)

@@ -77,8 +77,3 @@ let disarm t =
     Engine.cancel t.engine h;
     t.pending <- None
   | None -> ()
-
-let pp_effect ppf = function
-  | Kill_switch -> Format.pp_print_string ppf "kill-switch"
-  | Corrupt_output -> Format.pp_print_string ppf "corrupt-output"
-  | Leak_secret -> Format.pp_print_string ppf "leak-secret"

@@ -27,4 +27,3 @@ val effect : t -> effect
 val disarm : t -> unit
 (** E.g. the host region was wiped by reconfiguration before the trigger. *)
 
-val pp_effect : Format.formatter -> effect -> unit

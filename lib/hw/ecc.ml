@@ -15,7 +15,6 @@ type codeword = { lo : int64; hi : int }
 type status = Clean | Corrected | Uncorrectable
 
 let width = 72
-let data_width = 64
 
 (* Parity of the low 32 bits of [x]. *)
 let[@inline] parity32 x =

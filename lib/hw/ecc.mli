@@ -17,9 +17,6 @@ type status =
 val width : int
 (** Total stored bits: 72. *)
 
-val data_width : int
-(** Protected payload bits: 64. *)
-
 val encode : int64 -> codeword
 
 val decode : codeword -> int64 * status

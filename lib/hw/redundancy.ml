@@ -9,8 +9,6 @@ let binomial n k =
     !acc
   end
 
-let r_simplex r = r
-
 let r_nmr ~n r =
   if n < 1 || n mod 2 = 0 then invalid_arg "Redundancy.r_nmr: n must be odd and positive";
   let majority = (n / 2) + 1 in

@@ -8,9 +8,6 @@
 val binomial : int -> int -> float
 (** [binomial n k] = C(n,k) as a float. *)
 
-val r_simplex : float -> float
-(** Identity; for symmetric tables. *)
-
 val r_nmr : n:int -> float -> float
 (** [r_nmr ~n r]: probability that a majority of [n] (odd) independent
     modules of reliability [r] are correct, with a perfect voter. *)

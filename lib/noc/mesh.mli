@@ -43,8 +43,6 @@ val next_hop : t -> cur:int -> dst:int -> x_first:bool -> int
 val yx_route : t -> src:int -> dst:int -> int list
 (** Y dimension first — the escape path of simple fault-tolerant routers. *)
 
-val links_of_route : int list -> link list
-
 val fail_link : t -> link -> unit
 val repair_link : t -> link -> unit
 val link_up : t -> link -> bool
@@ -81,9 +79,6 @@ val on_change : t -> (unit -> unit) -> unit
 val route_usable : t -> src:int -> dst:int -> bool
 (** All routers and links along the XY route are up. The endpoints' own
     routers must be up too. *)
-
-val route_usable_via : t -> route:int list -> bool
-(** Same check for an arbitrary route. *)
 
 val xy_path_usable : t -> src:int -> dst:int -> bool
 (** Allocation-free [route_usable] on the XY path (hot-path variant). *)

@@ -82,11 +82,7 @@ let code_prepare = 2
 
 let code_commit = 3
 
-let code_reply = 4
-
 let code_view_change = 5
-
-let code_new_view = 6
 
 (* Repl trace ids pack a per-span unique id above the 3-bit phase code;
    see DESIGN.md §6 for the exact layouts. *)

@@ -41,15 +41,11 @@ module Cat : sig
   val label : int -> string
 end
 
-(** Protocol-phase codes packed into the low 3 bits of [Cat.repl] ids. *)
-val code_request : int
 
+(** Protocol-phase codes packed into the low 3 bits of [Cat.repl] ids. *)
 val code_pre_prepare : int
 val code_prepare : int
-val code_commit : int
-val code_reply : int
 val code_view_change : int
-val code_new_view : int
 
 (** Async-span id for one client request at one replica. *)
 val repl_request_span : replica:int -> client:int -> rid:int -> int
@@ -61,9 +57,6 @@ val repl_counter_span : replica:int -> counter:int -> int
 (** Id for instant protocol events (prepare broadcast, view change). *)
 val repl_event : replica:int -> code:int -> int
 
-(** Default (category, id) -> event-name resolver for {!Chrome}. *)
-val default_name : cat:int -> id:int -> string
-
 (** Register a hook run just before {!write_trace} exports, letting a
     component emit closing samples (e.g. the NoC's final per-link load
     snapshot). Domain-local; hooks run in registration order and are
@@ -73,10 +66,6 @@ val on_flush : (unit -> unit) -> unit
 (** Forget the instances and flush hooks collected on this domain so
     far. *)
 val begin_replicate : unit -> unit
-
-(** Instances created on this domain since {!begin_replicate}, oldest
-    first. *)
-val domain_instances : unit -> t list
 
 (** Merged scalar snapshot of this domain's instances as
     [("obs." ^ name, value)] pairs: counters and histogram count/sum

@@ -67,29 +67,21 @@ let fresh_entry _ = { batch = []; commit_votes = Quorum.empty; executed = false 
 type replica = {
   core : msg Replica.t;
   f : int;
-  config : config;
   trinc : Trinc.t;
   keychain : Keychain.t;
-  mutable is_active : bool;
-  mutable last_exec_counter : int64;
-  log : entry Slot_ring.t;
-  ordered : int Digest_map.t;
+  log : entry Replica.log;
   mono : Monotonic.checker;
   baseline_pending : bool array;  (* per-signer counter resync after transition *)
   initial_active_others : int array;  (* ids 0..f minus self *)
   initial_passive : int array;  (* ids f+1..n-1 *)
-  mutable gap_drops : int;
-  mutable last_shipped : int64;
+  mutable last_shipped : int;
   repeat_counts : (int * int, int) Hashtbl.t;  (* (client, rid) -> cached-reply resends *)
 }
 
 type t = {
-  engine : Engine.t;
-  config : config;
   replicas : replica array;
   clients : msg Client.t array;
   shared_stats : Stats.t;
-  keychain : Keychain.t;
 }
 
 let kit =
@@ -102,92 +94,25 @@ let kit =
     state_chunk = (fun chunk -> State_chunk chunk);
   }
 
-let empty_ids : int array = [||]
-
 (* The first view change is the transition to all-active: every view
    above 0 runs with all 2f+1 replicas. *)
 let transitioned r = r.core.view > 0
 
+(* Whether this replica takes part in agreement: the initial f+1, or
+   everyone after the transition. Only actives hold stable certificates. *)
+let is_active r = transitioned r || r.core.id <= r.f
+
 (* The replicas that participate in agreement right now: the initial f+1
-   active ones, or everyone after a transition. Activeness is tracked per
-   replica, so views during/after the transition stay consistent. *)
+   active ones, or everyone after a transition. *)
 let active_others r = if transitioned r then r.core.peer_ids else r.initial_active_others
-
-let passive_ids (r : replica) = if transitioned r then empty_ids else r.initial_passive
-
-(* Fault-free quorum: every active replica (f+1 of f+1). After a
-   transition: f+1 of 2f+1. Either way the count is f+1. *)
-let commit_quorum (r : replica) = r.f + 1
 
 (* One agreed counter carries a batch (a single request is a batch of
    one); the attestation binds its batch digest. *)
 let entry_digest (e : entry) = Types.batch_digest e.batch
 
-let rec try_execute r =
-  let next = Int64.add r.last_exec_counter 1L in
-  let next_i = Int64.to_int next in
-  let slot = Slot_ring.slot r.log next_i in
-  if Replica.below_high r.core next_i && slot >= 0 then begin
-    let e = Slot_ring.entry r.log slot in
-    if (not e.executed) && Quorum.reached e.commit_votes ~threshold:(commit_quorum r) then begin
-      e.executed <- true;
-      r.last_exec_counter <- next;
-      Replica.check_window r.core ~seq:next_i;
-      if r.core.chk >= 0 then begin
-        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:next_i
-          ~digest:(entry_digest e)
-          ~signers:(Quorum.count e.commit_votes)
-          ~quorum:(commit_quorum r)
-          ~faulty:(Replica.faulty r.core);
-        Replica.check_batch r.core ~view:r.core.view ~seq:next_i e.batch
-      end;
-      List.iter (Replica.execute r.core) e.batch;
-      Replica.kick r.core;
-      on_cp_advance r (Replica.after_exec r.core r.log ~seq:next_i ~voters:(active_others r));
-      try_execute r
-    end
-  end
-
-(* A new stable checkpoint: truncate the log below the low watermark (the
-   certificate now proves everything up to it) and retry execution in case
-   the high watermark was the only obstacle. *)
-and on_cp_advance r prev =
-  if prev >= 0 then begin
-    Replica.stabilized r.core r.log ~prev;
-    try_execute r
-  end
-
-let executed_batch (e : entry) = if e.executed then e.batch else []
-
-(* Only actives hold stable certificates; a rejoiner asks everyone (it
-   does not know who is active) and passives have nothing to serve. *)
-let on_fetch_state r ~src ~have =
-  match r.core.cp with
-  | Some cp when r.is_active ->
-    Replica.serve r.core cp ~src ~have ~view:r.core.view
-      ~suffix:
-        (Replica.log_suffix r.log ~from:(Checkpoint.low cp)
-           ~upto:(Int64.to_int r.last_exec_counter) ~batch:executed_batch)
-  | Some _ | None -> ()
-
-let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.core.cp with
-  | Some cp when r.is_active ->
-    on_cp_advance r (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
-    Replica.maybe_catchup r.core cp
-  | Some _ | None -> ()
-
-(* Install a completed, verified transfer and rejoin in the role the
-   serving view implies: after a transition everyone is active, before it
-   the initial split stands. The TrInc counter is trusted hardware and
-   survived the wipe, so peers re-baseline this signer instead of seeing
-   a replay. *)
-let install_transfer (r : replica) (c : Checkpoint.completion) =
-  if c.Checkpoint.c_view > 0 then r.is_active <- true;
-  r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
-  r.last_shipped <- r.last_exec_counter;
-  Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-  try_execute r
+(* The log jumped (a new view, a rejoin or a transfer) past counters this
+   replica never saw: re-baseline every signer. *)
+let resync r = Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
 
 let attestation_digest digest = Hash.combine (Hash.of_string "cheap-stmt") digest
 
@@ -213,13 +138,10 @@ let continuity_ok r ~signer ~counter =
   else
     match Monotonic.check r.mono ~signer ~counter with
     | Monotonic.Accept -> true
-    | Monotonic.Replay -> false
-    | Monotonic.Gap _ ->
-      r.gap_drops <- r.gap_drops + 1;
-      false
+    | Monotonic.Replay | Monotonic.Gap _ -> false
 
 let note_entry r ~counter ~requests ~voter =
-  let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
+  let entry, fresh = Slot_ring.bind r.log.ring (Int64.to_int counter) in
   if fresh then begin
     entry.batch <- requests;
     entry.commit_votes <- Quorum.empty;
@@ -235,56 +157,42 @@ let send_own_commit r ~view ~requests ~(primary_cert : Trinc.attestation) =
   | Ok cert ->
     ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:r.core.id);
     Replica.broadcast r.core ~to_:(active_others r) (Commit_b { view; requests; primary_cert; cert });
-    try_execute r
+    Replica.try_execute r.core r.log
 
 (* One TrInc attestation covers the whole list (the counter advances once
    per batch), one Prepare_b flight per active peer. Callers never hand
-   over an already-ordered request (the [on_request] dedup guard, or
-   [order_one]'s). *)
+   over an already-ordered request (the dedup guards of [Replica.propose]
+   and [Replica.order_one]). *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then
     match make_cert r (Types.batch_digest requests) with
     | Error _ -> ()
     | Ok cert ->
-      List.iter
-        (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) 0)
-        requests;
+      Replica.mark_ordered r.log ~seq:0 requests;
       ignore (note_entry r ~counter:cert.Trinc.current ~requests ~voter:r.core.id);
       Replica.broadcast r.core ~to_:(active_others r)
         (Prepare_b { view = r.core.view; requests; cert });
-      try_execute r
-
-(* Without a batcher a request is ordered as a batch of one, unless it is
-   already attested in this view. *)
-let order_one r (request : Types.request) digest =
-  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
+      Replica.try_execute r.core r.log
 
 (* Actives ship attested state to the passive set periodically; one sender
    (the primary) suffices in the fault-free case. *)
 let ship_updates r =
   if Replica.is_primary r.core && (not (transitioned r))
-     && Int64.compare r.last_exec_counter r.last_shipped > 0
+     && r.log.last_exec > r.last_shipped
   then begin
-    r.last_shipped <- r.last_exec_counter;
+    r.last_shipped <- r.log.last_exec;
     let rid_table = Replica.rid_table r.core in
     let state = App.state r.core.app in
-    let passive = passive_ids r in
+    let passive = r.initial_passive in
     for i = 0 to Array.length passive - 1 do
       Replica.send r.core ~dst:passive.(i)
-        (Update { view = r.core.view; upto = r.last_exec_counter; state; rid_table })
+        (Update { view = r.core.view; upto = Int64.of_int r.log.last_exec; state; rid_table })
     done
   end
 
-(* Forget the log and expect any counter from every signer next. *)
-let restart_log r ~last_exec =
-  Slot_ring.reset r.log;
-  Digest_map.reset r.ordered;
-  r.last_exec_counter <- last_exec;
-  Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-
 let adopt_new_view r ~view ~base ~state ~rid_table =
-  r.is_active <- true;
-  restart_log r ~last_exec:base;
+  Replica.restart r.log ~last_exec:(Int64.to_int base);
+  resync r;
   Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
 
 let become_primary r ~view =
@@ -294,7 +202,7 @@ let become_primary r ~view =
   adopt_new_view r ~view ~base ~state ~rid_table;
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; base; state; rid_table });
   List.iter
-    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (fun (req : Types.request) -> Replica.order_one r.log req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
 (* A client re-asking for an already-executed request means it could not
@@ -318,18 +226,13 @@ let on_request r (request : Types.request) =
        all-active configuration a single silent active denies the quorum,
        and someone must call for the transition. *)
     Replica.watch r.core digest;
-    if Replica.is_primary r.core && r.is_active then (
-      match r.core.batcher with
-      | Some b ->
-        (* Retransmissions of a request already buffered (still pending)
-           or already ordered must not enter a second batch. *)
-        if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_one r request digest)
+    if Replica.is_primary r.core && is_active r then
+      Replica.propose r.core r.log request ~was_pending digest
     else Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request)
   end
 
 let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
-  if view = r.core.view && r.is_active && src = Replica.primary r.core view
+  if view = r.core.view && is_active r && src = Replica.primary r.core view
      && cert.Trinc.signer = src && requests <> []
   then begin
     let digest = Types.batch_digest requests in
@@ -351,7 +254,7 @@ let on_prepare r ~src ~view ~requests ~(cert : Trinc.attestation) =
 
 let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
     ~(cert : Trinc.attestation) =
-  if view = r.core.view && r.is_active && cert.Trinc.signer = src
+  if view = r.core.view && is_active r && cert.Trinc.signer = src
      && primary_cert.Trinc.signer = Replica.primary r.core view
      && requests <> []
   then begin
@@ -363,14 +266,13 @@ let on_commit r ~src ~view ~requests ~(primary_cert : Trinc.attestation)
         (note_entry r ~counter:primary_cert.Trinc.current ~requests
            ~voter:primary_cert.Trinc.signer);
       ignore (note_entry r ~counter:primary_cert.Trinc.current ~requests ~voter:src);
-      try_execute r
+      Replica.try_execute r.core r.log
     end
   end
 
 let on_update r ~view ~upto ~state ~rid_table =
-  if (not r.is_active) && view >= r.core.view && Int64.compare upto r.last_exec_counter > 0
-  then begin
-    r.last_exec_counter <- upto;
+  if (not (is_active r)) && view >= r.core.view && Int64.to_int upto > r.log.last_exec then begin
+    r.log.last_exec <- Int64.to_int upto;
     App.set_state r.core.app state;
     Replica.import_rid_table r.core rid_table;
     (* Requests the actives already served are no longer pending here. *)
@@ -399,11 +301,9 @@ let handle (r : replica) ~src msg =
       if Replica.accepts_new_view r.core ~src ~view then
         adopt_new_view r ~view ~base ~state ~rid_table
     | Reply _ -> ()
-    | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
-    | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk ->
-      Replica.on_state_chunk r.core ~src ~last_exec:(Int64.to_int r.last_exec_counter) chunk
-        ~install:(install_transfer r)
+    | Checkpoint_vote { seq; digest } -> Replica.on_checkpoint_vote r.core r.log ~src ~seq ~digest
+    | Fetch_state { have } -> Replica.on_fetch_state r.core r.log ~src ~have
+    | State_chunk chunk -> Replica.on_state_chunk r.core r.log ~src chunk
 
 let spec (config : config) =
   {
@@ -421,49 +321,75 @@ let spec (config : config) =
     count_views = false;
   }
 
+(* The log's accessors close over the replica they belong to. Only
+   actives count checkpoint votes and serve transfers; a rejoiner asks
+   everyone (it does not know who is active) and passives stay silent. A
+   transfer re-baselines every signer: the TrInc counter is trusted
+   hardware and survived the wipe, so peers see a jump, not a replay. *)
 let make_replica (config : config) keychain (core : msg Replica.t) =
   let id = core.Replica.id and n = core.Replica.n and f = config.f in
-  {
-    core;
-    f;
-    config;
-    trinc =
-      Trinc.create ~id ~key:(Keychain.component keychain id) ~protection:config.trinc_protection;
-    keychain;
-    is_active = id <= f;
-    last_exec_counter = 0L;
-    log = Replica.create_log fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-    mono = Monotonic.create ();
-    baseline_pending = Array.make n false;
-    initial_active_others =
-      (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
-       Array.of_list act);
-    initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
-    gap_drops = 0;
-    last_shipped = 0L;
-    repeat_counts = Hashtbl.create 8;
-  }
+  let rec r =
+    lazy
+      {
+        core;
+        f;
+        trinc =
+          Trinc.create ~id ~key:(Keychain.component keychain id)
+            ~protection:config.trinc_protection;
+        keychain;
+        log =
+          (* The commit quorum: every active replica (f+1 of f+1) before the
+             transition, f+1 of 2f+1 after it. Either way the count is f+1. *)
+          Replica.log ~fresh:fresh_entry
+            ~agreed:(fun e -> Quorum.reached e.commit_votes ~threshold:(f + 1))
+            ~batch:(fun e -> e.batch)
+            ~executed:(fun e -> e.executed)
+            ~executing:(fun ~seq e ->
+              e.executed <- true;
+              if core.chk >= 0 then begin
+                Check.commit ~session:core.chk ~replica:core.id ~view:core.view ~seq
+                  ~digest:(entry_digest e)
+                  ~signers:(Quorum.count e.commit_votes)
+                  ~quorum:(f + 1) ~faulty:(Replica.faulty core);
+                Replica.check_batch core ~view:core.view ~seq e.batch
+              end)
+            ~order:(fun requests -> order_batch (Lazy.force r) requests)
+            ~voters:(fun () -> active_others (Lazy.force r))
+            ~serves:(fun () -> is_active (Lazy.force r))
+            ~installed:(fun () ->
+              let r = Lazy.force r in
+              r.last_shipped <- r.log.last_exec;
+              resync r);
+        mono = Monotonic.create ();
+        baseline_pending = Array.make n false;
+        initial_active_others =
+          (let act = List.filter (fun i -> i <> id) (List.init (f + 1) Fun.id) in
+           Array.of_list act);
+        initial_passive = Array.init (n - f - 1) (fun i -> f + 1 + i);
+        last_shipped = 0;
+        repeat_counts = Hashtbl.create 8;
+      }
+  in
+  Lazy.force r
 
 (* Any replica that sees a request starve votes to transition/rotate:
    repeated timeouts propose ever-higher views until a live primary is
-   reached. *)
+   reached. The TrInc counter is hardware and survives a wipe. *)
 let hooks r =
   {
     Replica.vote = (fun new_view -> Activate { new_view });
     take_over = (fun ~view ~max_exec:_ -> become_primary r ~view);
-    progress = (fun () -> r.last_exec_counter);
+    progress = (fun () -> r.log.last_exec);
     wipe =
       (fun () ->
-        (* The TrInc counter is hardware and survives the wipe. *)
-        r.is_active <- r.core.id <= r.f;
-        r.last_shipped <- 0L;
+        r.last_shipped <- 0;
         Hashtbl.reset r.repeat_counts;
-        restart_log r ~last_exec:0L);
+        Replica.restart r.log ~last_exec:0;
+        resync r);
     adopt_peer =
       (fun ~progress ->
-        r.is_active <- transitioned r || r.core.id <= r.f;
-        restart_log r ~last_exec:progress);
+        Replica.restart r.log ~last_exec:progress;
+        resync r);
   }
 
 let start engine fabric config ?behaviors () =
@@ -476,16 +402,13 @@ let start engine fabric config ?behaviors () =
     (fun r ->
       (* The TrInc counter is the sequence number here: in-flight
          instances = attested counter minus the execution frontier. *)
-      Replica.attach_batcher r.core config.batching ~seal:(order_batch r)
-        ~in_flight:(fun () ->
-          Int64.to_int (fst (Register.read (Trinc.counter_register r.trinc)))
-          - Int64.to_int r.last_exec_counter)
-        ~frontier:(fun () -> Int64.to_int r.last_exec_counter);
+      Replica.attach_batcher r.core r.log config.batching ~in_flight:(fun () ->
+          Int64.to_int (fst (Register.read (Trinc.counter_register r.trinc))) - r.log.last_exec);
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg);
       Engine.every engine ~period:config.update_period (fun () -> ship_updates r))
     replicas;
   let clients = Replica.clients engine fabric kit spec ~stats in
-  { engine; config; replicas; clients; shared_stats = stats; keychain }
+  { replicas; clients; shared_stats = stats }
 
 let submit t ~client ~payload = Replica.submit "Cheapbft" t.clients ~client ~payload
 
@@ -493,7 +416,7 @@ let stats t = t.shared_stats
 
 let view t ~replica = t.replicas.(replica).core.view
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
-let active t ~replica = t.replicas.(replica).is_active
+let active t ~replica = is_active t.replicas.(replica)
 let transitioned t = Array.exists transitioned t.replicas
 let trinc t ~replica = t.replicas.(replica).trinc
 

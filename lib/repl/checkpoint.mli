@@ -82,8 +82,6 @@ val low : t -> int
 val high : t -> int
 (** High watermark: [low + window * interval]; execution must not pass it. *)
 
-val is_boundary : t -> int -> bool
-
 val digest : seq:int -> state:int64 -> rids:(int * int * int64) list -> Hash.t
 (** Canonical checkpoint digest; [rids] must be ascending in client. *)
 

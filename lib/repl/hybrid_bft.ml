@@ -147,23 +147,16 @@ module Make (H : HYBRID) = struct
     config : config;
     hybrid_instance : H.t;
     keychain : Keychain.t;
-    mutable last_exec_counter : int64;  (* primary counters up to here executed *)
-    log : entry Slot_ring.t;  (* primary counter -> entry (current view) *)
-    ordered : int Digest_map.t;  (* digests this primary already assigned *)
+    log : entry Replica.log;  (* primary counter -> entry (current view) *)
     mono : Usig.Monotonic.checker;  (* per-sender UI continuity *)
     baseline_pending : bool array;  (* per-sender resync after rejoin *)
-    mutable own_commits_sent : int;
     mutable gap_drops : int;
   }
 
   type t = {
-    engine : Engine.t;
-    fabric : msg Transport.fabric;
-    config : config;
     replicas : replica array;
     clients : msg Client.t array;
     shared_stats : Stats.t;
-    keychain : Keychain.t;
   }
 
   let kit =
@@ -181,72 +174,9 @@ module Make (H : HYBRID) = struct
      definition computes exactly the historical per-protocol fold. *)
   let batch_digest = Types.batch_digest
 
-  let rec try_execute r =
-    let next = Int64.add r.last_exec_counter 1L in
-    let next_i = Int64.to_int next in
-    if Replica.below_high r.core next_i then begin
-      let slot = Slot_ring.slot r.log next_i in
-      if slot >= 0 then begin
-        let e = Slot_ring.entry r.log slot in
-        if (not e.executed) && Quorum.reached e.commit_votes ~threshold:(r.f + 1) then begin
-          Replica.check_window r.core ~seq:next_i;
-          e.executed <- true;
-          r.last_exec_counter <- next;
-          if r.core.chk >= 0 then begin
-            Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:next_i
-              ~digest:(batch_digest e.requests)
-              ~signers:(Quorum.count e.commit_votes)
-              ~quorum:(r.f + 1)
-              ~faulty:(Replica.faulty r.core);
-            (* The batch is this protocol's native unit, so the atomicity
-               invariant covers singletons and legacy-window batches too. *)
-            Replica.check_batch r.core ~view:r.core.view ~seq:next_i e.requests
-          end;
-          if !Obs.trace_on then
-            Ring.async_end r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
-              ~id:(Obs.repl_counter_span ~replica:r.core.id ~counter:next_i)
-              ~arg:(List.length e.requests);
-          List.iter (Replica.execute r.core) e.requests;
-          Replica.kick r.core;
-          on_cp_advance r (Replica.after_exec r.core r.log ~seq:next_i ~voters:r.core.peer_ids);
-          try_execute r
-        end
-      end
-    end
-
-  (* Stable checkpoint advanced from [prev]: truncate, resume a parked
-     execution. *)
-  and on_cp_advance r prev =
-    if prev >= 0 then begin
-      Replica.stabilized r.core r.log ~prev;
-      try_execute r
-    end
-
-  (* --- certified state transfer (see Checkpoint, DESIGN.md §8) --- *)
-
-  let executed_batch (e : entry) = if e.executed then e.requests else []
-
-  let on_fetch_state r ~src ~have =
-    match r.core.cp with
-    | None -> ()
-    | Some cp ->
-      Replica.serve r.core cp ~src ~have ~view:r.core.view
-        ~suffix:
-          (Replica.log_suffix r.log ~from:(Checkpoint.low cp)
-             ~upto:(Int64.to_int r.last_exec_counter) ~batch:executed_batch)
-
-  let on_checkpoint_vote r ~src ~seq ~digest =
-    match r.core.cp with
-    | None -> ()
-    | Some cp ->
-      on_cp_advance r (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
-      Replica.maybe_catchup r.core cp
-
-  let install_transfer (r : replica) (c : Checkpoint.completion) =
-    r.last_exec_counter <- Int64.of_int (Replica.install ~log:r.log r.core c);
-    (* We missed every hybrid counter issued during the outage. *)
-    Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true;
-    try_execute r
+  (* We missed every hybrid counter issued while the log jumped (a new
+     view, a rejoin or a transfer): re-baseline every sender. *)
+  let resync r = Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
 
   (* UI continuity: exact next counter per sender, with a one-shot baseline
      resync after this replica rejoined (it missed intermediate counters). *)
@@ -272,7 +202,7 @@ module Make (H : HYBRID) = struct
   (* Record the authenticated (request, counter) binding from the primary and
      add [voter]'s commit vote. *)
   let note_entry r ~counter ~requests ~voter =
-    let entry, fresh = Slot_ring.bind r.log (Int64.to_int counter) in
+    let entry, fresh = Slot_ring.bind r.log.ring (Int64.to_int counter) in
     if fresh then begin
       entry.requests <- requests;
       entry.commit_votes <- Quorum.empty;
@@ -289,23 +219,24 @@ module Make (H : HYBRID) = struct
     match H.create_cert r.hybrid_instance (batch_digest requests) with
     | Error _ -> ()  (* our hybrid fail-stopped; we cannot vouch *)
     | Ok cert ->
-      r.own_commits_sent <- r.own_commits_sent + 1;
       ignore (note_entry r ~counter:(H.cert_counter primary_cert) ~requests ~voter:r.core.id);
       Replica.broadcast r.core ~to_:r.core.peer_ids (Commit { view; requests; primary_cert; cert });
-      try_execute r
+      Replica.try_execute r.core r.log
 
   (* Order one batch under the next certificate. Batch sizes are recorded
      by the Batcher that sealed it, so each batch is counted once. *)
   let order_batch (r : replica) requests =
     let requests =
-      List.filter (fun req -> not (Digest_map.mem r.ordered (Types.request_digest req))) requests
+      List.filter
+        (fun req -> not (Digest_map.mem r.log.ordered (Types.request_digest req)))
+        requests
     in
     if requests <> [] then begin
       match H.create_cert r.hybrid_instance (batch_digest requests) with
       | Error _ -> ()  (* hybrid fail-stop: the group will time out on us *)
       | Ok cert ->
         let view = r.core.view in
-        List.iter (fun req -> Digest_map.set r.ordered (Types.request_digest req) 0) requests;
+        Replica.mark_ordered r.log ~seq:0 requests;
         if !Obs.trace_on then
           Ring.instant r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
             ~id:(Obs.repl_event ~replica:r.core.id ~code:Obs.code_prepare)
@@ -341,19 +272,12 @@ module Make (H : HYBRID) = struct
               backups
         end
         else Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view; requests; cert });
-        try_execute r
+        Replica.try_execute r.core r.log
     end
 
-  (* Forget the log; counter expectations restart from whatever peers
-     send next. *)
-  let restart_log r ~last_exec =
-    Slot_ring.reset r.log;
-    Digest_map.reset r.ordered;
-    r.last_exec_counter <- last_exec;
-    Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-
   let adopt_new_view r ~view ~base ~state ~rid_table =
-    restart_log r ~last_exec:base;
+    Replica.restart r.log ~last_exec:(Int64.to_int base);
+    resync r;
     Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
 
   let become_primary r ~view =
@@ -385,13 +309,7 @@ module Make (H : HYBRID) = struct
     else begin
       let digest = Types.request_digest request in
       let was_pending = Replica.admit r.core request digest in
-      if Replica.is_primary r.core then (
-        match r.core.batcher with
-        | Some b ->
-          (* Retransmissions of a request already buffered (still pending)
-             or already ordered must not enter a second batch. *)
-          if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-        | None -> order_batch r [ request ])
+      if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
       else begin
         Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
         Replica.watch r.core digest
@@ -438,7 +356,7 @@ module Make (H : HYBRID) = struct
              ~requests
              ~voter:(H.cert_signer primary_cert));
         ignore (note_entry r ~counter:(H.cert_counter primary_cert) ~requests ~voter:src);
-        try_execute r
+        Replica.try_execute r.core r.log
       end
     end
 
@@ -453,11 +371,9 @@ module Make (H : HYBRID) = struct
       | New_view { view; base; state; rid_table } ->
         if Replica.accepts_new_view r.core ~src ~view then
           adopt_new_view r ~view ~base ~state ~rid_table
-      | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
-      | Fetch_state { have } -> on_fetch_state r ~src ~have
-      | State_chunk chunk ->
-        Replica.on_state_chunk r.core ~src ~last_exec:(Int64.to_int r.last_exec_counter) chunk
-          ~install:(install_transfer r)
+      | Checkpoint_vote { seq; digest } -> Replica.on_checkpoint_vote r.core r.log ~src ~seq ~digest
+      | Fetch_state { have } -> Replica.on_fetch_state r.core r.log ~src ~have
+      | State_chunk chunk -> Replica.on_state_chunk r.core r.log ~src chunk
       | Reply _ -> ()
 
   let spec (config : config) =
@@ -476,31 +392,62 @@ module Make (H : HYBRID) = struct
       count_views = true;
     }
 
+  (* The log's accessors close over the replica they belong to. The
+     batch is this protocol's native unit, so the checker's atomicity
+     invariant covers singletons and legacy-window batches too. *)
   let make_replica (config : config) keychain (core : msg Replica.t) =
-    let id = core.Replica.id and n = core.Replica.n in
-    {
-      core;
-      f = config.f;
-      config;
-      hybrid_instance =
-        H.make ~id ~key:(Keychain.component keychain id) ~protection:config.usig_protection;
-      keychain;
-      last_exec_counter = 0L;
-      log = Replica.create_log fresh_entry;
-      ordered = Digest_map.create ~capacity:64 ();
-      mono = Usig.Monotonic.create ();
-      baseline_pending = Array.make n false;
-      own_commits_sent = 0;
-      gap_drops = 0;
-    }
+    let id = core.Replica.id and n = core.Replica.n and f = config.f in
+    let rec r =
+      lazy
+        {
+          core;
+          f;
+          config;
+          hybrid_instance =
+            H.make ~id ~key:(Keychain.component keychain id) ~protection:config.usig_protection;
+          keychain;
+          log =
+            Replica.log ~fresh:fresh_entry
+              ~agreed:(fun e -> Quorum.reached e.commit_votes ~threshold:(f + 1))
+              ~batch:(fun e -> e.requests)
+              ~executed:(fun e -> e.executed)
+              ~executing:(fun ~seq e ->
+                e.executed <- true;
+                if core.chk >= 0 then begin
+                  Check.commit ~session:core.chk ~replica:core.id ~view:core.view ~seq
+                    ~digest:(batch_digest e.requests)
+                    ~signers:(Quorum.count e.commit_votes)
+                    ~quorum:(f + 1) ~faulty:(Replica.faulty core);
+                  Replica.check_batch core ~view:core.view ~seq e.requests
+                end;
+                if !Obs.trace_on then
+                  Ring.async_end core.obs.Obs.ring ~time:(Engine.now core.engine) ~cat:Obs.Cat.repl
+                    ~id:(Obs.repl_counter_span ~replica:core.id ~counter:seq)
+                    ~arg:(List.length e.requests))
+              ~order:(fun requests -> order_batch (Lazy.force r) requests)
+              ~voters:(fun () -> core.peer_ids)
+              ~serves:(fun () -> true)
+              ~installed:(fun () -> resync (Lazy.force r));
+          mono = Usig.Monotonic.create ();
+          baseline_pending = Array.make n false;
+          gap_drops = 0;
+        }
+    in
+    Lazy.force r
 
   let hooks r =
     {
       Replica.vote = (fun new_view -> Req_view_change { new_view });
       take_over = (fun ~view ~max_exec:_ -> become_primary r ~view);
-      progress = (fun () -> r.last_exec_counter);
-      wipe = (fun () -> restart_log r ~last_exec:0L);
-      adopt_peer = (fun ~progress -> restart_log r ~last_exec:progress);
+      progress = (fun () -> r.log.last_exec);
+      wipe =
+        (fun () ->
+          Replica.restart r.log ~last_exec:0;
+          resync r);
+      adopt_peer =
+        (fun ~progress ->
+          Replica.restart r.log ~last_exec:progress;
+          resync r);
     }
 
   (* The batching in force: the shared config when active, else a legacy
@@ -530,14 +477,12 @@ module Make (H : HYBRID) = struct
       (fun r ->
         (* In-flight instances = the hybrid's attested counter minus the
            execution frontier. *)
-        Replica.attach_batcher r.core (batching config) ~seal:(order_batch r)
-          ~in_flight:(fun () ->
-            Int64.to_int (H.current_counter r.hybrid_instance) - Int64.to_int r.last_exec_counter)
-          ~frontier:(fun () -> Int64.to_int r.last_exec_counter);
+        Replica.attach_batcher r.core r.log (batching config) ~in_flight:(fun () ->
+            Int64.to_int (H.current_counter r.hybrid_instance) - r.log.last_exec);
         fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
       replicas;
     let clients = Replica.clients engine fabric kit spec ~stats in
-    { engine; fabric; config; replicas; clients; shared_stats = stats; keychain }
+    { replicas; clients; shared_stats = stats }
 
   let submit t ~client ~payload = Replica.submit H.module_name t.clients ~client ~payload
 

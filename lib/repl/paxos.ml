@@ -1,4 +1,3 @@
-module Engine = Resoc_des.Engine
 module Hash = Resoc_crypto.Hash
 module Behavior = Resoc_fault.Behavior
 module Check = Resoc_check.Check
@@ -53,16 +52,10 @@ let fresh_entry _ = { batch = []; acks = Quorum.empty; committed = false; execut
 type replica = {
   core : msg Replica.t;
   f : int;
-  config : config;
-  mutable next_seq : int;
-  mutable last_exec : int;
-  log : entry Slot_ring.t;
-  ordered : int Digest_map.t;
+  log : entry Replica.log;
 }
 
 type t = {
-  engine : Engine.t;
-  config : config;
   replicas : replica array;
   clients : msg Client.t array;
   shared_stats : Stats.t;
@@ -82,71 +75,13 @@ let kit =
    agreement keys on its batch digest. *)
 let entry_digest (e : entry) = Types.batch_digest e.batch
 
-let rec try_execute r =
-  let next = r.last_exec + 1 in
-  let slot = Slot_ring.slot r.log next in
-  if Replica.below_high r.core next && slot >= 0 then begin
-    let e = Slot_ring.entry r.log slot in
-    if e.committed && not e.executed then begin
-      e.executed <- true;
-      r.last_exec <- next;
-      Replica.check_window r.core ~seq:next;
-      if r.core.chk >= 0 then begin
-        (* [-1] signers: followers apply leader decisions without a local
-           certificate; the leader's quorum is checked in [on_accepted]. *)
-        Check.commit ~session:r.core.chk ~replica:r.core.id ~view:r.core.view ~seq:r.last_exec
-          ~digest:(entry_digest e) ~signers:(-1) ~quorum:(r.f + 1)
-          ~faulty:(Replica.faulty r.core);
-        Replica.check_batch r.core ~view:r.core.view ~seq:next e.batch
-      end;
-      List.iter (Replica.execute r.core) e.batch;
-      Replica.kick r.core;
-      on_cp_advance r (Replica.after_exec r.core r.log ~seq:next ~voters:r.core.peer_ids);
-      try_execute r
-    end
-  end
-
-(* A new stable checkpoint: truncate the log below the low watermark and
-   retry execution in case the high watermark was the only obstacle. *)
-and on_cp_advance r prev =
-  if prev >= 0 then begin
-    Replica.stabilized r.core r.log ~prev;
-    try_execute r
-  end
-
-let executed_batch (e : entry) = if e.executed then e.batch else []
-
-let on_fetch_state r ~src ~have =
-  match r.core.cp with
-  | None -> ()
-  | Some cp ->
-    Replica.serve r.core cp ~src ~have ~view:r.core.view
-      ~suffix:(Replica.log_suffix r.log ~from:(Checkpoint.low cp) ~upto:r.last_exec ~batch:executed_batch)
-
-let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.core.cp with
-  | None -> ()
-  | Some cp ->
-    on_cp_advance r (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
-    Replica.maybe_catchup r.core cp
-
-(* Install a completed, verified transfer and rejoin execution at the tip. *)
-let install_transfer (r : replica) (c : Checkpoint.completion) =
-  r.last_exec <- Replica.install ~log:r.log r.core c;
-  r.next_seq <- max r.next_seq (r.last_exec + 1);
-  try_execute r
-
 (* The whole list shares one slot, one Accept_b flight per follower, one
    ack round. Callers never hand over an already-ordered request (the
-   [on_request] dedup guard, or [order_one]'s). *)
+   dedup guards of [Replica.propose] and [Replica.order_one]). *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then begin
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    List.iter
-      (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) seq)
-      requests;
-    let e, fresh = Slot_ring.bind r.log seq in
+    let seq = Replica.assign r.log requests in
+    let e, fresh = Slot_ring.bind r.log.ring seq in
     if fresh then begin
       e.batch <- requests;
       e.acks <- Quorum.empty;
@@ -158,20 +93,8 @@ let order_batch r (requests : Types.request list) =
     Replica.broadcast r.core ~to_:r.core.peer_ids (Accept_b { term = r.core.view; seq; requests })
   end
 
-(* Without a batcher a request is ordered as a batch of one, unless it
-   already holds a slot in this term. *)
-let order_one r (request : Types.request) digest =
-  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
-
-(* Forget the log and resume after [last_exec]. *)
-let restart r ~last_exec =
-  Slot_ring.reset r.log;
-  Digest_map.reset r.ordered;
-  r.last_exec <- last_exec;
-  r.next_seq <- last_exec + 1
-
 let adopt_new_term r ~term ~start_seq ~state ~rid_table =
-  restart r ~last_exec:(start_seq - 1);
+  Replica.restart r.log ~last_exec:(start_seq - 1);
   Replica.adopt r.core ~view:term ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_leader r ~term ~start_seq =
@@ -180,7 +103,7 @@ let become_leader r ~term ~start_seq =
   adopt_new_term r ~term ~start_seq ~state ~rid_table;
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_term { term; start_seq; state; rid_table });
   List.iter
-    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (fun (req : Types.request) -> Replica.order_one r.log req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
 let on_request r (request : Types.request) =
@@ -188,13 +111,7 @@ let on_request r (request : Types.request) =
   else begin
     let digest = Types.request_digest request in
     let was_pending = Replica.admit r.core request digest in
-    if Replica.is_primary r.core then (
-      match r.core.batcher with
-      | Some b ->
-        (* Retransmissions of a request already buffered (still pending)
-           or already ordered must not enter a second batch. *)
-        if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_one r request digest)
+    if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
     else begin
       Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
       Replica.watch r.core digest
@@ -209,7 +126,7 @@ let on_accept r ~src ~term ~seq ~requests =
     List.iter
       (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
       requests;
-    let e, fresh = Slot_ring.bind r.log seq in
+    let e, fresh = Slot_ring.bind r.log.ring seq in
     if fresh then begin
       e.batch <- requests;
       e.acks <- Quorum.empty;
@@ -221,9 +138,9 @@ let on_accept r ~src ~term ~seq ~requests =
 
 let on_accepted r ~src ~term ~seq =
   if term = r.core.view && Replica.is_primary r.core then begin
-    let slot = Slot_ring.slot r.log seq in
+    let slot = Slot_ring.slot r.log.ring seq in
     if slot >= 0 then begin
-      let e = Slot_ring.entry r.log slot in
+      let e = Slot_ring.entry r.log.ring slot in
       if not e.committed then begin
         e.acks <- Quorum.add e.acks src;
         if Quorum.reached e.acks ~threshold:(r.f + 1) then begin
@@ -233,7 +150,7 @@ let on_accepted r ~src ~term ~seq =
               ~digest:(entry_digest e) ~signers:(Quorum.count e.acks) ~quorum:(r.f + 1)
               ~faulty:(Replica.faulty r.core);
           Replica.broadcast r.core ~to_:r.core.peer_ids (Commit { term; seq });
-          try_execute r
+          Replica.try_execute r.core r.log
         end
       end
     end
@@ -241,10 +158,10 @@ let on_accepted r ~src ~term ~seq =
 
 let on_commit r ~src ~term ~seq =
   if term = r.core.view && src = Replica.primary r.core term then begin
-    let slot = Slot_ring.slot r.log seq in
+    let slot = Slot_ring.slot r.log.ring seq in
     if slot >= 0 then begin
-      (Slot_ring.entry r.log slot).committed <- true;
-      try_execute r
+      (Slot_ring.entry r.log.ring slot).committed <- true;
+      Replica.try_execute r.core r.log
     end
   end
 
@@ -265,11 +182,9 @@ let handle (r : replica) ~src msg =
       if Replica.accepts_new_view r.core ~src ~view:term then
         adopt_new_term r ~term ~start_seq ~state ~rid_table
     | Reply _ -> ()
-    | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
-    | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk ->
-      Replica.on_state_chunk r.core ~src ~last_exec:r.last_exec chunk
-        ~install:(install_transfer r)
+    | Checkpoint_vote { seq; digest } -> Replica.on_checkpoint_vote r.core r.log ~src ~seq ~digest
+    | Fetch_state { have } -> Replica.on_fetch_state r.core r.log ~src ~have
+    | State_chunk chunk -> Replica.on_state_chunk r.core r.log ~src chunk
 
 let spec (config : config) =
   {
@@ -290,24 +205,44 @@ let spec (config : config) =
     count_views = false;
   }
 
+(* The log's accessors close over the replica they belong to. *)
 let make_replica (config : config) (core : msg Replica.t) =
-  {
-    core;
-    f = config.f;
-    config;
-    next_seq = 1;
-    last_exec = 0;
-    log = Replica.create_log fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-  }
+  let rec r =
+    lazy
+      {
+        core;
+        f = config.f;
+        log =
+          Replica.log ~fresh:fresh_entry
+            ~agreed:(fun e -> e.committed)
+            ~batch:(fun e -> e.batch)
+            ~executed:(fun e -> e.executed)
+            ~executing:(fun ~seq e ->
+              e.executed <- true;
+              if core.chk >= 0 then begin
+                (* [-1] signers: followers apply leader decisions without a
+                   local certificate; the leader's quorum is checked in
+                   [on_accepted]. *)
+                Check.commit ~session:core.chk ~replica:core.id ~view:core.view ~seq
+                  ~digest:(entry_digest e) ~signers:(-1) ~quorum:(config.f + 1)
+                  ~faulty:(Replica.faulty core);
+                Replica.check_batch core ~view:core.view ~seq e.batch
+              end)
+            ~order:(fun requests -> order_batch (Lazy.force r) requests)
+            ~voters:(fun () -> core.peer_ids)
+            ~serves:(fun () -> true)
+            ~installed:ignore;
+      }
+  in
+  Lazy.force r
 
 let hooks r =
   {
-    Replica.vote = (fun new_term -> Term_change { new_term; last_exec = r.last_exec });
+    Replica.vote = (fun new_term -> Term_change { new_term; last_exec = r.log.last_exec });
     take_over = (fun ~view ~max_exec -> become_leader r ~term:view ~start_seq:(max_exec + 1));
-    progress = (fun () -> Int64.of_int r.last_exec);
-    wipe = (fun () -> restart r ~last_exec:0);
-    adopt_peer = (fun ~progress -> restart r ~last_exec:(Int64.to_int progress));
+    progress = (fun () -> r.log.last_exec);
+    wipe = (fun () -> Replica.restart r.log ~last_exec:0);
+    adopt_peer = (fun ~progress -> Replica.restart r.log ~last_exec:progress);
   }
 
 let start engine fabric config ?behaviors () =
@@ -319,13 +254,12 @@ let start engine fabric config ?behaviors () =
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
          next proposal. *)
-      Replica.attach_batcher r.core config.batching ~seal:(order_batch r)
-        ~in_flight:(fun () -> r.next_seq - r.last_exec - 1)
-        ~frontier:(fun () -> r.last_exec);
+      Replica.attach_batcher r.core r.log config.batching
+        ~in_flight:(fun () -> r.log.next_seq - r.log.last_exec - 1);
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
     replicas;
   let clients = Replica.clients engine fabric kit spec ~stats in
-  { engine; config; replicas; clients; shared_stats = stats }
+  { replicas; clients; shared_stats = stats }
 
 let submit t ~client ~payload = Replica.submit "Paxos" t.clients ~client ~payload
 

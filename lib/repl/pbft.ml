@@ -76,17 +76,10 @@ let null_entry = fresh_entry 0
 type replica = {
   core : msg Replica.t;
   f : int;
-  config : config;
-  mutable next_seq : int;  (* next sequence number to assign (when primary) *)
-  mutable last_exec : int;
-  log : entry Slot_ring.t;  (* seq -> entry (current view only) *)
-  ordered : int Digest_map.t;  (* digest -> seq, current view *)
+  log : entry Replica.log;
 }
 
 type t = {
-  engine : Engine.t;
-  fabric : msg Transport.fabric;
-  config : config;
   replicas : replica array;
   clients : msg Client.t array;
   shared_stats : Stats.t;
@@ -106,7 +99,7 @@ let kit =
    touch. Returns [null_entry] when the slot holds a stale-view entry;
    the message is ignored. *)
 let entry_for r ~view ~seq ~digest =
-  let e, fresh = Slot_ring.bind r.log seq in
+  let e, fresh = Slot_ring.bind r.log.ring seq in
   if fresh then begin
     e.e_view <- view;
     e.digest <- digest;
@@ -129,69 +122,6 @@ let entry_for r ~view ~seq ~digest =
    Prepare/Commit quorums may gather but nothing can commit or execute. *)
 let entry_filled (e : entry) = e.batch != []
 
-(* An executed instance's payload for state transfer; [] stops the suffix. *)
-let executed_batch (e : entry) = if e.executed then e.batch else []
-
-(* Execute committed entries in sequence order. The reply cache provides
-   exactly-once semantics per client. With checkpointing on, execution
-   additionally (a) refuses to pass the high watermark, (b) snapshots
-   and votes at checkpoint boundaries, and (c) defers log truncation to
-   stable-checkpoint advances. *)
-let rec try_execute r =
-  let seq = r.last_exec + 1 in
-  if Replica.below_high r.core seq then begin
-    let slot = Slot_ring.slot r.log seq in
-    if slot >= 0 then begin
-      let e = Slot_ring.entry r.log slot in
-      if e.committed && (not e.executed) && entry_filled e then begin
-        Replica.check_window r.core ~seq;
-        e.executed <- true;
-        r.last_exec <- r.last_exec + 1;
-        if !Obs.trace_on then
-          Ring.async_end r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
-            ~id:(Obs.repl_counter_span ~replica:r.core.id ~counter:r.last_exec)
-            ~arg:0;
-        List.iter (Replica.execute r.core) e.batch;
-        Replica.kick r.core;
-        on_cp_advance r (Replica.after_exec r.core r.log ~seq:r.last_exec ~voters:r.core.peer_ids);
-        try_execute r
-      end
-    end
-  end
-
-(* A checkpoint certificate moved the low watermark up from [prev] (or
-   [prev < 0]: no advance): truncate, and resume execution in case it
-   was parked at the old high watermark. *)
-and on_cp_advance r prev =
-  if prev >= 0 then begin
-    Replica.stabilized r.core r.log ~prev;
-    (* The high watermark moved: parked batches may seal now. *)
-    Replica.kick r.core;
-    try_execute r
-  end
-
-(* --- certified state transfer --- *)
-
-let on_fetch_state r ~src ~have =
-  match r.core.cp with
-  | None -> ()
-  | Some cp ->
-    Replica.serve r.core cp ~src ~have ~view:r.core.view
-      ~suffix:(Replica.log_suffix r.log ~from:(Checkpoint.low cp) ~upto:r.last_exec ~batch:executed_batch)
-
-let on_checkpoint_vote r ~src ~seq ~digest =
-  match r.core.cp with
-  | None -> ()
-  | Some cp ->
-    on_cp_advance r (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
-    Replica.maybe_catchup r.core cp
-
-(* Install a completed, verified transfer and rejoin execution at the tip. *)
-let install_transfer r (c : Checkpoint.completion) =
-  r.last_exec <- Replica.install ~log:r.log r.core c;
-  r.next_seq <- max r.next_seq (r.last_exec + 1);
-  try_execute r
-
 let try_commit r ~seq (e : entry) =
   if (not e.committed)
      && Quorum.reached e.commits ~threshold:((2 * r.f) + 1)
@@ -206,7 +136,7 @@ let try_commit r ~seq (e : entry) =
         ~faulty:(Replica.faulty r.core);
       Replica.check_batch r.core ~view:r.core.view ~seq e.batch
     end;
-    try_execute r
+    Replica.try_execute r.core r.log
   end
 
 let send_commit_if_prepared r ~seq (e : entry) =
@@ -224,17 +154,14 @@ let send_commit_if_prepared r ~seq (e : entry) =
 
 (* One sequence number covers the whole batch, agreed under its batch
    digest, shipped as one (multicast-able) flight per destination. Callers
-   dedup against [r.ordered] first (on the way into the batcher, or in
-   [order_one]), so the list is ordered verbatim — which is what lets the
-   [Batcher.test_duplicate_first] mutant actually reach agreement. *)
+   dedup against the log's [ordered] first ([Replica.propose] on the way
+   into the batcher, or [Replica.order_one]), so the list is ordered
+   verbatim — which is what lets the [Batcher.test_duplicate_first]
+   mutant actually reach agreement. *)
 let order_batch r (requests : Types.request list) =
   if requests <> [] then begin
     let digest = Types.batch_digest requests in
-    let seq = r.next_seq in
-    r.next_seq <- r.next_seq + 1;
-    List.iter
-      (fun (req : Types.request) -> Digest_map.set r.ordered (Types.request_digest req) seq)
-      requests;
+    let seq = Replica.assign r.log requests in
     if !Obs.trace_on then
       Ring.instant r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
         ~id:(Obs.repl_event ~replica:r.core.id ~code:Obs.code_pre_prepare)
@@ -261,23 +188,11 @@ let order_batch r (requests : Types.request list) =
     else Replica.broadcast r.core ~to_:backups (Pre_prepare_b { view; seq; digest; requests })
   end
 
-(* Without a batcher a request is ordered as a batch of one, unless it
-   already holds a sequence number in this view. *)
-let order_one r (request : Types.request) digest =
-  if not (Digest_map.mem r.ordered digest) then order_batch r [ request ]
-
-(* Forget the log and resume after [last_exec]. *)
-let restart r ~last_exec =
-  Slot_ring.reset r.log;
-  Digest_map.reset r.ordered;
-  r.last_exec <- last_exec;
-  r.next_seq <- last_exec + 1
-
 (* The new view is a fresh proof baseline: state and reply cache come
    from its primary, pending requests restart their patience, and the
    watermarks rebase onto the adopted last_exec. *)
 let adopt_new_view r ~view ~start_seq ~state ~rid_table =
-  restart r ~last_exec:(start_seq - 1);
+  Replica.restart r.log ~last_exec:(start_seq - 1);
   Replica.adopt r.core ~view ~state ~rid_table ~seq:(start_seq - 1)
 
 let become_primary r ~view ~start_seq =
@@ -287,7 +202,7 @@ let become_primary r ~view ~start_seq =
   Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; start_seq; state; rid_table });
   (* Re-propose everything still pending, deterministically ordered. *)
   List.iter
-    (fun (req : Types.request) -> order_one r req (Types.request_digest req))
+    (fun (req : Types.request) -> Replica.order_one r.log req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
 (* --- message handling --- *)
@@ -299,14 +214,7 @@ let on_request r (request : Types.request) =
   else begin
     let digest = Types.request_digest request in
     let was_pending = Replica.admit r.core request digest in
-    if Replica.is_primary r.core then (
-      match r.core.batcher with
-      | Some b ->
-        (* A retransmission of a request that is already buffered here or
-           ordered-but-unexecuted must not enter a second batch; pending
-           membership covers exactly that interval. *)
-        if not (was_pending || Digest_map.mem r.ordered digest) then Batcher.add b request
-      | None -> order_one r request digest)
+    if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
     else begin
       (* Forward to the primary and watch it. *)
       Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
@@ -374,11 +282,9 @@ let handle (r : replica) ~src msg =
     | New_view { view; start_seq; state; rid_table } ->
       if Replica.accepts_new_view r.core ~src ~view then
         adopt_new_view r ~view ~start_seq ~state ~rid_table
-    | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
-    | Fetch_state { have } -> on_fetch_state r ~src ~have
-    | State_chunk chunk ->
-      Replica.on_state_chunk r.core ~src ~last_exec:r.last_exec chunk
-        ~install:(install_transfer r)
+    | Checkpoint_vote { seq; digest } -> Replica.on_checkpoint_vote r.core r.log ~src ~seq ~digest
+    | Fetch_state { have } -> Replica.on_fetch_state r.core r.log ~src ~have
+    | State_chunk chunk -> Replica.on_state_chunk r.core r.log ~src chunk
     | Reply _ -> ()
 
 (* --- system assembly --- *)
@@ -399,24 +305,39 @@ let spec (config : config) =
     count_views = true;
   }
 
+(* The log's accessors close over the replica they belong to. *)
 let make_replica (config : config) (core : msg Replica.t) =
-  {
-    core;
-    f = config.f;
-    config;
-    next_seq = 1;
-    last_exec = 0;
-    log = Replica.create_log fresh_entry;
-    ordered = Digest_map.create ~capacity:64 ();
-  }
+  let rec r =
+    lazy
+      {
+        core;
+        f = config.f;
+        log =
+          Replica.log ~fresh:fresh_entry
+            ~agreed:(fun e -> e.committed && entry_filled e)
+            ~batch:(fun e -> e.batch)
+            ~executed:(fun e -> e.executed)
+            ~executing:(fun ~seq e ->
+              e.executed <- true;
+              if !Obs.trace_on then
+                Ring.async_end core.obs.Obs.ring ~time:(Engine.now core.engine) ~cat:Obs.Cat.repl
+                  ~id:(Obs.repl_counter_span ~replica:core.id ~counter:seq)
+                  ~arg:0)
+            ~order:(fun requests -> order_batch (Lazy.force r) requests)
+            ~voters:(fun () -> core.peer_ids)
+            ~serves:(fun () -> true)
+            ~installed:ignore;
+      }
+  in
+  Lazy.force r
 
 let hooks r =
   {
-    Replica.vote = (fun new_view -> View_change { new_view; last_exec = r.last_exec });
+    Replica.vote = (fun new_view -> View_change { new_view; last_exec = r.log.last_exec });
     take_over = (fun ~view ~max_exec -> become_primary r ~view ~start_seq:(max_exec + 1));
-    progress = (fun () -> Int64.of_int r.last_exec);
-    wipe = (fun () -> restart r ~last_exec:0);
-    adopt_peer = (fun ~progress -> restart r ~last_exec:(Int64.to_int progress));
+    progress = (fun () -> r.log.last_exec);
+    wipe = (fun () -> Replica.restart r.log ~last_exec:0);
+    adopt_peer = (fun ~progress -> Replica.restart r.log ~last_exec:progress);
   }
 
 let start engine fabric config ?behaviors () =
@@ -428,13 +349,12 @@ let start engine fabric config ?behaviors () =
     (fun r ->
       (* In-flight instances sit between the execution frontier and the
          next sequence number to assign. *)
-      Replica.attach_batcher r.core config.batching ~seal:(order_batch r)
-        ~in_flight:(fun () -> r.next_seq - r.last_exec - 1)
-        ~frontier:(fun () -> r.last_exec);
+      Replica.attach_batcher r.core r.log config.batching
+        ~in_flight:(fun () -> r.log.next_seq - r.log.last_exec - 1);
       fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
     replicas;
   let clients = Replica.clients engine fabric kit spec ~stats in
-  { engine; fabric; config; replicas; clients; shared_stats = stats }
+  { replicas; clients; shared_stats = stats }
 
 let submit t ~client ~payload = Replica.submit "Pbft" t.clients ~client ~payload
 

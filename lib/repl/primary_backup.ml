@@ -47,8 +47,6 @@ type replica = {
 }
 
 type t = {
-  engine : Engine.t;
-  config : config;
   replicas : replica array;
   clients : msg Client.t array;
   shared_stats : Stats.t;
@@ -237,7 +235,7 @@ let handle (r : replica) ~src msg =
     | Checkpoint_vote { seq; digest } -> on_checkpoint_vote r ~src ~seq ~digest
     | Fetch_state { have } -> on_fetch_state r ~src ~have
     | State_chunk chunk ->
-      Replica.on_state_chunk r.core ~src ~last_exec:r.seq chunk
+      Replica.receive_chunk r.core ~src ~last_exec:r.seq chunk
         ~install:(install_transfer r)
 
 (* Primary duty: periodic heartbeats. Backup duty: watch for silence; the
@@ -292,9 +290,9 @@ let hooks r =
   {
     Replica.vote = (fun epoch -> Promote { epoch });
     take_over = (fun ~view:_ ~max_exec:_ -> ());
-    progress = (fun () -> Int64.of_int r.seq);
+    progress = (fun () -> r.seq);
     wipe = (fun () -> r.seq <- 0);
-    adopt_peer = (fun ~progress -> r.seq <- Int64.to_int progress);
+    adopt_peer = (fun ~progress -> r.seq <- progress);
   }
 
 (* The primary executes and replies the moment it seals, so there is no
@@ -323,7 +321,7 @@ let start engine fabric config ?behaviors () =
       start_timers r)
     replicas;
   let clients = Replica.clients engine fabric kit spec ~stats in
-  { engine; config; replicas; clients; shared_stats = stats }
+  { replicas; clients; shared_stats = stats }
 
 let submit t ~client ~payload = Replica.submit "Primary_backup" t.clients ~client ~payload
 

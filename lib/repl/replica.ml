@@ -69,9 +69,27 @@ type 'msg t = {
 and 'msg hooks = {
   vote : int -> 'msg;
   take_over : view:int -> max_exec:int -> unit;
-  progress : unit -> int64;
+  progress : unit -> int;
   wipe : unit -> unit;
-  adopt_peer : progress:int64 -> unit;
+  adopt_peer : progress:int -> unit;
+}
+
+(* The agreement log of the four ordering protocols. The protocol supplies
+   its entry type and the accessors below; everything else about ordered
+   execution, checkpoints and transfer is shared. *)
+type 'e log = {
+  ring : 'e Slot_ring.t;  (* seq -> entry, current view only *)
+  ordered : int Digest_map.t;  (* request digest -> seq, current view *)
+  mutable last_exec : int;
+  mutable next_seq : int;
+  agreed : 'e -> bool;
+  batch : 'e -> Types.request list;
+  executed : 'e -> bool;
+  executing : seq:int -> 'e -> unit;
+  order : Types.request list -> unit;
+  voters : unit -> int array;
+  serves : unit -> bool;
+  installed : unit -> unit;
 }
 
 (* Without checkpoints, executed log entries older than this many slots
@@ -84,8 +102,6 @@ let log_retention = 256
    the live window are corrupt (SEU-flipped counters), never executable,
    and would otherwise accumulate in the overflow array for the run. *)
 let prune_margin = 1 lsl 15
-
-let create_log fresh = Slot_ring.create ~capacity:(2 * log_retention) ~fresh
 
 let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk ~hooks =
   let obs = Engine.obs engine in
@@ -310,7 +326,7 @@ let on_vote t ~src ~view ~value =
     if voters >= t.cp_quorum && primary t view = t.id then begin
       let h = hooks t in
       let max_exec =
-        Quorum.Rounds.max_value t.rounds ~view ~default:(Int64.to_int (h.progress ()))
+        Quorum.Rounds.max_value t.rounds ~view ~default:(h.progress ())
       in
       view_changed t ~view;
       h.take_over ~view ~max_exec
@@ -384,58 +400,15 @@ let below_high t seq =
   | Some cp when not !Checkpoint.test_ignore_watermarks -> seq <= Checkpoint.high cp
   | Some _ | None -> true
 
-(* The pipeline gate: at most [pipeline_depth] instances in flight above
-   the execution [frontier], and the next one (frontier + in-flight + 1)
-   never past the high watermark. *)
-let attach_batcher t (cfg : Types.batching option) ~seal ~in_flight ~frontier =
-  match cfg with
-  | Some b when Batcher.active b ->
-    let ready () =
-      let k = in_flight () in
-      k < b.Types.pipeline_depth && below_high t (frontier () + k + 1)
-    in
-    t.batcher <- Some (Batcher.create ~engine:t.engine ~cfg:b ~seal ~ready ~occupancy:in_flight)
-  | Some _ | None -> ()
-
 let kick t = match t.batcher with Some b -> Batcher.kick b | None -> ()
 
 (* --- checkpoints and certified state transfer --- *)
 
-let truncate log cp ~from ~upto =
+let truncate ring cp ~from ~upto =
   for s = from to upto do
-    Slot_ring.release log s
+    Slot_ring.release ring s
   done;
-  Slot_ring.prune_outside log ~low:(Checkpoint.low cp + 1) ~high:(Checkpoint.high cp + prune_margin)
-
-(* Log upkeep after executing [seq]: the fixed retention window without
-   checkpoints, else the boundary vote to [voters] plus our own. Returns
-   the previous low watermark when that vote completed a certificate,
-   else -1. *)
-let after_exec t log ~seq ~voters =
-  match t.cp with
-  | None ->
-    Slot_ring.release log (seq - log_retention);
-    Slot_ring.prune_outside log ~low:(seq - log_retention) ~high:(seq + prune_margin);
-    -1
-  | Some cp -> (
-    match
-      Checkpoint.note_exec cp ~seq ~state:(App.state t.app) ~rid_last:t.rid_last
-        ~rid_result:t.rid_result
-    with
-    | Some d ->
-      broadcast t ~to_:voters (t.kit.checkpoint_vote seq d);
-      Checkpoint.note_vote cp ~seq ~digest:d ~voter:t.id
-    | None -> -1)
-
-(* A certificate moved the low watermark up from [prev]: truncate the
-   covered log prefix and sweep corrupt-seq outliers out of the overflow
-   array. *)
-let stabilized t log ~prev =
-  match t.cp with
-  | Some cp ->
-    truncate log cp ~from:(prev + 1) ~upto:(Checkpoint.low cp);
-    t.stats.Stats.checkpoints <- t.stats.Stats.checkpoints + 1
-  | None -> ()
+  Slot_ring.prune_outside ring ~low:(Checkpoint.low cp + 1) ~high:(Checkpoint.high cp + prune_margin)
 
 let cancel_recover_timer t =
   match t.recover_timer with
@@ -468,26 +441,6 @@ let start_recovery t cp =
 let maybe_catchup t cp =
   if Checkpoint.needs_catchup cp && not (Checkpoint.recovering cp) then start_recovery t cp
 
-(* The executed log suffix strictly above [from], ascending and gapless;
-   stops at the first slot whose [batch] is [] (missing or unexecuted),
-   so the receiver lands slightly behind and catches up normally. *)
-let log_suffix log ~from ~upto ~batch =
-  let acc = ref [] in
-  let seq = ref (from + 1) in
-  let continue = ref true in
-  while !continue && !seq <= upto do
-    let slot = Slot_ring.slot log !seq in
-    if slot >= 0 then begin
-      match batch (Slot_ring.entry log slot) with
-      | [] -> continue := false
-      | requests ->
-        acc := (!seq, requests) :: !acc;
-        incr seq
-    end
-    else continue := false
-  done;
-  List.rev !acc
-
 let serve t cp ~src ~have ~view ~suffix =
   match Checkpoint.serve cp ~view ~have ~suffix with
   | Some chunks -> List.iter (fun c -> send t ~dst:src (t.kit.state_chunk c)) chunks
@@ -496,7 +449,7 @@ let serve t cp ~src ~have ~view ~suffix =
 (* Feed one transfer chunk. A completed transfer is reported to the
    checker and installed iff it verifies and lies past [last_exec];
    otherwise the replica stays recovering and the retry timer re-fetches. *)
-let on_state_chunk t ~src ~last_exec chunk ~install =
+let receive_chunk t ~src ~last_exec chunk ~install =
   match t.cp with
   | None -> ()
   | Some cp -> (
@@ -511,14 +464,13 @@ let on_state_chunk t ~src ~last_exec chunk ~install =
          && cert.Checkpoint.cp_seq > last_exec
       then install c)
 
-let install ?log t (c : Checkpoint.completion) =
+let install t (c : Checkpoint.completion) =
   match t.cp with
   | None -> invalid_arg "Replica.install: checkpointing is off"
   | Some cp ->
     cancel_recover_timer t;
     t.view <- max t.view c.Checkpoint.c_view;
     t.voted <- max t.voted t.view;
-    let prev_low = Checkpoint.low cp in
     App.set_state t.app c.Checkpoint.c_state;
     rid_reset t;
     List.iter (fun (client, rid, result) -> record t ~client ~rid result) c.Checkpoint.c_rids;
@@ -530,11 +482,187 @@ let install ?log t (c : Checkpoint.completion) =
           seq)
         c.Checkpoint.c_cert.Checkpoint.cp_seq c.Checkpoint.c_suffix
     in
-    (match log with Some log -> truncate log cp ~from:(prev_low + 1) ~upto:last | None -> ());
     t.stats.Stats.state_transfers <- t.stats.Stats.state_transfers + 1;
     t.stats.Stats.transfer_bytes <- t.stats.Stats.transfer_bytes + c.Checkpoint.c_bytes;
     t.stats.Stats.transfer_cycles <- t.stats.Stats.transfer_cycles + c.Checkpoint.c_elapsed;
     last
+
+(* --- the agreement log --- *)
+
+let log ~fresh ~agreed ~batch ~executed ~executing ~order ~voters ~serves ~installed =
+  {
+    ring = Slot_ring.create ~capacity:(2 * log_retention) ~fresh;
+    ordered = Digest_map.create ~capacity:64 ();
+    last_exec = 0;
+    next_seq = 1;
+    agreed;
+    batch;
+    executed;
+    executing;
+    order;
+    voters;
+    serves;
+    installed;
+  }
+
+(* Record [requests] as ordered at [seq], so that a retransmission is not
+   ordered twice in this view. *)
+let mark_ordered log ~seq requests =
+  List.iter
+    (fun (req : Types.request) -> Digest_map.set log.ordered (Types.request_digest req) seq)
+    requests
+
+(* Claim the next sequence number for [requests]. *)
+let assign log requests =
+  let seq = log.next_seq in
+  log.next_seq <- seq + 1;
+  mark_ordered log ~seq requests;
+  seq
+
+(* Without a batcher a request is ordered as a batch of one, unless it
+   already holds a place in this view. *)
+let order_one log (request : Types.request) digest =
+  if not (Digest_map.mem log.ordered digest) then log.order [ request ]
+
+(* A request the primary admitted: a retransmission of a request that is
+   already buffered here or ordered-but-unexecuted must not enter a
+   second batch; pending membership covers exactly that interval. *)
+let propose t log (request : Types.request) ~was_pending digest =
+  match t.batcher with
+  | Some b -> if not (was_pending || Digest_map.mem log.ordered digest) then Batcher.add b request
+  | None -> order_one log request digest
+
+(* Forget the log and resume after [last_exec]. *)
+let restart log ~last_exec =
+  Slot_ring.reset log.ring;
+  Digest_map.reset log.ordered;
+  log.last_exec <- last_exec;
+  log.next_seq <- last_exec + 1
+
+(* The pipeline gate: at most [pipeline_depth] instances in flight above
+   the execution frontier, and the next one (frontier + in-flight + 1)
+   never past the high watermark. Sealed batches go to the log's [order]. *)
+let attach_batcher t log (cfg : Types.batching option) ~in_flight =
+  match cfg with
+  | Some b when Batcher.active b ->
+    let ready () =
+      let k = in_flight () in
+      k < b.Types.pipeline_depth && below_high t (log.last_exec + k + 1)
+    in
+    t.batcher <-
+      Some (Batcher.create ~engine:t.engine ~cfg:b ~seal:log.order ~ready ~occupancy:in_flight)
+  | Some _ | None -> ()
+
+(* Log upkeep after executing [seq]: the fixed retention window without
+   checkpoints, else the boundary vote to the log's voters plus our own.
+   Returns the previous low watermark when that vote completed a
+   certificate, else -1. *)
+let after_exec t log ~seq =
+  match t.cp with
+  | None ->
+    Slot_ring.release log.ring (seq - log_retention);
+    Slot_ring.prune_outside log.ring ~low:(seq - log_retention) ~high:(seq + prune_margin);
+    -1
+  | Some cp -> (
+    match
+      Checkpoint.note_exec cp ~seq ~state:(App.state t.app) ~rid_last:t.rid_last
+        ~rid_result:t.rid_result
+    with
+    | Some d ->
+      broadcast t ~to_:(log.voters ()) (t.kit.checkpoint_vote seq d);
+      Checkpoint.note_vote cp ~seq ~digest:d ~voter:t.id
+    | None -> -1)
+
+(* Execute agreed entries in sequence order. The reply cache provides
+   exactly-once semantics per client. With checkpointing on, execution
+   additionally (a) refuses to pass the high watermark, (b) snapshots
+   and votes at checkpoint boundaries, and (c) defers log truncation to
+   stable-checkpoint advances. *)
+let rec try_execute t log =
+  let seq = log.last_exec + 1 in
+  if below_high t seq then begin
+    let slot = Slot_ring.slot log.ring seq in
+    if slot >= 0 then begin
+      let e = Slot_ring.entry log.ring slot in
+      if log.agreed e && not (log.executed e) then begin
+        check_window t ~seq;
+        log.last_exec <- seq;
+        log.executing ~seq e;
+        List.iter (execute t) (log.batch e);
+        kick t;
+        on_cp_advance t log (after_exec t log ~seq);
+        try_execute t log
+      end
+    end
+  end
+
+(* A checkpoint certificate moved the low watermark up from [prev] (or
+   [prev < 0]: no advance): truncate the covered log prefix, sweep
+   corrupt-seq outliers out of the overflow array, and resume: the high
+   watermark moved, so parked batches may seal and a parked execution
+   may run. *)
+and on_cp_advance t log prev =
+  match t.cp with
+  | Some cp when prev >= 0 ->
+    truncate log.ring cp ~from:(prev + 1) ~upto:(Checkpoint.low cp);
+    t.stats.Stats.checkpoints <- t.stats.Stats.checkpoints + 1;
+    kick t;
+    try_execute t log
+  | Some _ | None -> ()
+
+let on_checkpoint_vote t log ~src ~seq ~digest =
+  match t.cp with
+  | Some cp when log.serves () ->
+    on_cp_advance t log (Checkpoint.note_vote cp ~seq ~digest ~voter:src);
+    maybe_catchup t cp
+  | Some _ | None -> ()
+
+(* An executed instance's payload for state transfer; [] stops the suffix. *)
+let executed_batch log e = if log.executed e then log.batch e else []
+
+(* The executed log suffix strictly above [from], ascending and gapless;
+   stops at the first slot that is missing or unexecuted, so the receiver
+   lands slightly behind and catches up normally. *)
+let log_suffix log ~from =
+  let acc = ref [] in
+  let seq = ref (from + 1) in
+  let continue = ref true in
+  while !continue && !seq <= log.last_exec do
+    let slot = Slot_ring.slot log.ring !seq in
+    if slot >= 0 then begin
+      match executed_batch log (Slot_ring.entry log.ring slot) with
+      | [] -> continue := false
+      | requests ->
+        acc := (!seq, requests) :: !acc;
+        incr seq
+    end
+    else continue := false
+  done;
+  List.rev !acc
+
+let on_fetch_state t log ~src ~have =
+  match t.cp with
+  | Some cp when log.serves () ->
+    serve t cp ~src ~have ~view:t.view ~suffix:(log_suffix log ~from:(Checkpoint.low cp))
+  | Some _ | None -> ()
+
+(* Install a completed, verified transfer: state and log suffix replayed,
+   the log truncated below the new frontier, then execution rejoins at
+   the tip. *)
+let install_transfer t log (c : Checkpoint.completion) =
+  match t.cp with
+  | None -> ()
+  | Some cp ->
+    let prev_low = Checkpoint.low cp in
+    let last = install t c in
+    truncate log.ring cp ~from:(prev_low + 1) ~upto:last;
+    log.last_exec <- last;
+    log.next_seq <- max log.next_seq (last + 1);
+    log.installed ();
+    try_execute t log
+
+let on_state_chunk t log ~src chunk =
+  receive_chunk t ~src ~last_exec:log.last_exec chunk ~install:(install_transfer t log)
 
 (* --- new views, churn and group assembly --- *)
 
@@ -579,7 +707,7 @@ let set_online t =
       Checkpoint.reset cp;
       start_recovery t cp
     | None -> (
-      let progress p = Int64.to_int ((hooks p).progress ()) in
+      let progress p = (hooks p).progress () in
       let better best p =
         match best with
         | _ when p.id = t.id || not p.online -> best

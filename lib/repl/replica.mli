@@ -10,7 +10,19 @@
     epoch) and its primary, the replica's highest vote, the vote tally,
     the expiry vote, the join and install rules, the new-view guard, and
     the rejoin after rejuvenation (certified transfer after a wipe, a
-    peer copy without checkpoints). Where the protocols differ, the
+    peer copy without checkpoints).
+
+    The four ordering protocols (PBFT, Paxos, CheapBFT, the hybrids) also
+    share one agreement log, an ['e log] built with [log] from the
+    protocol's entry constructor and accessors: when an entry is
+    [agreed], its [batch], whether it was [executed], the protocol's
+    checker and trace calls on [executing], its [order] function, and
+    CheapBFT's active [voters] and [serves] rule. The log owns the slot
+    ring, the ordered digests and the execution frontier, the in-order
+    execution loop, the checkpoint advance (which always kicks the
+    batcher), checkpoint votes, serving and installing state transfers,
+    and [restart]. Primary-backup has no log and uses the transfer
+    primitives directly. Where the protocols differ otherwise, the
     difference is a [spec] field or one of the protocol's [hooks]. *)
 
 module Engine = Resoc_des.Engine
@@ -90,17 +102,35 @@ and 'msg hooks = {
   take_over : view:int -> max_exec:int -> unit;
       (** Enough votes made this replica the primary of [view]; [max_exec]
           is the highest frontier any voter reported. *)
-  progress : unit -> int64;
-      (** The executed frontier; an [int64] so that the hybrids' trusted
-          counters survive the legacy peer copy exactly. *)
+  progress : unit -> int;  (** The executed frontier. *)
   wipe : unit -> unit;  (** Rejuvenation wiped the replica: reset the protocol's own state. *)
-  adopt_peer : progress:int64 -> unit;
+  adopt_peer : progress:int -> unit;
       (** Legacy rejoin: the core copied a peer's state, reply cache and
           view; take over its frontier. *)
 }
 
-val create_log : (int -> 'e) -> 'e Slot_ring.t
-(** A slot ring sized for [log_retention]. *)
+(** The agreement log of PBFT, Paxos, CheapBFT and the hybrids: entries
+    by sequence number (the hybrids' primary counter), the digests
+    ordered in this view and the execution frontier, plus the accessors
+    through which the shared code reads the protocol's entries. *)
+type 'e log = {
+  ring : 'e Slot_ring.t;  (** seq -> entry, current view only *)
+  ordered : int Digest_map.t;  (** request digest -> seq, current view *)
+  mutable last_exec : int;  (** Entries up to here executed. *)
+  mutable next_seq : int;
+      (** Next sequence number to assign (PBFT, Paxos; the hybrids' and
+          CheapBFT's trusted counters number their own batches). *)
+  agreed : 'e -> bool;  (** May execute once every earlier entry has. *)
+  batch : 'e -> Types.request list;  (** The entry's requests. *)
+  executed : 'e -> bool;
+  executing : seq:int -> 'e -> unit;
+      (** Mark the entry executed and make the protocol's checker and
+          trace calls; its requests run next. *)
+  order : Types.request list -> unit;  (** Order a batch; the batcher's seal. *)
+  voters : unit -> int array;  (** Recipients of this replica's checkpoint votes. *)
+  serves : unit -> bool;  (** Counts checkpoint votes and serves state transfers. *)
+  installed : unit -> unit;  (** A transfer moved the frontier: the protocol's own resync. *)
+}
 
 val faulty : 'msg t -> bool
 
@@ -156,10 +186,6 @@ val admit : 'msg t -> Types.request -> Hash.t -> bool
 val pending_sorted : 'msg t -> Types.request list
 (** Pending requests in (client, rid) order. *)
 
-val execute : 'msg t -> Types.request -> unit
-(** The per-request execution tail: [apply], retire the pending entry
-    and its timer, close the span, reply. *)
-
 val view_changed : 'msg t -> view:int -> unit
 (** Count a view change and trace it. *)
 
@@ -182,61 +208,84 @@ val accepts_new_view : 'msg t -> src:int -> view:int -> bool
 val check_window : 'msg t -> seq:int -> unit
 val check_batch : 'msg t -> view:int -> seq:int -> Types.request list -> unit
 
-(** {2 Batching} *)
-
-val below_high : 'msg t -> int -> bool
-(** The sequence number is within the checkpoint high watermark. *)
-
-val attach_batcher :
-  'msg t ->
-  Types.batching option ->
-  seal:(Types.request list -> unit) ->
-  in_flight:(unit -> int) ->
-  frontier:(unit -> int) ->
-  unit
-(** Build the batcher for an active config, gated to [pipeline_depth]
-    instances in flight above the execution [frontier] and to the high
-    watermark. *)
-
-val kick : 'msg t -> unit
-
 (** {2 Checkpoints and certified state transfer} *)
-
-val after_exec : 'msg t -> 'e Slot_ring.t -> seq:int -> voters:int array -> int
-(** Log upkeep after executing [seq]: retention pruning without
-    checkpoints, else the boundary vote. Returns the previous low
-    watermark when a certificate completed, else -1. *)
-
-val stabilized : 'msg t -> 'e Slot_ring.t -> prev:int -> unit
-(** The low watermark moved up from [prev]: truncate the log below it. *)
 
 val maybe_catchup : 'msg t -> Checkpoint.t -> unit
 (** Fetch the latest certified checkpoint when a certificate formed on a
     boundary this replica never executed; re-asks until a transfer
     installs. *)
 
-val log_suffix :
-  'e Slot_ring.t -> from:int -> upto:int -> batch:('e -> Types.request list) ->
-  (int * Types.request list) list
-(** Executed entries in (from, upto], stopping at the first whose [batch]
-    is empty. *)
-
 val serve :
   'msg t -> Checkpoint.t -> src:int -> have:int -> view:int ->
   suffix:(int * Types.request list) list -> unit
 
-val on_state_chunk :
+val receive_chunk :
   'msg t -> src:int -> last_exec:int -> Checkpoint.chunk ->
   install:(Checkpoint.completion -> unit) -> unit
 (** Feed one transfer chunk. A completed transfer is reported to the
     checker and passed to [install] iff it verifies and lies past
     [last_exec]. *)
 
-val install : ?log:'e Slot_ring.t -> 'msg t -> Checkpoint.completion -> int
-(** The shared half of installing a transfer: view and vote moved up to
-    the serving view, state, reply cache, log suffix replayed without
-    replies, log truncated, stats. Returns the new execution frontier;
-    the caller adopts its sequence state. *)
+val install : 'msg t -> Checkpoint.completion -> int
+(** Install a transfer's state: view and vote moved up to the serving
+    view, state, reply cache, log suffix replayed without replies,
+    stats. Returns the new execution frontier. *)
+
+(** {2 The agreement log} *)
+
+val log :
+  fresh:(int -> 'e) ->
+  agreed:('e -> bool) ->
+  batch:('e -> Types.request list) ->
+  executed:('e -> bool) ->
+  executing:(seq:int -> 'e -> unit) ->
+  order:(Types.request list -> unit) ->
+  voters:(unit -> int array) ->
+  serves:(unit -> bool) ->
+  installed:(unit -> unit) ->
+  'e log
+(** An empty log (frontier 0) over pooled [fresh] entries. *)
+
+val mark_ordered : 'e log -> seq:int -> Types.request list -> unit
+(** Record the requests as ordered at [seq] in this view. *)
+
+val assign : 'e log -> Types.request list -> int
+(** Claim [next_seq] for a batch and mark its requests ordered there. *)
+
+val order_one : 'e log -> Types.request -> Hash.t -> unit
+(** Order a request as a batch of one unless it is already ordered. *)
+
+val propose : 'msg t -> 'e log -> Types.request -> was_pending:bool -> Hash.t -> unit
+(** The primary's path for an admitted request: into the batcher unless
+    it is already pending or ordered, else [order_one]. *)
+
+val restart : 'e log -> last_exec:int -> unit
+(** Forget every entry and ordered digest; resume after [last_exec]. *)
+
+val attach_batcher :
+  'msg t -> 'e log -> Types.batching option -> in_flight:(unit -> int) -> unit
+(** Build the batcher for an active config, sealing into the log's
+    [order], gated to [pipeline_depth] instances in flight above the
+    execution frontier and to the high watermark. *)
+
+val try_execute : 'msg t -> 'e log -> unit
+(** Execute agreed entries in order up to the high watermark; each one
+    runs its requests, kicks the batcher and casts its checkpoint vote at
+    a boundary. *)
+
+val on_checkpoint_vote : 'msg t -> 'e log -> src:int -> seq:int -> digest:Hash.t -> unit
+(** Tally a peer's checkpoint vote when the log [serves]. A certificate
+    truncates the log, kicks the batcher and resumes execution; one on a
+    boundary this replica never reached starts a transfer. *)
+
+val on_fetch_state : 'msg t -> 'e log -> src:int -> have:int -> unit
+(** Serve the latest stable checkpoint and the executed suffix above it,
+    when the log [serves]. *)
+
+val on_state_chunk : 'msg t -> 'e log -> src:int -> Checkpoint.chunk -> unit
+(** Feed one transfer chunk; a verified transfer past the frontier is
+    installed, the log truncated, [installed] called and execution
+    resumed. *)
 
 (** {2 New views, churn and assembly} *)
 

@@ -561,6 +561,40 @@ let test_pbft_batching_with_checkpointing () =
   Alcotest.(check int) "all completed" 32 (Pbft.stats sys).Stats.completed;
   check_pbft_agreement sys ~n ~expect:(Int64.mul 8L (sum_1_to 4)) ~skip:[]
 
+(* Batching under a tight checkpoint window: with interval 2 and window
+   1 the high watermark parks the batcher every few instances, and only
+   a certificate reopens it. Every log protocol must kick its batcher
+   when the watermark moves; otherwise a parked batch waits out a view
+   change in a fault-free run. *)
+let test_batching_resumes_at_checkpoint () =
+  List.iter
+    (fun kind ->
+      let engine = Engine.create ~seed:7L () in
+      let spec =
+        {
+          Resoc_core.Group.default_spec with
+          kind;
+          f = 1;
+          n_clients = 32;
+          batching = Some { Types.window_cycles = 50; max_batch = 2; pipeline_depth = 4 };
+          checkpoint = Some { Checkpoint.interval = 2; window = 1; chunk = 8 };
+        }
+      in
+      let group = Resoc_core.Group.build engine (Resoc_core.Group.Hub { latency = 5 }) spec in
+      Resoc_workload.Generator.burst ~n_per_client:50 ~n_clients:32
+        ~submit:group.Resoc_core.Group.submit;
+      Engine.run ~until:horizon engine;
+      let stats = group.Resoc_core.Group.stats () in
+      let name = group.Resoc_core.Group.protocol in
+      Alcotest.(check int) (name ^ " completed") 1600 stats.Stats.completed;
+      Alcotest.(check int) (name ^ " view changes") 0 stats.Stats.view_changes;
+      let p99 = Stats.Histogram.percentile stats.Stats.latency 99.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s p99 %.0f below vc_timeout" name p99)
+        true
+        (p99 < float_of_int spec.vc_timeout))
+    [ `Pbft; `Minbft; `A2m_bft; `Cheapbft; `Paxos ]
+
 let test_paxos_batching_completes () =
   let engine = Engine.create () in
   let config = { Paxos.default_config with f = 1; n_clients = 8; batching = some_batching () } in
@@ -942,6 +976,7 @@ let () =
           Alcotest.test_case "pbft pipeline depth one" `Quick test_pbft_batching_depth_one;
           Alcotest.test_case "pbft with checkpointing" `Quick
             test_pbft_batching_with_checkpointing;
+          Alcotest.test_case "resumes at checkpoint" `Quick test_batching_resumes_at_checkpoint;
           Alcotest.test_case "paxos completes" `Quick test_paxos_batching_completes;
           Alcotest.test_case "paxos survives failover" `Quick
             test_paxos_batching_survives_failover;
