@@ -264,7 +264,7 @@ let run_minbft_under_seu ~protection ~seu_rate ~seed =
   in
   ( avail,
     s.Stats.view_changes,
-    Minbft.usig_gap_drops sys,
+    Minbft.cert_gap_drops sys,
     Seu.injected seu,
     Histogram.percentile s.Stats.latency 99.0 )
 

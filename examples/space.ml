@@ -34,7 +34,7 @@ let orbit_run ~protection ~seu_rate =
     ~submit:(fun ~client ~payload -> Minbft.submit sys ~client ~payload)
     ();
   Engine.run ~until:280_000 engine;
-  (Minbft.stats sys, Minbft.usig_gap_drops sys)
+  (Minbft.stats sys, Minbft.cert_gap_drops sys)
 
 let () =
   Format.printf "== Orbital payload under radiation ==@.@.";

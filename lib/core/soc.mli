@@ -55,6 +55,5 @@ val noc_dropped : t -> int
 val set_on_partition : t -> (reachable:int -> total:int -> unit) -> unit
 (** Register the chip-level partition listener. Fabrics built with
     adaptive routing report every route-table recompute here as
-    [~reachable] of [~total] ordered tile pairs connected; feed it to
-    {!Resoc_resilience.Adaptation.notify_partition} so partitions raise
-    the threat level. No-op for non-adaptive routing. *)
+    [~reachable] of [~total] ordered tile pairs connected (E11 counts
+    partitions this way). No-op for non-adaptive routing. *)

@@ -15,14 +15,12 @@ type t = {
   mutable ring : entry option array;
   mutable next : int;
   mutable total : int;
-  mutable min_level : level;
+  min_level : level;
 }
 
 let create ?(capacity = 4096) ?(min_level = Info) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; ring = Array.make capacity None; next = 0; total = 0; min_level }
-
-let set_min_level t l = t.min_level <- l
 
 let enabled t l = level_rank l >= level_rank t.min_level
 

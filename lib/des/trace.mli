@@ -14,8 +14,6 @@ type t
 val create : ?capacity:int -> ?min_level:level -> unit -> t
 (** Default capacity 4096, default level [Info]. *)
 
-val set_min_level : t -> level -> unit
-
 val enabled : t -> level -> bool
 
 val emit : t -> time:int -> level -> component:string -> (unit -> string) -> unit

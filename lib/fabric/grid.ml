@@ -34,10 +34,6 @@ let mark_trojaned t ~x ~y =
   check_frame t ~x ~y;
   t.trojaned.(y).(x) <- true
 
-let trojaned_frame t ~x ~y =
-  check_frame t ~x ~y;
-  t.trojaned.(y).(x)
-
 let region_free t region =
   Region.fits region ~grid_w:t.width ~grid_h:t.height
   && List.for_all (fun (x, y) -> t.frames.(y).(x) = -1) (Region.frames region)

@@ -22,8 +22,6 @@ val height : t -> int
 val mark_trojaned : t -> x:int -> y:int -> unit
 (** Plant a fabric trojan under frame (x, y). *)
 
-val trojaned_frame : t -> x:int -> y:int -> bool
-
 val place : t -> region:Region.t -> variant:int -> owner:int -> (slot_id, string) result
 (** Claims the region's frames. Fails if out of bounds or overlapping an
     existing slot. *)

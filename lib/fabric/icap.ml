@@ -128,7 +128,5 @@ let reconfigure t ~principal ~slot ~bitstream k =
                      pump t;
                      k (Region_conflict e))))
 
-let busy t = t.busy
-
 let completed t = t.completed
 let rejected t = t.rejected

@@ -29,8 +29,6 @@ val grant : t -> principal:int -> region:Region.t -> unit
 val revoke : t -> principal:int -> unit
 (** Drop all of the principal's grants. *)
 
-val allowed : t -> principal:int -> region:Region.t -> bool
-
 val configure :
   t ->
   principal:int ->
@@ -51,8 +49,6 @@ val reconfigure :
 (** Rewrite an existing slot in place with a new variant. The slot is *down*
     (released, then re-placed) for the duration of the write — the partial
     outage that staggered rejuvenation must schedule around. *)
-
-val busy : t -> bool
 
 val completed : t -> int
 val rejected : t -> int

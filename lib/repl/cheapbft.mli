@@ -8,6 +8,14 @@
     activates the passive replicas and continues as a full 2f+1 group with
     f+1 quorums (MinBFT-equivalent), evicting the primary if needed.
 
+    Agreement among the actives is the hybrids' path,
+    {!Hybrid_bft.Agreement} over a TrInc certificate (an attestation
+    whose counter is exactly the previous one plus one): commits go to
+    the active replicas (the log's [voters]) and only actives accept
+    prepares and commits (its [serves]). What stays here is the passive
+    set's [Update] shipping, the PANIC repeat count, and the request path
+    on which every replica watches a request.
+
     Simplifications (documented in DESIGN.md): once transitioned, the group
     stays in the all-active configuration (no switch-back), and the
     transition reuses the same simplified state transfer as the other
@@ -89,8 +97,6 @@ val transitioned : t -> bool
 (** Whether the passive set has been activated. *)
 
 val trinc : t -> replica:int -> Trinc.t
-
-val replica_online : t -> replica:int -> bool
 
 val set_offline : t -> replica:int -> unit
 (** Tile powered down (e.g. for rejuvenation): drops all traffic. *)

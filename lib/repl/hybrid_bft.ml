@@ -33,12 +33,7 @@ module type S = sig
     | Commit of { view : int; requests : Types.request list; primary_cert : cert; cert : cert }
     | Reply of Types.reply
     | Req_view_change of { new_view : int }
-    | New_view of {
-        view : int;
-        base : int64;
-        state : int64;
-        rid_table : (int * (int * int64)) list;
-      }
+    | New_view of { view : int; base : int64; state : int64; rid_table : (int * (int * int64)) list }
     | Checkpoint_vote of { seq : int; digest : Resoc_crypto.Hash.t }
     | Fetch_state of { have : int }
     | State_chunk of Checkpoint.chunk
@@ -63,23 +58,215 @@ module type S = sig
   type t
 
   val start :
-    Resoc_des.Engine.t ->
-    msg Transport.fabric ->
-    config ->
-    ?behaviors:Behavior.t array ->
-    unit ->
-    t
+    Engine.t -> msg Transport.fabric -> config -> ?behaviors:Behavior.t array -> unit -> t
 
   val submit : t -> client:int -> payload:int64 -> unit
   val stats : t -> Stats.t
-  val view : t -> replica:int -> int
   val replica_state : t -> replica:int -> int64
   val set_replica_state : t -> replica:int -> int64 -> unit
   val hybrid : t -> replica:int -> hybrid
   val cert_gap_drops : t -> int
-  val replica_online : t -> replica:int -> bool
   val set_offline : t -> replica:int -> unit
   val set_online : t -> replica:int -> unit
+end
+
+(* The trusted-counter agreement path of MinBFT, A2M-BFT and CheapBFT.
+   Where they differ the difference is data: commit recipients are the
+   log's [voters], the active-replica gate is the log's [serves], and
+   the counter spans follow the core's [spans] flag. *)
+module Agreement (H : HYBRID) = struct
+  (* Pooled in the slot ring, reset in place when a counter claims the
+     slot; commit votes are a quorum bitset. *)
+  type entry = {
+    mutable requests : Types.request list;  (* the batch bound to this counter *)
+    mutable commit_votes : Quorum.t;  (* replicas vouching for this counter *)
+    mutable executed : bool;
+  }
+
+  let fresh_entry _ = { requests = []; commit_votes = Quorum.empty; executed = false }
+
+  type 'msg t = {
+    core : 'msg Replica.t;
+    hybrid : H.t;
+    keychain : Keychain.t;
+    log : entry Replica.log;  (* primary counter -> entry (current view) *)
+    mono : Usig.Monotonic.checker;  (* per-sender counter continuity *)
+    baseline_pending : bool array;  (* per-sender resync after a jump *)
+    mutable gap_drops : int;
+    commit : view:int -> requests:Types.request list -> primary_cert:H.cert -> cert:H.cert -> 'msg;
+    new_view :
+      view:int -> base:int64 -> state:int64 -> rid_table:(int * (int * int64)) list -> 'msg;
+  }
+
+  (* We missed every counter issued while the log jumped (a new view, a
+     rejoin or a transfer): re-baseline every sender. *)
+  let resync a = Array.fill a.baseline_pending 0 (Array.length a.baseline_pending) true
+
+  (* Counter continuity: exact next counter per sender, with a one-shot
+     baseline resync after the log jumped (we cannot tell which counters
+     we missed, so the sender's next one becomes the baseline). *)
+  let continuity_ok a ~signer ~counter =
+    if a.baseline_pending.(signer) then begin
+      a.baseline_pending.(signer) <- false;
+      Usig.Monotonic.force a.mono ~signer ~counter;
+      true
+    end
+    else
+      match Usig.Monotonic.check a.mono ~signer ~counter with
+      | Usig.Monotonic.Accept -> true
+      | Usig.Monotonic.Replay -> false
+      | Usig.Monotonic.Gap _ ->
+        a.gap_drops <- a.gap_drops + 1;
+        false
+
+  let verify_cert a ~digest cert =
+    H.verify_cert ~key:(Keychain.component a.keychain (H.cert_signer cert)) ~digest cert
+
+  (* Record the authenticated (batch, counter) binding from the primary
+     and add [voter]'s commit vote. *)
+  let note_entry a ~counter ~requests ~voter =
+    let entry, fresh = Slot_ring.bind a.log.ring (Int64.to_int counter) in
+    if fresh then begin
+      entry.requests <- requests;
+      entry.commit_votes <- Quorum.empty;
+      entry.executed <- false;
+      if a.core.spans && !Obs.trace_on then
+        Ring.async_begin a.core.obs.Obs.ring ~time:(Engine.now a.core.engine) ~cat:Obs.Cat.repl
+          ~id:(Obs.repl_counter_span ~replica:a.core.id ~counter:(Int64.to_int counter))
+          ~arg:(List.length requests)
+    end;
+    entry.commit_votes <- Quorum.add entry.commit_votes voter
+
+  (* Vouch for the primary's binding under our own next counter. *)
+  let send_own_commit a ~view ~requests ~primary_cert =
+    match H.create_cert a.hybrid (Types.batch_digest requests) with
+    | Error _ -> ()  (* our hybrid fail-stopped; we cannot vouch *)
+    | Ok cert ->
+      note_entry a ~counter:(H.cert_counter primary_cert) ~requests ~voter:a.core.id;
+      Replica.broadcast a.core ~to_:(a.log.voters ()) (a.commit ~view ~requests ~primary_cert ~cert);
+      Replica.try_execute a.core a.log
+
+  let on_prepare a ~src ~view ~requests ~cert =
+    if view = a.core.view && a.log.serves () && src = Replica.primary a.core view
+       && H.cert_signer cert = src && requests <> []
+    then begin
+      if verify_cert a ~digest:(Types.batch_digest requests) cert
+         && continuity_ok a ~signer:src ~counter:(H.cert_counter cert)
+      then begin
+        List.iter
+          (fun req -> Hashtbl.replace a.core.pending (Types.request_digest req) req)
+          requests;
+        note_entry a ~counter:(H.cert_counter cert) ~requests ~voter:src;
+        send_own_commit a ~view ~requests ~primary_cert:cert
+      end
+      else
+        (* Bad or gapped certificate from the primary: keep pressure on the
+           timers of whichever requests we already know. *)
+        List.iter
+          (fun req ->
+            let digest = Types.request_digest req in
+            if Hashtbl.mem a.core.pending digest then Replica.watch a.core digest)
+          requests
+    end
+
+  let on_commit a ~src ~view ~requests ~primary_cert ~cert =
+    if view = a.core.view && a.log.serves () && H.cert_signer cert = src
+       && H.cert_signer primary_cert = Replica.primary a.core view
+       && requests <> []
+    then begin
+      let digest = Types.batch_digest requests in
+      if verify_cert a ~digest primary_cert && verify_cert a ~digest cert
+         && continuity_ok a ~signer:src ~counter:(H.cert_counter cert)
+      then begin
+        (* The primary's certificate authenticates the (batch, counter)
+           binding even if we never saw the prepare directly. *)
+        let counter = H.cert_counter primary_cert in
+        note_entry a ~counter ~requests ~voter:(H.cert_signer primary_cert);
+        note_entry a ~counter ~requests ~voter:src;
+        Replica.try_execute a.core a.log
+      end
+    end
+
+  (* Forget the log and resume after [last_exec]; the counters jumped. *)
+  let restart a ~last_exec =
+    Replica.restart a.log ~last_exec;
+    resync a
+
+  let adopt_new_view a ~view ~base ~state ~rid_table =
+    restart a ~last_exec:(Int64.to_int base);
+    Replica.adopt a.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
+
+  (* The new primary's view starts at its own attested counter. *)
+  let announce_view a ~view =
+    let rid_table = Replica.rid_table a.core in
+    let state = App.state a.core.app in
+    let base = H.current_counter a.hybrid in
+    adopt_new_view a ~view ~base ~state ~rid_table;
+    Replica.broadcast a.core ~to_:a.core.peer_ids (a.new_view ~view ~base ~state ~rid_table)
+
+  (* The view-change hooks, around the protocol's vote, its re-proposal
+     after [announce_view] and its own wipe. *)
+  let hooks a ~vote ~take_over ~wipe =
+    {
+      Replica.vote;
+      take_over = (fun ~view ~max_exec:_ -> take_over ~view);
+      progress = (fun () -> a.log.last_exec);
+      wipe =
+        (fun () ->
+          wipe ();
+          restart a ~last_exec:0);
+      adopt_peer = (fun ~progress -> restart a ~last_exec:progress);
+    }
+
+  (* The batch is the native unit, so the checker's atomicity invariant
+     covers every batch. Commits and execution need [quorum] votes. A
+     transfer moves the frontier past counters this replica never saw;
+     [installed] adds the protocol's own bookkeeping to the resync. *)
+  let create (core : 'msg Replica.t) ~keychain ~protection ~quorum ~commit ~new_view ~order
+      ~voters ~serves ~installed =
+    let id = core.Replica.id in
+    let rec a =
+      lazy
+        {
+          core;
+          hybrid = H.make ~id ~key:(Keychain.component keychain id) ~protection;
+          keychain;
+          log =
+            Replica.log ~fresh:fresh_entry
+              ~agreed:(fun e -> Quorum.reached e.commit_votes ~threshold:quorum)
+              ~batch:(fun e -> e.requests)
+              ~executed:(fun e -> e.executed)
+              ~executing:(fun ~seq e ->
+                e.executed <- true;
+                if core.chk >= 0 then begin
+                  Check.commit ~session:core.chk ~replica:core.id ~view:core.view ~seq
+                    ~digest:(Types.batch_digest e.requests)
+                    ~signers:(Quorum.count e.commit_votes)
+                    ~quorum ~faulty:(Replica.faulty core);
+                  Replica.check_batch core ~view:core.view ~seq e.requests
+                end;
+                if core.spans && !Obs.trace_on then
+                  Ring.async_end core.obs.Obs.ring ~time:(Engine.now core.engine) ~cat:Obs.Cat.repl
+                    ~id:(Obs.repl_counter_span ~replica:core.id ~counter:seq)
+                    ~arg:(List.length e.requests))
+              ~order ~voters ~serves
+              ~installed:(fun () ->
+                installed ();
+                resync (Lazy.force a));
+          mono = Usig.Monotonic.create ();
+          baseline_pending = Array.make core.Replica.n false;
+          gap_drops = 0;
+          commit;
+          new_view;
+        }
+    in
+    Lazy.force a
+
+  (* In-flight instances = the attested counter minus the execution
+     frontier. *)
+  let attach_batcher a batching =
+    Replica.attach_batcher a.core a.log batching ~in_flight:(fun () ->
+        Int64.to_int (H.current_counter a.hybrid) - a.log.last_exec)
 end
 
 module Make (H : HYBRID) = struct
@@ -131,27 +318,9 @@ module Make (H : HYBRID) = struct
 
   let n_replicas config = (2 * config.f) + 1
 
-  (* Pooled in the slot ring, reset in place when a counter claims the
-     slot; commit votes are a quorum bitset. *)
-  type entry = {
-    mutable requests : Types.request list;  (* the batch bound to this counter *)
-    mutable commit_votes : Quorum.t;  (* replicas vouching for this counter *)
-    mutable executed : bool;
-  }
+  module A = Agreement (H)
 
-  let fresh_entry _ = { requests = []; commit_votes = Quorum.empty; executed = false }
-
-  type replica = {
-    core : msg Replica.t;
-    f : int;
-    config : config;
-    hybrid_instance : H.t;
-    keychain : Keychain.t;
-    log : entry Replica.log;  (* primary counter -> entry (current view) *)
-    mono : Usig.Monotonic.checker;  (* per-sender UI continuity *)
-    baseline_pending : bool array;  (* per-sender resync after rejoin *)
-    mutable gap_drops : int;
-  }
+  type replica = msg A.t
 
   type t = {
     replicas : replica array;
@@ -169,60 +338,6 @@ module Make (H : HYBRID) = struct
       state_chunk = (fun chunk -> State_chunk chunk);
     }
 
-  (* One certificate covers a whole batch: the digest chains the requests in
-     order, so verifiers agree on both membership and sequence. The shared
-     definition computes exactly the historical per-protocol fold. *)
-  let batch_digest = Types.batch_digest
-
-  (* We missed every hybrid counter issued while the log jumped (a new
-     view, a rejoin or a transfer): re-baseline every sender. *)
-  let resync r = Array.fill r.baseline_pending 0 (Array.length r.baseline_pending) true
-
-  (* UI continuity: exact next counter per sender, with a one-shot baseline
-     resync after this replica rejoined (it missed intermediate counters). *)
-  let continuity_ok r ~signer ~counter =
-    if r.baseline_pending.(signer) then begin
-      (* First UI from this sender since we (re)joined: adopt its counter as
-         the new baseline — we cannot tell which counters we missed. *)
-      r.baseline_pending.(signer) <- false;
-      Usig.Monotonic.force r.mono ~signer ~counter;
-      true
-    end
-    else
-      match Usig.Monotonic.check r.mono ~signer ~counter with
-      | Usig.Monotonic.Accept -> true
-      | Usig.Monotonic.Replay -> false
-      | Usig.Monotonic.Gap _ ->
-        r.gap_drops <- r.gap_drops + 1;
-        false
-
-  let verify_cert (r : replica) ~digest cert =
-    H.verify_cert ~key:(Keychain.component r.keychain (H.cert_signer cert)) ~digest cert
-
-  (* Record the authenticated (request, counter) binding from the primary and
-     add [voter]'s commit vote. *)
-  let note_entry r ~counter ~requests ~voter =
-    let entry, fresh = Slot_ring.bind r.log.ring (Int64.to_int counter) in
-    if fresh then begin
-      entry.requests <- requests;
-      entry.commit_votes <- Quorum.empty;
-      entry.executed <- false;
-      if !Obs.trace_on then
-        Ring.async_begin r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
-          ~id:(Obs.repl_counter_span ~replica:r.core.id ~counter:(Int64.to_int counter))
-          ~arg:(List.length requests)
-    end;
-    entry.commit_votes <- Quorum.add entry.commit_votes voter;
-    entry
-
-  let send_own_commit r ~view ~requests ~primary_cert =
-    match H.create_cert r.hybrid_instance (batch_digest requests) with
-    | Error _ -> ()  (* our hybrid fail-stopped; we cannot vouch *)
-    | Ok cert ->
-      ignore (note_entry r ~counter:(H.cert_counter primary_cert) ~requests ~voter:r.core.id);
-      Replica.broadcast r.core ~to_:r.core.peer_ids (Commit { view; requests; primary_cert; cert });
-      Replica.try_execute r.core r.log
-
   (* Order one batch under the next certificate. Batch sizes are recorded
      by the Batcher that sealed it, so each batch is counted once. *)
   let order_batch (r : replica) requests =
@@ -232,7 +347,7 @@ module Make (H : HYBRID) = struct
         requests
     in
     if requests <> [] then begin
-      match H.create_cert r.hybrid_instance (batch_digest requests) with
+      match H.create_cert r.hybrid (Types.batch_digest requests) with
       | Error _ -> ()  (* hybrid fail-stop: the group will time out on us *)
       | Ok cert ->
         let view = r.core.view in
@@ -241,7 +356,7 @@ module Make (H : HYBRID) = struct
           Ring.instant r.core.obs.Obs.ring ~time:(Engine.now r.core.engine) ~cat:Obs.Cat.repl
             ~id:(Obs.repl_event ~replica:r.core.id ~code:Obs.code_prepare)
             ~arg:(List.length requests);
-        ignore (note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:r.core.id);
+        A.note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:r.core.id;
         if Replica.equivocating r.core then begin
           (* The primary *wants* to equivocate, but the hybrid refuses to
              reuse a counter: the best it can do is certify a second, fake
@@ -252,11 +367,11 @@ module Make (H : HYBRID) = struct
             [ Types.make_request ~client:sample.Types.client
                 ~rid:(sample.Types.rid + 1_000_000) ~payload:0L ]
           in
-          match H.create_cert r.hybrid_instance (batch_digest fake) with
+          match H.create_cert r.hybrid (Types.batch_digest fake) with
           | Error _ ->
             Replica.broadcast r.core ~to_:r.core.peer_ids (Prepare { view; requests; cert })
           | Ok fake_cert ->
-            ignore (note_entry r ~counter:(H.cert_counter fake_cert) ~requests:fake ~voter:r.core.id);
+            A.note_entry r ~counter:(H.cert_counter fake_cert) ~requests:fake ~voter:r.core.id;
             let backups = r.core.peer_ids in
             let half = Array.length backups / 2 in
             Array.iteri
@@ -275,21 +390,14 @@ module Make (H : HYBRID) = struct
         Replica.try_execute r.core r.log
     end
 
-  let adopt_new_view r ~view ~base ~state ~rid_table =
-    Replica.restart r.log ~last_exec:(Int64.to_int base);
-    resync r;
-    Replica.adopt r.core ~view ~state ~rid_table ~seq:(Int64.to_int base)
-
-  let become_primary r ~view =
-    let rid_table = Replica.rid_table r.core in
-    let state = App.state r.core.app in
-    let base = H.current_counter r.hybrid_instance in
-    adopt_new_view r ~view ~base ~state ~rid_table;
-    Replica.broadcast r.core ~to_:r.core.peer_ids (New_view { view; base; state; rid_table });
+  (* The new primary re-proposes every pending request, in chunks of the
+     batch size in force. *)
+  let become_primary (config : config) r ~view =
+    A.announce_view r ~view;
     let chunk_size =
-      match r.config.batching with
+      match config.batching with
       | Some b when Batcher.active b -> max 1 b.Types.max_batch
-      | Some _ | None -> max 1 r.config.max_batch
+      | Some _ | None -> max 1 config.max_batch
     in
     let rec chunks = function
       | [] -> ()
@@ -304,73 +412,17 @@ module Make (H : HYBRID) = struct
     in
     chunks (Replica.pending_sorted r.core)
 
-  let on_request r (request : Types.request) =
-    if Replica.executed r.core request then Replica.reply_cached r.core request
-    else begin
-      let digest = Types.request_digest request in
-      let was_pending = Replica.admit r.core request digest in
-      if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
-      else begin
-        Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
-        Replica.watch r.core digest
-      end
-    end
-
-  let on_prepare r ~src ~view ~requests ~cert =
-    if view = r.core.view && src = Replica.primary r.core view && H.cert_signer cert = src
-       && requests <> []
-    then begin
-      if verify_cert r ~digest:(batch_digest requests) cert
-         && continuity_ok r ~signer:src ~counter:(H.cert_counter cert)
-      then begin
-        List.iter
-          (fun req -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
-          requests;
-        ignore (note_entry r ~counter:(H.cert_counter cert) ~requests ~voter:src);
-        send_own_commit r ~view ~requests ~primary_cert:cert
-      end
-      else
-        (* Bad or gapped certificate from the primary: keep pressure on the
-           timers of whichever requests we already know. *)
-        List.iter
-          (fun req ->
-            let digest = Types.request_digest req in
-            if Hashtbl.mem r.core.pending digest then Replica.watch r.core digest)
-          requests
-    end
-
-  let on_commit r ~src ~view ~requests ~primary_cert ~cert =
-    if view = r.core.view && H.cert_signer cert = src
-       && H.cert_signer primary_cert = Replica.primary r.core view
-       && requests <> []
-    then begin
-      let digest = batch_digest requests in
-      if verify_cert r ~digest primary_cert && verify_cert r ~digest cert
-         && continuity_ok r ~signer:src ~counter:(H.cert_counter cert)
-      then begin
-        (* The primary's certificate authenticates the (batch, counter)
-           binding even if we never saw the prepare directly. *)
-        ignore
-          (note_entry r
-             ~counter:(H.cert_counter primary_cert)
-             ~requests
-             ~voter:(H.cert_signer primary_cert));
-        ignore (note_entry r ~counter:(H.cert_counter primary_cert) ~requests ~voter:src);
-        Replica.try_execute r.core r.log
-      end
-    end
-
   let handle (r : replica) ~src msg =
     if Replica.live r.core then
       match msg with
-      | Request request -> on_request r request
-      | Prepare { view; requests; cert } -> on_prepare r ~src ~view ~requests ~cert
+      | Request request -> Replica.on_request r.core r.log request
+      | Prepare { view; requests; cert } -> A.on_prepare r ~src ~view ~requests ~cert
       | Commit { view; requests; primary_cert; cert } ->
-        on_commit r ~src ~view ~requests ~primary_cert ~cert
+        A.on_commit r ~src ~view ~requests ~primary_cert ~cert
       | Req_view_change { new_view } -> Replica.on_vote r.core ~src ~view:new_view ~value:0
       | New_view { view; base; state; rid_table } ->
         if Replica.accepts_new_view r.core ~src ~view then
-          adopt_new_view r ~view ~base ~state ~rid_table
+          A.adopt_new_view r ~view ~base ~state ~rid_table
       | Checkpoint_vote { seq; digest } -> Replica.on_checkpoint_vote r.core r.log ~src ~seq ~digest
       | Fetch_state { have } -> Replica.on_fetch_state r.core r.log ~src ~have
       | State_chunk chunk -> Replica.on_state_chunk r.core r.log ~src chunk
@@ -392,63 +444,24 @@ module Make (H : HYBRID) = struct
       count_views = true;
     }
 
-  (* The log's accessors close over the replica they belong to. The
-     batch is this protocol's native unit, so the checker's atomicity
-     invariant covers singletons and legacy-window batches too. *)
   let make_replica (config : config) keychain (core : msg Replica.t) =
-    let id = core.Replica.id and n = core.Replica.n and f = config.f in
     let rec r =
       lazy
-        {
-          core;
-          f;
-          config;
-          hybrid_instance =
-            H.make ~id ~key:(Keychain.component keychain id) ~protection:config.usig_protection;
-          keychain;
-          log =
-            Replica.log ~fresh:fresh_entry
-              ~agreed:(fun e -> Quorum.reached e.commit_votes ~threshold:(f + 1))
-              ~batch:(fun e -> e.requests)
-              ~executed:(fun e -> e.executed)
-              ~executing:(fun ~seq e ->
-                e.executed <- true;
-                if core.chk >= 0 then begin
-                  Check.commit ~session:core.chk ~replica:core.id ~view:core.view ~seq
-                    ~digest:(batch_digest e.requests)
-                    ~signers:(Quorum.count e.commit_votes)
-                    ~quorum:(f + 1) ~faulty:(Replica.faulty core);
-                  Replica.check_batch core ~view:core.view ~seq e.requests
-                end;
-                if !Obs.trace_on then
-                  Ring.async_end core.obs.Obs.ring ~time:(Engine.now core.engine) ~cat:Obs.Cat.repl
-                    ~id:(Obs.repl_counter_span ~replica:core.id ~counter:seq)
-                    ~arg:(List.length e.requests))
-              ~order:(fun requests -> order_batch (Lazy.force r) requests)
-              ~voters:(fun () -> core.peer_ids)
-              ~serves:(fun () -> true)
-              ~installed:(fun () -> resync (Lazy.force r));
-          mono = Usig.Monotonic.create ();
-          baseline_pending = Array.make n false;
-          gap_drops = 0;
-        }
+        (A.create core ~keychain ~protection:config.usig_protection ~quorum:(config.f + 1)
+           ~commit:(fun ~view ~requests ~primary_cert ~cert ->
+             Commit { view; requests; primary_cert; cert })
+           ~new_view:(fun ~view ~base ~state ~rid_table -> New_view { view; base; state; rid_table })
+           ~order:(fun requests -> order_batch (Lazy.force r) requests)
+           ~voters:(fun () -> core.peer_ids)
+           ~serves:(fun () -> true)
+           ~installed:ignore)
     in
     Lazy.force r
 
-  let hooks r =
-    {
-      Replica.vote = (fun new_view -> Req_view_change { new_view });
-      take_over = (fun ~view ~max_exec:_ -> become_primary r ~view);
-      progress = (fun () -> r.log.last_exec);
-      wipe =
-        (fun () ->
-          Replica.restart r.log ~last_exec:0;
-          resync r);
-      adopt_peer =
-        (fun ~progress ->
-          Replica.restart r.log ~last_exec:progress;
-          resync r);
-    }
+  let hooks config r =
+    A.hooks r
+      ~vote:(fun new_view -> Req_view_change { new_view })
+      ~take_over:(become_primary config r) ~wipe:ignore
 
   (* The batching in force: the shared config when active, else a legacy
      [batch_window] re-expressed on the same Batcher with no pipeline
@@ -471,14 +484,12 @@ module Make (H : HYBRID) = struct
     let keychain = Keychain.create ~master:config.keychain_master ~n:(n_replicas config) in
     let spec = spec config in
     let replicas, stats =
-      Replica.start engine fabric kit spec ?behaviors ~hooks (make_replica config keychain)
+      Replica.start engine fabric kit spec ?behaviors ~hooks:(hooks config)
+        (make_replica config keychain)
     in
     Array.iter
       (fun r ->
-        (* In-flight instances = the hybrid's attested counter minus the
-           execution frontier. *)
-        Replica.attach_batcher r.core r.log (batching config) ~in_flight:(fun () ->
-            Int64.to_int (H.current_counter r.hybrid_instance) - r.log.last_exec);
+        A.attach_batcher r (batching config);
         fabric.Transport.set_handler r.core.id (fun ~src msg -> handle r ~src msg))
       replicas;
     let clients = Replica.clients engine fabric kit spec ~stats in
@@ -488,17 +499,13 @@ module Make (H : HYBRID) = struct
 
   let stats t = t.shared_stats
 
-  let view t ~replica = t.replicas.(replica).core.view
-
   let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
   let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core.app state
 
-  let hybrid t ~replica = t.replicas.(replica).hybrid_instance
+  let hybrid t ~replica = t.replicas.(replica).hybrid
 
-  let cert_gap_drops t = Array.fold_left (fun acc r -> acc + r.gap_drops) 0 t.replicas
-
-  let replica_online t ~replica = t.replicas.(replica).core.online
+  let cert_gap_drops t = Array.fold_left (fun acc (r : replica) -> acc + r.gap_drops) 0 t.replicas
 
   let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 

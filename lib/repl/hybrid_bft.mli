@@ -1,15 +1,16 @@
 (** Hybrid-anchored BFT-SMR, generic over the trusted certificate mechanism.
 
-    MinBFT (USIG counters) and A2M-PBFT-EA-style replication (attested
-    append-only logs) share their entire agreement structure: 2f+1 replicas,
-    a primary that binds each request to the next value of a
-    non-equivocatable sequence, commits carrying the committer's own
-    certificate, execution on f+1 matching commit votes, and exact
-    per-sender continuity checking. This functor captures that structure
-    once; {!Minbft} and {!A2m_bft} instantiate it.
+    MinBFT (USIG counters), A2M-PBFT-EA-style replication (attested
+    append-only logs) and CheapBFT (TrInc counters) share one agreement
+    path, {!Agreement}: a primary binds each batch to the next value of a
+    non-equivocatable counter, commits carry the committer's own
+    certificate, an entry executes on f+1 commit votes, and every
+    sender's counter is checked for exact continuity. {!Make} builds the
+    whole protocol on it; {!Minbft} and {!A2m_bft} instantiate it, and
+    {!Cheapbft} adds its passive replicas around the same path.
 
-    See {!Minbft} for the protocol walk-through and the simplification
-    notes (view change / state transfer, documented in DESIGN.md). *)
+    See {!Minbft} for the protocol walk-through and DESIGN.md §12 for the
+    shared replica core. *)
 
 module Hash = Resoc_crypto.Hash
 module Mac = Resoc_crypto.Mac
@@ -47,6 +48,67 @@ module type HYBRID = sig
   val current_counter : t -> int64
 end
 
+(** The trusted-counter agreement path of {!Make} and {!Cheapbft}.
+
+    Where the protocols differ the difference is data: commit recipients
+    are the log's [voters], the active-replica gate on prepares and
+    commits is the log's [serves], and the counter spans follow the
+    core's [spans] flag. Message types, the primary's ordering and
+    re-proposal, and CheapBFT's passive replicas stay with the protocol. *)
+module Agreement (H : HYBRID) : sig
+  type entry
+
+  type 'msg t = {
+    core : 'msg Replica.t;
+    hybrid : H.t;
+    keychain : Resoc_crypto.Keychain.t;
+    log : entry Replica.log;  (** Primary counter -> entry, current view. *)
+    mono : Resoc_hybrid.Usig.Monotonic.checker;  (** Per-sender counter continuity. *)
+    baseline_pending : bool array;  (** Per-sender re-baseline after the log jumped. *)
+    mutable gap_drops : int;  (** Certificates refused for a counter gap. *)
+    commit : view:int -> requests:Types.request list -> primary_cert:H.cert -> cert:H.cert -> 'msg;
+    new_view :
+      view:int -> base:int64 -> state:int64 -> rid_table:(int * (int * int64)) list -> 'msg;
+  }
+
+  val create :
+    'msg Replica.t -> keychain:Resoc_crypto.Keychain.t -> protection:Register.protection ->
+    quorum:int ->
+    commit:(view:int -> requests:Types.request list -> primary_cert:H.cert -> cert:H.cert -> 'msg) ->
+    new_view:(view:int -> base:int64 -> state:int64 -> rid_table:(int * (int * int64)) list -> 'msg) ->
+    order:(Types.request list -> unit) -> voters:(unit -> int array) -> serves:(unit -> bool) ->
+    installed:(unit -> unit) -> 'msg t
+  (** The replica's hybrid and an empty log executing on [quorum] commit
+      votes. [installed] runs before the resync after a state transfer. *)
+
+  val note_entry : 'msg t -> counter:int64 -> requests:Types.request list -> voter:int -> unit
+  (** Bind [requests] to [counter] unless it is bound; count [voter]'s vote. *)
+
+  val on_prepare :
+    'msg t -> src:int -> view:int -> requests:Types.request list -> cert:H.cert -> unit
+  (** Accept the primary's batch at its next counter and commit to it
+      under our own; a bad or gapped certificate re-arms request timers. *)
+
+  val on_commit :
+    'msg t -> src:int -> view:int -> requests:Types.request list -> primary_cert:H.cert ->
+    cert:H.cert -> unit
+
+  val adopt_new_view :
+    'msg t -> view:int -> base:int64 -> state:int64 -> rid_table:(int * (int * int64)) list ->
+    unit
+
+  val announce_view : 'msg t -> view:int -> unit
+  (** A new primary adopts [view] at its attested counter and broadcasts it. *)
+
+  val hooks :
+    'msg t -> vote:(int -> 'msg) -> take_over:(view:int -> unit) -> wipe:(unit -> unit) ->
+    'msg Replica.hooks
+  (** A wipe ([wipe] first) or a peer copy restarts the log and resyncs. *)
+
+  val attach_batcher : 'msg t -> Types.batching option -> unit
+  (** In flight: the attested counter minus the execution frontier. *)
+end
+
 (** The protocol interface every instance exposes. *)
 module type S = sig
   type hybrid
@@ -58,12 +120,7 @@ module type S = sig
     | Commit of { view : int; requests : Types.request list; primary_cert : cert; cert : cert }
     | Reply of Types.reply
     | Req_view_change of { new_view : int }
-    | New_view of {
-        view : int;
-        base : int64;
-        state : int64;
-        rid_table : (int * (int * int64)) list;
-      }
+    | New_view of { view : int; base : int64; state : int64; rid_table : (int * (int * int64)) list }
     | Checkpoint_vote of { seq : int; digest : Resoc_crypto.Hash.t }
     | Fetch_state of { have : int }
     | State_chunk of Checkpoint.chunk
@@ -109,16 +166,11 @@ module type S = sig
   type t
 
   val start :
-    Resoc_des.Engine.t ->
-    msg Transport.fabric ->
-    config ->
-    ?behaviors:Behavior.t array ->
-    unit ->
-    t
+    Resoc_des.Engine.t -> msg Transport.fabric -> config -> ?behaviors:Behavior.t array ->
+    unit -> t
 
   val submit : t -> client:int -> payload:int64 -> unit
   val stats : t -> Stats.t
-  val view : t -> replica:int -> int
   val replica_state : t -> replica:int -> int64
 
   val set_replica_state : t -> replica:int -> int64 -> unit
@@ -131,7 +183,6 @@ module type S = sig
   (** Messages rejected group-wide because a sender's certificate counter
       jumped — the observable symptom of a desynchronized hybrid. *)
 
-  val replica_online : t -> replica:int -> bool
   val set_offline : t -> replica:int -> unit
 
   val set_online : t -> replica:int -> unit

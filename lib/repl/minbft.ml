@@ -20,4 +20,3 @@ end
 include Hybrid_bft.Make (Usig_hybrid)
 
 let usig = hybrid
-let usig_gap_drops = cert_gap_drops

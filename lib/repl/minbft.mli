@@ -24,6 +24,3 @@ include Hybrid_bft.S with type hybrid = Usig.t and type cert = Usig.ui
 val usig : t -> replica:int -> Usig.t
 (** Alias of {!hybrid}: the replica's USIG, for aiming SEU campaigns at its
     counter register. *)
-
-val usig_gap_drops : t -> int
-(** Alias of {!cert_gap_drops}. *)

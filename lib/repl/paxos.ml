@@ -106,18 +106,6 @@ let become_leader r ~term ~start_seq =
     (fun (req : Types.request) -> Replica.order_one r.log req (Types.request_digest req))
     (Replica.pending_sorted r.core)
 
-let on_request r (request : Types.request) =
-  if Replica.executed r.core request then Replica.reply_cached r.core request
-  else begin
-    let digest = Types.request_digest request in
-    let was_pending = Replica.admit r.core request digest in
-    if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
-    else begin
-      Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
-      Replica.watch r.core digest
-    end
-  end
-
 let on_accept r ~src ~term ~seq ~requests =
   if term = r.core.view && src = Replica.primary r.core term
      && (not (Replica.is_primary r.core))
@@ -172,7 +160,7 @@ let on_commit r ~src ~term ~seq =
 let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
-    | Request request -> on_request r request
+    | Request request -> Replica.on_request r.core r.log request
     | Accept_b { term; seq; requests } -> on_accept r ~src ~term ~seq ~requests
     | Accepted { term; seq } -> on_accepted r ~src ~term ~seq
     | Commit { term; seq } -> on_commit r ~src ~term ~seq

@@ -207,21 +207,6 @@ let become_primary r ~view ~start_seq =
 
 (* --- message handling --- *)
 
-let on_request r (request : Types.request) =
-  if Replica.executed r.core request then
-    (* Already executed: re-send the cached reply. *)
-    Replica.reply_cached r.core request
-  else begin
-    let digest = Types.request_digest request in
-    let was_pending = Replica.admit r.core request digest in
-    if Replica.is_primary r.core then Replica.propose r.core r.log request ~was_pending digest
-    else begin
-      (* Forward to the primary and watch it. *)
-      Replica.send r.core ~dst:(Replica.primary r.core r.core.view) (Request request);
-      Replica.watch r.core digest
-    end
-  end
-
 let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   if view = r.core.view && src = Replica.primary r.core view && (not (Replica.is_primary r.core))
      && requests <> []
@@ -272,7 +257,7 @@ let on_commit r ~src ~view ~seq ~digest =
 let handle (r : replica) ~src msg =
   if Replica.live r.core then
     match msg with
-    | Request request -> on_request r request
+    | Request request -> Replica.on_request r.core r.log request
     | Pre_prepare_b { view; seq; digest; requests } ->
       on_pre_prepare r ~src ~view ~seq ~digest ~requests
     | Prepare { view; seq; digest } -> on_prepare r ~src ~view ~seq ~digest

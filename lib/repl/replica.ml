@@ -532,6 +532,21 @@ let propose t log (request : Types.request) ~was_pending digest =
   | Some b -> if not (was_pending || Digest_map.mem log.ordered digest) then Batcher.add b request
   | None -> order_one log request digest
 
+(* A client request: a cached reply if it already executed, else it
+   turns pending and the primary proposes it while a backup forwards it
+   to the primary and watches it. *)
+let on_request t log (request : Types.request) =
+  if executed t request then reply_cached t request
+  else begin
+    let digest = Types.request_digest request in
+    let was_pending = admit t request digest in
+    if is_primary t then propose t log request ~was_pending digest
+    else begin
+      send t ~dst:(primary t t.view) (t.kit.request request);
+      watch t digest
+    end
+  end
+
 (* Forget the log and resume after [last_exec]. *)
 let restart log ~last_exec =
   Slot_ring.reset log.ring;

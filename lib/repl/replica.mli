@@ -3,14 +3,14 @@
     Each protocol's replica embeds one ['msg t] and keeps only its own
     agreement logic, log entries and message decoding. The core owns the
     behaviour-gated [send]/[broadcast] (with the multicast resolution),
-    the corrupt-aware client reply, the reply cache, the per-request
-    execution tail and request timers, checkpoint recovery and transfer
-    installation, and group assembly. It also owns the view-change state
-    machine: the view (PBFT's view, Paxos's term, primary-backup's
-    epoch) and its primary, the replica's highest vote, the vote tally,
-    the expiry vote, the join and install rules, the new-view guard, and
-    the rejoin after rejuvenation (certified transfer after a wipe, a
-    peer copy without checkpoints).
+    the client-request path, the corrupt-aware client reply, the reply
+    cache, the per-request execution tail and request timers, checkpoint
+    recovery and transfer installation, and group assembly. It also owns
+    the view-change state machine: the view (PBFT's view, Paxos's term,
+    primary-backup's epoch) and its primary, the replica's highest vote,
+    the vote tally, the expiry vote, the join and install rules, the
+    new-view guard, and the rejoin after rejuvenation (certified transfer
+    after a wipe, a peer copy without checkpoints).
 
     The four ordering protocols (PBFT, Paxos, CheapBFT, the hybrids) also
     share one agreement log, an ['e log] built with [log] from the
@@ -127,8 +127,9 @@ type 'e log = {
       (** Mark the entry executed and make the protocol's checker and
           trace calls; its requests run next. *)
   order : Types.request list -> unit;  (** Order a batch; the batcher's seal. *)
-  voters : unit -> int array;  (** Recipients of this replica's checkpoint votes. *)
-  serves : unit -> bool;  (** Counts checkpoint votes and serves state transfers. *)
+  voters : unit -> int array;  (** Recipients of checkpoint votes and counter commits. *)
+  serves : unit -> bool;
+      (** Counts checkpoint votes, serves transfers and accepts counter commits. *)
   installed : unit -> unit;  (** A transfer moved the frontier: the protocol's own resync. *)
 }
 
@@ -258,6 +259,11 @@ val order_one : 'e log -> Types.request -> Hash.t -> unit
 val propose : 'msg t -> 'e log -> Types.request -> was_pending:bool -> Hash.t -> unit
 (** The primary's path for an admitted request: into the batcher unless
     it is already pending or ordered, else [order_one]. *)
+
+val on_request : 'msg t -> 'e log -> Types.request -> unit
+(** A client request: the cached reply if it already executed; else it
+    is admitted, and the primary [propose]s it while a backup forwards
+    it to the primary and [watch]es it. *)
 
 val restart : 'e log -> last_exec:int -> unit
 (** Forget every entry and ordered digest; resume after [last_exec]. *)

@@ -30,8 +30,6 @@ type t = {
   hooks : hooks;
   mutable last_action_at : int;
   mutable history : (int * action) list;  (* newest first *)
-  mutable last_reachable : int;  (* -1 until the first partition report *)
-  mutable partitions : (int * int * int) list;  (* (time, reachable, total), newest first *)
   mutable stopped : bool;
 }
 
@@ -68,8 +66,6 @@ let start engine policy threat hooks =
       hooks;
       last_action_at = -policy.cooldown;
       history = [];
-      last_reachable = -1;
-      partitions = [];
       stopped = false;
     }
   in
@@ -77,25 +73,5 @@ let start engine policy threat hooks =
   t
 
 let actions t = List.rev t.history
-
-(* Weight applied per fully-lost fabric: a partition cutting off 10% of
-   src/dst pairs reports 2.5 — near the default raise threshold, so
-   repeated or severe partitions trigger scale-out while a single healed
-   blip decays away. *)
-let partition_gain = 25.0
-
-let notify_partition t ~reachable ~total =
-  if total <= 0 then invalid_arg "Adaptation.notify_partition: total must be positive";
-  if not t.stopped then begin
-    let prev = if t.last_reachable < 0 then total else t.last_reachable in
-    if reachable < prev then begin
-      t.partitions <- (Engine.now t.engine, reachable, total) :: t.partitions;
-      let lost_fraction = float_of_int (prev - reachable) /. float_of_int total in
-      Threat.report t.threat ~weight:(partition_gain *. lost_fraction) ()
-    end;
-    t.last_reachable <- reachable
-  end
-
-let partitions t = List.rev t.partitions
 
 let stop t = t.stopped <- true

@@ -33,16 +33,4 @@ val start : Resoc_des.Engine.t -> policy -> Threat.t -> hooks -> t
 val actions : t -> (int * action) list
 (** Chronological (time, action) decisions. *)
 
-val notify_partition : t -> reachable:int -> total:int -> unit
-(** NoC partition report, typically wired from
-    [Network.set_partition_handler]: [reachable] of [total] ordered
-    src/dst pairs are currently connected. A {e decrease} in
-    reachability feeds {!Threat.report} with a weight proportional to
-    the newly-lost pair fraction, so severe partitions push the
-    controller toward scale-out; repairs only rebase the baseline.
-    Raises [Invalid_argument] when [total <= 0]. *)
-
-val partitions : t -> (int * int * int) list
-(** Chronological (time, reachable, total) connectivity-loss events. *)
-
 val stop : t -> unit

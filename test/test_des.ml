@@ -154,6 +154,21 @@ let test_weibull_positive () =
     Alcotest.(check bool) "positive" true (Rng.weibull r ~shape:2.0 ~scale:5.0 > 0.0)
   done
 
+(* The draw link wear-out takes: the mean of Weibull(k = 2, λ = 100) is
+   λ·Γ(1 + 1/k) = 50·√π. *)
+let test_weibull_mean () =
+  let rng = Rng.create 23L in
+  let n = 20000 in
+  let sum = ref 0.0 in
+  for _ = 1 to n do
+    sum := !sum +. Rng.weibull rng ~shape:2.0 ~scale:100.0
+  done;
+  let mean = !sum /. float_of_int n and analytic = 50.0 *. sqrt Float.pi in
+  Alcotest.(check bool)
+    (Printf.sprintf "sampled %f vs analytic %f" mean analytic)
+    true
+    (Float.abs (mean -. analytic) < 2.0)
+
 let test_shuffle_permutation () =
   let r = Rng.create 9L in
   let a = Array.init 50 Fun.id in
@@ -580,6 +595,7 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
           Alcotest.test_case "poisson mean" `Slow test_poisson_mean;
           Alcotest.test_case "weibull positive" `Quick test_weibull_positive;
+          Alcotest.test_case "weibull mean" `Slow test_weibull_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
           Alcotest.test_case "geometric endpoints" `Quick test_geometric_endpoints;

@@ -82,6 +82,10 @@ let e9_summary () =
 module Transport = Resoc_repl.Transport
 module Cheapbft = Resoc_repl.Cheapbft
 module Primary_backup = Resoc_repl.Primary_backup
+module Minbft = Resoc_repl.Minbft
+module Register = Resoc_hw.Register
+module Usig = Resoc_hybrid.Usig
+module Trinc = Resoc_hybrid.Trinc
 
 (* Closed-loop burst on a hub; [churn] takes [replica] offline and back
    online at the given cycles. Every replica's final state is reported so
@@ -201,6 +205,51 @@ let crashed_primary kind () =
       s.Stats.view_changes (group.Group.messages ())
   in
   row 1 ^ " " ^ row 9
+
+(* Replica 0, the first primary, runs with an unprotected (Plain)
+   trusted counter, and bit 1 of that counter flips at cycle 1,000 of a
+   4-client burst on a 5-cycle hub, f=1: its next certificate skips
+   counter values. The backups' continuity check must refuse the gap;
+   the requests stall until a view change (MinBFT) or CheapBFT's
+   transition to all-active replaces the primary. *)
+let counter_gap kind () =
+  let engine = Engine.create ~seed:7L () in
+  let clients = 4 in
+  let flip register =
+    ignore (Engine.schedule engine ~delay:1_000 (fun () -> Register.inject_upset_at register 1))
+  in
+  match kind with
+  | `Minbft ->
+    let config = { Minbft.default_config with usig_protection = Register.Plain; n_clients = clients } in
+    let n = Minbft.n_replicas config in
+    let fabric = Transport.hub engine ~n:(n + clients) () in
+    let sys = Minbft.start engine fabric config () in
+    flip (Usig.counter_register (Minbft.usig sys ~replica:0));
+    run_summary ~engine ~n ~submit:(Minbft.submit sys) ~stats:(fun () -> Minbft.stats sys)
+      ~messages:fabric.Transport.messages_sent ~state:(Minbft.replica_state sys)
+      ~set_offline:(Minbft.set_offline sys) ~set_online:(Minbft.set_online sys) ~clients
+      ~per_client:200 ()
+  | `Cheapbft ->
+    let config =
+      { Cheapbft.default_config with trinc_protection = Register.Plain; n_clients = clients }
+    in
+    let n = Cheapbft.n_replicas config in
+    let fabric = Transport.hub engine ~n:(n + clients) () in
+    let sys = Cheapbft.start engine fabric config () in
+    flip (Trinc.counter_register (Cheapbft.trinc sys ~replica:0));
+    run_summary ~engine ~n ~submit:(Cheapbft.submit sys) ~stats:(fun () -> Cheapbft.stats sys)
+      ~messages:fabric.Transport.messages_sent ~state:(Cheapbft.replica_state sys)
+      ~set_offline:(Cheapbft.set_offline sys) ~set_online:(Cheapbft.set_online sys) ~clients
+      ~per_client:200 ()
+
+(* The first primary runs [Equivocate]: a hybrid primary certifies a fake
+   batch under the next counter and splits the two prepares across its
+   backups; CheapBFT's primary has no equivocation branch. *)
+let equivocating_primary kind () =
+  let spec = { Group.default_spec with kind } in
+  let behaviors = Array.make (Group.n_replicas_of spec) Behavior.honest in
+  behaviors.(0) <- Behavior.byzantine Behavior.Equivocate;
+  group_summary { spec with behaviors = Some behaviors }
 
 (* --- pinned expectations --- *)
 
@@ -366,6 +415,22 @@ let expectations =
       crashed_primary `Paxos,
       "clients=1 completed=8 vc=1 msgs=97 \
        clients=9 completed=72 vc=6 msgs=957" );
+    ( "gap/minbft",
+      counter_gap `Minbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 msgs=11246 \
+       mean=403b866666666666 p99=402e000000000000 states=800,800,800" );
+    ( "gap/cheapbft",
+      counter_gap `Cheapbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=4 ckpt=0 xfer=0 xbytes=0 msgs=10285 \
+       mean=403cc66666666666 p99=4034000000000000 states=800,800,800" );
+    ( "equivocate/minbft",
+      equivocating_primary `Minbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=4854 \
+       mean=4024166666666666 p99=4024000000000000 states=4,4,4" );
+    ( "equivocate/cheapbft",
+      equivocating_primary `Cheapbft,
+      "completed=800 submitted=800 retx=0 wrong=0 vc=0 ckpt=0 xfer=0 xbytes=0 msgs=7202 \
+       mean=4034000000000000 p99=4034000000000000 states=800,800,800" );
     ("e9/crossover", e9_summary, "crossover=14 gates=29500 pc8=3f5ca59d13891c00 ps8=3f66943aedc08600");
   ]
 

@@ -257,59 +257,6 @@ let test_mc_matches_analytic () =
     true
     (Float.abs (mc -. analytic) < 0.005)
 
-(* --- Aging --- *)
-
-let test_weibull_hazard_increasing () =
-  let w = { Aging.shape = 3.0; scale = 100.0 } in
-  Alcotest.(check bool) "wear-out hazard increases" true (Aging.hazard w 50.0 < Aging.hazard w 150.0)
-
-let test_weibull_hazard_decreasing () =
-  let w = { Aging.shape = 0.5; scale = 100.0 } in
-  Alcotest.(check bool) "infant hazard decreases" true (Aging.hazard w 10.0 > Aging.hazard w 100.0)
-
-let test_weibull_reliability_bounds () =
-  let w = { Aging.shape = 2.0; scale = 100.0 } in
-  Alcotest.(check (float 1e-9)) "R(0)=1" 1.0 (Aging.reliability w 0.0);
-  Alcotest.(check bool) "decreasing" true (Aging.reliability w 50.0 > Aging.reliability w 200.0)
-
-let test_weibull_mttf_exponential_case () =
-  (* shape=1 reduces to exponential: MTTF = scale. *)
-  let w = { Aging.shape = 1.0; scale = 250.0 } in
-  Alcotest.(check (float 0.01)) "mttf" 250.0 (Aging.mttf w)
-
-let test_mttf_matches_sampling () =
-  let w = { Aging.shape = 2.0; scale = 100.0 } in
-  let rng = Rng.create 23L in
-  let n = 20000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    sum := !sum +. Aging.sample_lifetime rng w
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "sampled %f vs analytic %f" mean (Aging.mttf w))
-    true
-    (Float.abs (mean -. Aging.mttf w) < 2.0)
-
-let test_bathtub_shape () =
-  let b = Aging.default_bathtub in
-  let early = Aging.bathtub_hazard b 1.0e6 in
-  let mid = Aging.bathtub_hazard b 5.0e9 in
-  let late = Aging.bathtub_hazard b 4.0e10 in
-  Alcotest.(check bool) "infant mortality high" true (early > mid);
-  Alcotest.(check bool) "wear-out high" true (late > mid)
-
-let test_stress_factor () =
-  Alcotest.(check (float 1e-9)) "baseline" 1.0 (Aging.stress_factor ~temperature_c:25.0);
-  Alcotest.(check (float 1e-9)) "doubles per 10C" 2.0 (Aging.stress_factor ~temperature_c:35.0)
-
-let test_stress_shortens_life () =
-  let b = Aging.default_bathtub in
-  let r1 = Rng.create 31L and r2 = Rng.create 31L in
-  let normal = Aging.sample_bathtub_lifetime r1 b in
-  let hot = Aging.sample_bathtub_lifetime r2 ~stress:4.0 b in
-  Alcotest.(check (float 1.0)) "4x stress quarters lifetime" (normal /. 4.0) hot
-
 (* --- Complexity --- *)
 
 let test_complexity_circuit_grows () =
@@ -520,17 +467,6 @@ let () =
           Alcotest.test_case "nmr monotone" `Quick test_nmr_monotone_in_n;
           Alcotest.test_case "voter penalty" `Quick test_nmr_voter_penalty;
           Alcotest.test_case "monte carlo matches analytic" `Slow test_mc_matches_analytic;
-        ] );
-      ( "aging",
-        [
-          Alcotest.test_case "hazard increasing" `Quick test_weibull_hazard_increasing;
-          Alcotest.test_case "hazard decreasing" `Quick test_weibull_hazard_decreasing;
-          Alcotest.test_case "reliability bounds" `Quick test_weibull_reliability_bounds;
-          Alcotest.test_case "mttf exponential case" `Quick test_weibull_mttf_exponential_case;
-          Alcotest.test_case "mttf matches sampling" `Slow test_mttf_matches_sampling;
-          Alcotest.test_case "bathtub shape" `Quick test_bathtub_shape;
-          Alcotest.test_case "stress factor" `Quick test_stress_factor;
-          Alcotest.test_case "stress shortens life" `Quick test_stress_shortens_life;
         ] );
       ( "complexity",
         [

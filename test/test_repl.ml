@@ -367,7 +367,7 @@ let test_minbft_plain_usig_seu_stalls_primary () =
   Engine.run ~until:horizon engine;
   let s = Minbft.stats sys in
   Alcotest.(check int) "eventually all complete" 5 s.Stats.completed;
-  Alcotest.(check bool) "gap detected" true (Minbft.usig_gap_drops sys > 0);
+  Alcotest.(check bool) "gap detected" true (Minbft.cert_gap_drops sys > 0);
   Alcotest.(check bool) "view change evicted the skewed primary" true (s.Stats.view_changes >= 1)
 
 let test_minbft_secded_usig_survives_seu () =
@@ -382,7 +382,7 @@ let test_minbft_secded_usig_survives_seu () =
   Engine.run ~until:horizon engine;
   let s = Minbft.stats sys in
   Alcotest.(check int) "all complete" 5 s.Stats.completed;
-  Alcotest.(check int) "no gaps" 0 (Minbft.usig_gap_drops sys);
+  Alcotest.(check int) "no gaps" 0 (Minbft.cert_gap_drops sys);
   Alcotest.(check int) "no view change" 0 s.Stats.view_changes
 
 let test_minbft_corrupt_replies_filtered () =
