@@ -16,6 +16,7 @@ type t = {
   routers : Bytes.t;  (* '\000' = up *)
   links : Bytes.t;  (* n_nodes * 4, '\000' = up *)
   mutable epoch : int;  (* bumped on every actual fault-state flip *)
+  mutable last_flip : int;  (* link id, or -1 - router id, of the latest flip *)
   mutable n_failed_links : int;
   mutable n_failed_routers : int;
   mutable subscribers : (unit -> unit) list;  (* called after each flip *)
@@ -29,17 +30,20 @@ let create ~width ~height =
     routers = Bytes.make (width * height) '\000';
     links = Bytes.make (width * height * 4) '\000';
     epoch = 0;
+    last_flip = 0;
     n_failed_links = 0;
     n_failed_routers = 0;
     subscribers = [];
   }
 
 let epoch t = t.epoch
+let last_flip t = t.last_flip
 let failed_link_count t = t.n_failed_links
 let failed_router_count t = t.n_failed_routers
 let on_change t f = t.subscribers <- t.subscribers @ [ f ]
 
-let changed t =
+let changed t flip =
+  t.last_flip <- flip;
   t.epoch <- t.epoch + 1;
   List.iter (fun f -> f ()) t.subscribers
 
@@ -91,17 +95,17 @@ let link_id t ~src ~dst =
   if dir < 0 then invalid_arg "Mesh: not a link between adjacent tiles";
   (src * 4) + dir
 
+let link_dst t lid =
+  let src = lid / 4 in
+  match lid land 3 with
+  | 0 -> src - t.width
+  | 1 -> src - 1
+  | 2 -> src + 1
+  | _ -> src + t.width
+
 let link_of_id t lid =
   if lid < 0 || lid >= n_link_ids t then invalid_arg "Mesh.link_of_id: bad link id";
-  let src = lid / 4 in
-  let dst =
-    match lid land 3 with
-    | 0 -> src - t.width
-    | 1 -> src - 1
-    | 2 -> src + 1
-    | _ -> src + t.width
-  in
-  { src; dst }
+  { src = lid / 4; dst = link_dst t lid }
 
 (* One step of dimension-order routing from [cur] toward [dst]; returns
    [cur] on arrival. Equivalent hop-for-hop to walking the list produced
@@ -148,7 +152,7 @@ let fail_link t l =
   if Bytes.get t.links lid = '\000' then begin
     Bytes.set t.links lid '\001';
     t.n_failed_links <- t.n_failed_links + 1;
-    changed t
+    changed t lid
   end
 
 let repair_link t l =
@@ -156,7 +160,7 @@ let repair_link t l =
   if Bytes.get t.links lid <> '\000' then begin
     Bytes.set t.links lid '\000';
     t.n_failed_links <- t.n_failed_links - 1;
-    changed t
+    changed t lid
   end
 
 let link_up t l = Bytes.get t.links (link_id t ~src:l.src ~dst:l.dst) = '\000'
@@ -168,7 +172,7 @@ let fail_router t id =
   if Bytes.get t.routers id = '\000' then begin
     Bytes.set t.routers id '\001';
     t.n_failed_routers <- t.n_failed_routers + 1;
-    changed t
+    changed t (-1 - id)
   end
 
 let repair_router t id =
@@ -176,7 +180,7 @@ let repair_router t id =
   if Bytes.get t.routers id <> '\000' then begin
     Bytes.set t.routers id '\000';
     t.n_failed_routers <- t.n_failed_routers - 1;
-    changed t
+    changed t (-1 - id)
   end
 
 let router_up t id =

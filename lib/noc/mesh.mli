@@ -69,6 +69,12 @@ val epoch : t -> int
 (** Monotone counter of fault-state flips; equal epochs imply identical
     fault state since the last observation. *)
 
+val last_flip : t -> int
+(** The component of the latest flip (the one that set {!epoch}): its
+    link id, or [-1 - id] for router [id]; whether it went down or up is
+    its current state. Meaningless at epoch 0. Lets a consumer that saw
+    epoch [e - 1] update incrementally to epoch [e]. *)
+
 val failed_link_count : t -> int
 val failed_router_count : t -> int
 
@@ -101,6 +107,10 @@ val link_id : t -> src:int -> dst:int -> int
 val link_of_id : t -> int -> link
 (** Inverse of [link_id]; the id must be in range (the result of a
     border id is a phantom link no valid route crosses). *)
+
+val link_dst : t -> int -> int
+(** [(link_of_id t lid).dst] without building the record or checking the
+    range — the id must come from [link_id]. *)
 
 val link_up_id : t -> int -> bool
 (** [link_up] by id, no validation — the id must come from [link_id]. *)

@@ -85,14 +85,9 @@ val dropped : 'msg t -> int
 val bytes_sent : 'msg t -> int
 
 val hop_load : 'msg t -> (Mesh.link * int) list
-(** Messages carried per link (congestion map). Allocates the assoc
-    list; hot sampling sites should use {!iter_hop_load}. *)
-
-val iter_hop_load : 'msg t -> (lid:int -> load:int -> unit) -> unit
-(** Zero-alloc fold over the loaded links: calls [f ~lid ~load] for every
-    directed link id with a positive carried-message count, in link-id
-    order. [Mesh.link_of_id] decodes [lid] when the endpoint pair is
-    needed. *)
+(** Messages carried per link (congestion map), in link-id order.
+    Allocates the assoc list; meant for tests and reports, not hot
+    sampling sites. *)
 
 (** {1 Adaptive-mode introspection} *)
 

@@ -1,8 +1,10 @@
-(* Model tests for adaptive NoC routing: delivery exactly when an
-   independent BFS reference says the endpoints are connected, loop
-   freedom and no-failed-component crossings (enforced by the checker on
-   random topologies), the mutation knobs proving each NoC invariant
-   fires, route-table epoch determinism across worker counts, and
+(* Model tests for adaptive NoC routing: the incrementally refreshed
+   route tables equal an independent full BFS after every refresh,
+   delivery exactly when a BFS reference says the endpoints are
+   connected (on a fixed and on a live, changing topology), loop freedom
+   and no-failed-component crossings (enforced by the checker on random
+   topologies), the mutation knobs proving each NoC invariant fires,
+   route-table epoch determinism across worker counts, and
    injection-log alignment of the link-failure campaign. *)
 
 open Resoc_noc
@@ -55,22 +57,156 @@ let ref_reachable mesh ~src ~dst =
     !found
   end
 
-(* Fault scripts: (op, operand) pairs hitting links and routers, with
-   repairs mixed in so epochs advance through both directions. *)
-let apply_ops mesh ops =
-  let links = Mesh.real_link_ids mesh in
-  List.iter
-    (fun (op, x) ->
-      match op mod 4 with
-      | 0 -> Mesh.fail_link mesh (Mesh.link_of_id mesh links.(x mod Array.length links))
-      | 1 -> Mesh.repair_link mesh (Mesh.link_of_id mesh links.(x mod Array.length links))
-      | 2 -> Mesh.fail_router mesh (x mod Mesh.n_nodes mesh)
-      | _ -> Mesh.repair_router mesh (x mod Mesh.n_nodes mesh))
-    ops
+(* Reference route tables: for every destination a reverse BFS over the
+   up routers and up links that explores the predecessors of each
+   dequeued router in the order above, left, right, below; the first
+   router to reach [u] is [u]'s next hop. Written against the mesh's
+   record API only (no shared code with Adaptive). Returns the
+   [table.(u).(dst)] matrix and the ordered pairs with a route. *)
+let ref_tables mesh =
+  let n = Mesh.n_nodes mesh and w = Mesh.width mesh and h = Mesh.height mesh in
+  let table = Array.make_matrix n n (-1) in
+  let pairs = ref 0 in
+  for dst = 0 to n - 1 do
+    if Mesh.router_up mesh dst then begin
+      table.(dst).(dst) <- dst;
+      let q = Queue.create () in
+      Queue.push dst q;
+      while not (Queue.is_empty q) do
+        let v = Queue.pop q in
+        let x, y = Mesh.coord_of_id mesh v in
+        List.iter
+          (fun (ux, uy) ->
+            if ux >= 0 && ux < w && uy >= 0 && uy < h then begin
+              let u = Mesh.id_of_coord mesh ~x:ux ~y:uy in
+              if
+                table.(u).(dst) < 0
+                && Mesh.router_up mesh u
+                && Mesh.link_up mesh { Mesh.src = u; dst = v }
+              then begin
+                table.(u).(dst) <- v;
+                incr pairs;
+                Queue.push u q
+              end
+            end)
+          [ (x, y - 1); (x - 1, y); (x + 1, y); (x, y + 1) ]
+      done
+    end
+  done;
+  (table, !pairs)
 
-let ops_gen = QCheck.(list_of_size (Gen.int_range 0 30) (pair (int_bound 3) small_nat))
+let tables_match ad mesh =
+  let table, pairs = ref_tables mesh in
+  let n = Mesh.n_nodes mesh in
+  let ok = ref (Adaptive.reachable_pairs ad = pairs) in
+  for cur = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if Adaptive.next_hop ad ~cur ~dst <> table.(cur).(dst) then ok := false
+    done
+  done;
+  !ok
+
+(* Fault scripts: (op, operand) pairs failing and repairing random links
+   and routers (so a repair is often a no-op on an up component), plus
+   repairs of an already-failed one, so epochs advance through both
+   directions and a repaired component often had changed the tables. *)
+let apply_op mesh (op, x) =
+  let links = Mesh.real_link_ids mesh in
+  let link () = Mesh.link_of_id mesh links.(x mod Array.length links) in
+  let pick l = List.nth l (x mod List.length l) in
+  match op with
+  | 0 -> Mesh.fail_link mesh (link ())
+  | 1 -> Mesh.repair_link mesh (link ())
+  | 2 -> Mesh.fail_router mesh (x mod Mesh.n_nodes mesh)
+  | 3 -> Mesh.repair_router mesh (x mod Mesh.n_nodes mesh)
+  | 4 -> (
+    match Mesh.failed_links mesh with [] -> () | l -> Mesh.repair_link mesh (pick l))
+  | _ -> (
+    match Mesh.failed_routers mesh with [] -> () | l -> Mesh.repair_router mesh (pick l))
+
+let apply_ops mesh ops = List.iter (apply_op mesh) ops
+
+let op_arb = QCheck.(pair (int_bound 5) small_nat)
+let ops_gen = QCheck.(list_of_size (Gen.int_range 0 30) op_arb)
 
 let adaptive_config = { Network.default_config with routing = Network.Adaptive }
+
+(* Oracle scripts: a mesh from 1xn up to 8x8, then bursts of fault ops
+   with one refresh after each burst; most bursts hold one flip (the
+   incremental path), some several (the full recompute). *)
+let oracle_gen =
+  let open QCheck.Gen in
+  let dims = pair (int_range 1 8) (int_range 1 8) in
+  let burst =
+    frequency [ (3, return 1); (1, int_range 2 4) ] >>= fun k -> list_repeat k (QCheck.gen op_arb)
+  in
+  pair dims (list_size (int_range 1 40) burst)
+
+let print_oracle ((w, h), bursts) =
+  Printf.sprintf "%dx%d %s" w h
+    (String.concat " | "
+       (List.map
+          (fun b -> String.concat "," (List.map (fun (o, x) -> Printf.sprintf "%d:%d" o x) b))
+          bursts))
+
+let prop_tables_match_reference =
+  QCheck.Test.make ~name:"refreshed tables equal a full reference BFS" ~count:300
+    (QCheck.make ~print:print_oracle ~shrink:QCheck.Shrink.(pair nil list) oracle_gen)
+    (fun ((w, h), bursts) ->
+      let w = if w * h < 2 then 2 else w in
+      let mesh = Mesh.create ~width:w ~height:h in
+      let ad = Adaptive.create mesh in
+      ignore (Adaptive.refresh ad);
+      let ok = ref (tables_match ad mesh) in
+      let refreshes = ref 1 in
+      List.iter
+        (fun burst ->
+          let before = Mesh.epoch mesh in
+          apply_ops mesh burst;
+          if Mesh.epoch mesh <> before then incr refreshes;
+          ignore (Adaptive.refresh ad);
+          if not (tables_match ad mesh && Adaptive.recomputes ad = !refreshes) then ok := false)
+        bursts;
+      !ok)
+
+(* The smallest case where a repaired link must take a route back: on a
+   2x2 mesh router 3 reaches 0 through 1 (north before west); with link
+   3 -> 1 down it goes through 2, and the repair must restore 1 even
+   though the detour is just as short. *)
+let test_link_up_retakes_tie () =
+  let mesh = Mesh.create ~width:2 ~height:2 in
+  let ad = Adaptive.create mesh in
+  Alcotest.(check int) "fault-free: via 1" 1 (Adaptive.next_hop ad ~cur:3 ~dst:0);
+  Mesh.fail_link mesh { Mesh.src = 3; dst = 1 };
+  Alcotest.(check int) "link down: via 2" 2 (Adaptive.next_hop ad ~cur:3 ~dst:0);
+  Mesh.repair_link mesh { Mesh.src = 3; dst = 1 };
+  Alcotest.(check int) "link up: via 1 again" 1 (Adaptive.next_hop ad ~cur:3 ~dst:0)
+
+(* Attach recording handlers; the returned function sends one message
+   between every ordered pair, runs the engine dry and tells whether
+   exactly the reference-connected pairs arrived. *)
+let all_pairs_probe engine mesh net =
+  let n = Mesh.n_nodes mesh in
+  let got = Hashtbl.create 64 in
+  for node = 0 to n - 1 do
+    Network.attach net ~node (fun ~src _ -> Hashtbl.replace got (src, node) ())
+  done;
+  fun () ->
+    Hashtbl.reset got;
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst then Network.send net ~src ~dst ~bytes_:16 ()
+      done
+    done;
+    Engine.run engine;
+    let ok = ref true in
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        if src <> dst && Hashtbl.mem got (src, dst) <> ref_reachable mesh ~src ~dst then
+          ok := false
+      done
+    done;
+    !ok
 
 let prop_delivery_iff_connected =
   QCheck.Test.make ~name:"adaptive delivers exactly the BFS-connected pairs" ~count:60 ops_gen
@@ -79,27 +215,7 @@ let prop_delivery_iff_connected =
       let mesh = Mesh.create ~width:4 ~height:4 in
       apply_ops mesh ops;
       let net = Network.create engine mesh adaptive_config in
-      let n = Mesh.n_nodes mesh in
-      let got = Hashtbl.create 64 in
-      for node = 0 to n - 1 do
-        Network.attach net ~node (fun ~src _ -> Hashtbl.replace got (src, node) ())
-      done;
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if src <> dst then Network.send net ~src ~dst ~bytes_:16 ()
-        done
-      done;
-      Engine.run engine;
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if src <> dst then begin
-            let expect = ref_reachable mesh ~src ~dst in
-            if Hashtbl.mem got (src, dst) <> expect then ok := false
-          end
-        done
-      done;
-      !ok)
+      all_pairs_probe engine mesh net ())
 
 let prop_counts_match_scans =
   QCheck.Test.make ~name:"O(1) failed counts equal the diagnostic scans" ~count:100 ops_gen
@@ -128,6 +244,26 @@ let prop_checked_clean =
           done;
           Engine.run engine;
           Check.hooks_fired () > 0))
+
+(* Delivery-iff-connected on a live network: the topology flips between
+   traffic bursts, so every burst after the first runs on tables the
+   network refreshed through its mesh subscription, under the checker. *)
+let prop_live_delivery_iff_connected =
+  QCheck.Test.make ~name:"live network delivers exactly the BFS-connected pairs" ~count:30
+    QCheck.(list_of_size (Gen.int_range 1 6) ops_gen)
+    (fun bursts ->
+      with_check (fun () ->
+          let engine = Engine.create () in
+          let mesh = Mesh.create ~width:4 ~height:4 in
+          let net = Network.create engine mesh adaptive_config in
+          let probe = all_pairs_probe engine mesh net in
+          let ok = ref true in
+          List.iter
+            (fun ops ->
+              apply_ops mesh ops;
+              if not (probe ()) then ok := false)
+            bursts;
+          !ok && Check.hooks_fired () > 0))
 
 (* --- Mutation knobs: each NoC invariant must fire when its property is
    deliberately broken (DESIGN.md section 7 discipline). --- *)
@@ -293,7 +429,15 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "resoc_adaptive"
     [
-      qsuite "model" [ prop_delivery_iff_connected; prop_counts_match_scans; prop_checked_clean ];
+      qsuite "model"
+        [
+          prop_tables_match_reference;
+          prop_delivery_iff_connected;
+          prop_live_delivery_iff_connected;
+          prop_counts_match_scans;
+          prop_checked_clean;
+        ];
+      ("oracle", [ Alcotest.test_case "link up retakes a tie" `Quick test_link_up_retakes_tie ]);
       ( "mutants",
         [
           Alcotest.test_case "skip-up-check fires" `Quick test_knob_skip_up_check;
