@@ -3,7 +3,9 @@
 # second per workload and compares the rows that do not depend on the host:
 # alloc_b_per_req, heap_peak_mb, sim_p50_cycles and sim_p99_cycles on all
 # five workloads, against bench/perf_baseline.tsv. Exits 1 on any row that
-# regressed or is unresolved, and on any baseline row the run lacks.
+# regressed or is unresolved, and on any baseline row the run lacks. Rows
+# that improved past their bound are listed as a stale baseline, without
+# failing the gate.
 # Allocation counts are only comparable on one compiler version.
 #
 # Usage, from the repository root: sh bench/perf_gate.sh
@@ -16,6 +18,15 @@ awk -F '\t' 'NR == 1 || $2 ~ /^(alloc_b_per_req|heap_peak_mb|sim_p50_cycles|sim_
 status=0
 ./_build/default/benchmark/resoc_bench.exe --compare bench/perf_baseline.tsv _perf/current.tsv \
   >_perf/compare.txt || status=1
+# A row that improved past its bound means the baseline is stale: it would
+# let that metric grow back by as much unnoticed. List such rows under a
+# note in the comparison (CI shows it in the job summary); this does not
+# change the exit status.
+stale=$(grep -E ' improved$' _perf/compare.txt || true)
+if [ -n "$stale" ]; then
+  printf '\nbaseline is stale; refresh it (cp _perf/current.tsv bench/perf_baseline.tsv):\n%s\n' \
+    "$stale" >>_perf/compare.txt
+fi
 cat _perf/compare.txt
 if grep -Eq ' (regressed|unresolved)$' _perf/compare.txt; then status=1; fi
 # --compare skips baseline rows the current file lacks, so look for them here.

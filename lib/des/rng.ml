@@ -119,3 +119,54 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
+
+(* --- counter arithmetic ---
+
+   SplitMix64 is counter-based: the state after [j] draws is
+   [s + j * golden_gamma], so draw [j] (0-based) ahead of state [s] is
+   [mix (s + (j + 1) * golden_gamma)] and can be computed in any order. The
+   lane helpers below read draws [first + l * stride] for [l < lanes]
+   without advancing the state, and [skip] advances past them in O(1). Each
+   runs its whole lane loop here and returns an immediate [int], so a caller
+   in another module allocates nothing under [-opaque]. *)
+
+(* The state [j] draws ahead of [t]'s. *)
+let[@inline] ahead t j =
+  Int64.add (Bytes.get_int64_le t 0) (Int64.mul golden_gamma (Int64.of_int j))
+
+let check_lanes name lanes =
+  if lanes < 0 || lanes > Sys.int_size then
+    invalid_arg ("Rng." ^ name ^ ": lanes must be in [0, 63]")
+
+let bool_lanes t ~first ~stride ~lanes =
+  check_lanes "bool_lanes" lanes;
+  let step = Int64.mul golden_gamma (Int64.of_int stride) in
+  let z = ref (ahead t (first + 1)) and mask = ref 0 in
+  for l = 0 to lanes - 1 do
+    mask := !mask lor ((Int64.to_int (mix !z) land 1) lsl l);
+    z := Int64.add !z step
+  done;
+  !mask
+
+(* [float t 1.0 < p] compares the top 53 bits, scaled by 2^-53, with [p];
+   both scalings are exact, so it is [bits < p * 2^53], and for an integer
+   [bits] that is [bits < ceil (p * 2^53)]. *)
+let bernoulli_lanes t p ~first ~stride ~lanes =
+  check_lanes "bernoulli_lanes" lanes;
+  if p >= 1.0 then if lanes = Sys.int_size then -1 else (1 lsl lanes) - 1
+  else if p > 0.0 then begin
+    let threshold = int_of_float (Float.ceil (p *. 0x1.0p53)) in
+    let step = Int64.mul golden_gamma (Int64.of_int stride) in
+    let z = ref (ahead t (first + 1)) and mask = ref 0 in
+    for l = 0 to lanes - 1 do
+      if Int64.to_int (Int64.shift_right_logical (mix !z) 11) < threshold then
+        mask := !mask lor (1 lsl l);
+      z := Int64.add !z step
+    done;
+    !mask
+  end
+  else 0
+
+let skip t k =
+  if k < 0 then invalid_arg "Rng.skip: count must be non-negative";
+  Bytes.set_int64_le t 0 (ahead t k)

@@ -63,3 +63,27 @@ val pick : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
+
+(** {2 Lane draws}
+
+    SplitMix64 is counter-based, so the [j]-th draw ahead of the current
+    state can be computed directly. These helpers let a word-parallel
+    evaluator read many trials' draws at once and stay on the exact stream
+    the one-at-a-time draws above would produce. *)
+
+val bool_lanes : t -> first:int -> stride:int -> lanes:int -> int
+(** [bool_lanes t ~first ~stride ~lanes] has bit [l] (for [l < lanes]) set
+    iff the draw [first + l * stride] ahead of [t] (0-based) would make
+    {!bool} return [true]. Does not advance [t]. Raises [Invalid_argument]
+    unless [0 <= lanes <= 63]. *)
+
+val bernoulli_lanes : t -> float -> first:int -> stride:int -> lanes:int -> int
+(** [bernoulli_lanes t p ~first ~stride ~lanes] is the same mask for
+    [bernoulli t p]. At [p >= 1] every lane is set and at [p <= 0] none,
+    matching {!bernoulli}, which draws nothing there. Does not advance
+    [t]. *)
+
+val skip : t -> int -> unit
+(** [skip t k] advances [t] by [k] draws in O(1): afterwards [t] is where
+    [k] calls of {!int64} would have left it. Raises [Invalid_argument] if
+    [k < 0]. *)

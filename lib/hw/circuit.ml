@@ -11,7 +11,7 @@ type kind =
 
 (* [build] compiles the netlist into three flat arrays, one entry per gate:
    an opcode and two operand indices ([Input k] keeps [k] in [arg_a],
-   [Const b] keeps its two-lane value there). Opcodes are constant
+   [Const b] keeps its all-lanes word there). Opcodes are constant
    constructors, so [op] is an array of immediates and the evaluator below
    dispatches through a jump table without touching a boxed variant. *)
 type opcode = Op_input | Op_const | Op_not | Op_buf | Op_and | Op_or | Op_xor | Op_nand | Op_nor
@@ -45,16 +45,9 @@ let validate ~n_inputs gates ~outputs =
     gates;
   Array.iter (fun o -> if o < 0 || o >= n then invalid_arg "Circuit.build: output index out of range") outputs
 
-(* Every wire carries two lanes in one int: bit 0 is the fault-free value,
-   bit 1 the value under fault injection. A fault flips bit 1 only. *)
-let golden_lane = 1
-let faulty_lane = 2
-let both = golden_lane lor faulty_lane
-let lanes b = if b then both else 0
-
 let compile = function
   | Input k -> (Op_input, k, 0)
-  | Const b -> (Op_const, lanes b, 0)
+  | Const b -> (Op_const, (if b then -1 else 0), 0)
   | Not a -> (Op_not, a, 0)
   | Buf a -> (Op_buf, a, 0)
   | And (a, b) -> (Op_and, a, b)
@@ -84,59 +77,108 @@ let gate_count t = t.fallible
 let gates t = Array.copy t.gates
 let outputs t = Array.copy t.outputs
 
-let[@inline] upset rng p_gate v =
-  if Resoc_des.Rng.bernoulli rng p_gate then v lxor faulty_lane else v
-
-(* One pass over the netlist in topological order. [inputs] holds two-lane
-   input values. Each fallible gate makes exactly one [Rng.bernoulli] call,
-   in gate order, which draws nothing at p <= 0 or p >= 1. *)
-let run t values inputs rng p_gate =
+(* The word-lane evaluator. Every wire holds two words, [good] fault-free
+   and [bad] under fault injection; bit [l] of each is trial [l] of the
+   pass, so one bitwise op per gate evaluates up to 63 trials. Trial [l]'s
+   draws are the ones it would make on its own: [draws] per trial, the
+   trial's [n_inputs] input bits first, then one [bernoulli] per fallible
+   gate in netlist order. [Rng]'s lane helpers read them out of order and
+   leave the generator alone; the caller skips past them afterwards.
+   [first] is the 0-based draw of lane 0's first gate upset. [rng] is
+   [None] for the fault-free evaluation, which draws nothing. *)
+let pass t good bad inputs rng p_gate ~first ~draws ~lanes =
   let op = t.op and arg_a = t.arg_a and arg_b = t.arg_b in
+  let gate = ref first in
   for i = 0 to Array.length op - 1 do
-    let a = arg_a.(i) in
-    values.(i) <-
-      (match op.(i) with
-       | Op_input -> inputs.(a)
-       | Op_const -> a
-       | Op_not -> upset rng p_gate (values.(a) lxor both)
-       | Op_buf -> upset rng p_gate values.(a)
-       | Op_and -> upset rng p_gate (values.(a) land values.(arg_b.(i)))
-       | Op_or -> upset rng p_gate (values.(a) lor values.(arg_b.(i)))
-       | Op_xor -> upset rng p_gate (values.(a) lxor values.(arg_b.(i)))
-       | Op_nand -> upset rng p_gate ((values.(a) land values.(arg_b.(i))) lxor both)
-       | Op_nor -> upset rng p_gate ((values.(a) lor values.(arg_b.(i))) lxor both))
+    let a = arg_a.(i) and b = arg_b.(i) and o = op.(i) in
+    let flip =
+      match (o, rng) with
+      | (Op_input | Op_const), _ | _, None -> 0
+      | _, Some rng ->
+        let f = Resoc_des.Rng.bernoulli_lanes rng p_gate ~first:!gate ~stride:draws ~lanes in
+        incr gate;
+        f
+    in
+    match o with
+    | Op_input ->
+      good.(i) <- inputs.(a);
+      bad.(i) <- inputs.(a)
+    | Op_const ->
+      good.(i) <- a;
+      bad.(i) <- a
+    | Op_not ->
+      good.(i) <- lnot good.(a);
+      bad.(i) <- lnot bad.(a) lxor flip
+    | Op_buf ->
+      good.(i) <- good.(a);
+      bad.(i) <- bad.(a) lxor flip
+    | Op_and ->
+      good.(i) <- good.(a) land good.(b);
+      bad.(i) <- bad.(a) land bad.(b) lxor flip
+    | Op_or ->
+      good.(i) <- good.(a) lor good.(b);
+      bad.(i) <- bad.(a) lor bad.(b) lxor flip
+    | Op_xor ->
+      good.(i) <- good.(a) lxor good.(b);
+      bad.(i) <- bad.(a) lxor bad.(b) lxor flip
+    | Op_nand ->
+      good.(i) <- lnot (good.(a) land good.(b));
+      bad.(i) <- lnot (bad.(a) land bad.(b)) lxor flip
+    | Op_nor ->
+      good.(i) <- lnot (good.(a) lor good.(b));
+      bad.(i) <- lnot (bad.(a) lor bad.(b)) lxor flip
   done
 
-(* [eval] runs the same pass at p = 0, where [bernoulli] never reads the
-   generator, so this one is never advanced. *)
-let unused_rng = Resoc_des.Rng.create 0L
+(* [bernoulli] draws nothing at p <= 0 or p >= 1. *)
+let gate_draws t p_gate = if p_gate <= 0.0 || p_gate >= 1.0 then 0 else t.fallible
 
-let eval_lane t rng ~p_gate inputs lane =
+(* One trial in lane 0. *)
+let eval_one t rng ~p_gate inputs =
   if Array.length inputs <> t.n_inputs then invalid_arg "Circuit.eval: wrong input arity";
-  let values = Array.make (Array.length t.op) 0 in
-  run t values (Array.map lanes inputs) rng p_gate;
-  Array.map (fun o -> values.(o) land lane <> 0) t.outputs
+  let n = Array.length t.op in
+  let good = Array.make n 0 and bad = Array.make n 0 in
+  pass t good bad (Array.map Bool.to_int inputs) rng p_gate ~first:0 ~draws:1 ~lanes:1;
+  (good, bad)
 
-let eval t inputs = eval_lane t unused_rng ~p_gate:0.0 inputs golden_lane
+let eval t inputs =
+  let good, _ = eval_one t None ~p_gate:0.0 inputs in
+  Array.map (fun o -> good.(o) land 1 <> 0) t.outputs
 
-let eval_faulty t rng ~p_gate inputs = eval_lane t rng ~p_gate inputs faulty_lane
+let eval_faulty t rng ~p_gate inputs =
+  let _, bad = eval_one t (Some rng) ~p_gate inputs in
+  Resoc_des.Rng.skip rng (gate_draws t p_gate);
+  Array.map (fun o -> bad.(o) land 1 <> 0) t.outputs
+
+(* Trials per pass: one per bit of an int. *)
+let word = Sys.int_size
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
 let count_correct t rng ~trials ~p_gate =
-  let inputs = Array.make t.n_inputs 0 and values = Array.make (Array.length t.op) 0 in
+  let n = Array.length t.op in
+  let good = Array.make n 0 and bad = Array.make n 0 and inputs = Array.make t.n_inputs 0 in
+  let draws = t.n_inputs + gate_draws t p_gate in
+  let faults = Some rng in
   let correct = ref 0 in
-  for _ = 1 to trials do
+  let trial = ref 0 in
+  while !trial < trials do
+    let lanes = min word (trials - !trial) in
+    let base = !trial * draws in
     for k = 0 to t.n_inputs - 1 do
-      inputs.(k) <- lanes (Resoc_des.Rng.bool rng)
+      inputs.(k) <- Resoc_des.Rng.bool_lanes rng ~first:(base + k) ~stride:draws ~lanes
     done;
-    run t values inputs rng p_gate;
-    (* A trial is correct when both lanes agree on every output. *)
-    let agree = ref true in
+    pass t good bad inputs faults p_gate ~first:(base + t.n_inputs) ~draws ~lanes;
+    (* A trial is correct when both words agree on every output. Bits past
+       [lanes] see no input bits and no upsets, so the words agree there. *)
+    let wrong = ref 0 in
     for j = 0 to Array.length t.outputs - 1 do
-      let v = values.(t.outputs.(j)) in
-      if v <> 0 && v <> both then agree := false
+      let o = t.outputs.(j) in
+      wrong := !wrong lor (good.(o) lxor bad.(o))
     done;
-    if !agree then incr correct
+    correct := !correct + lanes - popcount !wrong;
+    trial := !trial + lanes
   done;
+  Resoc_des.Rng.skip rng (max 0 trials * draws);
   !correct
 
 (* --- builders --- *)
@@ -155,11 +197,10 @@ let majority3 =
   in
   build ~n_inputs:3 gates ~outputs:[| 7 |]
 
-(* n-input majority as a chain of full adders summing the input bits, then a
-   threshold comparison built from the popcount bits. To stay simple we use
-   a "sorting by pairwise median" recursion for small odd n: majority of n is
-   computed by ORing all AND-combinations of ceil(n/2) inputs only for tiny n;
-   for general odd n we build a serial counter out of half/full adders. *)
+(* n-input majority. n = 1 is a buffer and n = 3 the sum of products above.
+   Larger n count the inputs into a little-endian sum, rippling each input
+   bit through one half adder (XOR for the sum bit, AND for the carry) per
+   sum bit, then compare that count with the threshold (n+1)/2. *)
 let majority n =
   if n < 1 || n mod 2 = 0 then invalid_arg "Circuit.majority: n must be odd and positive";
   if n = 1 then build ~n_inputs:1 [| Input 0; Buf 0 |] ~outputs:[| 1 |]
@@ -193,7 +234,7 @@ let majority n =
     (* popcount > n/2  <=>  popcount >= (n+1)/2; compare against threshold. *)
     let threshold = (n + 1) / 2 in
     (* Greater-or-equal comparison of sum (unsigned, little-endian) with the
-       constant threshold, folded from the most significant bit down:
+       constant threshold, built from the least significant bit up:
        ge_b = (s_b > t_b) or (s_b = t_b and ge_{b-1}); base case ge = true. *)
     let ge = ref (emit (Const true)) in
     for b = 0 to width - 1 do

@@ -37,20 +37,23 @@ val outputs : t -> int array
 (** Indices of the output gates. *)
 
 val eval : t -> bool array -> bool array
-(** Fault-free evaluation. *)
+(** Fault-free evaluation. Draws nothing. *)
 
 val eval_faulty : t -> Resoc_des.Rng.t -> p_gate:float -> bool array -> bool array
 (** Evaluation in which every fallible gate's output flips independently
-    with probability [p_gate]: one [Rng.bernoulli rng p_gate] per fallible
-    gate, in netlist order. *)
+    with probability [p_gate]. It consumes the draws of one
+    [Rng.bernoulli rng p_gate] per fallible gate, in netlist order, and
+    gets the same flips they would give; [bernoulli] draws nothing at
+    [p_gate <= 0] or [p_gate >= 1]. *)
 
 val count_correct : t -> Resoc_des.Rng.t -> trials:int -> p_gate:float -> int
 (** [count_correct t rng ~trials ~p_gate] runs [trials] random-input trials
     and counts those in which {!eval_faulty} matches {!eval} on every
-    output. Each trial draws [n_inputs] [Rng.bool]s, then makes the draws of
-    one {!eval_faulty}, so the stream is the same as calling the two
-    evaluators in turn. Both evaluations run in one pass over the netlist
-    and no trial allocates. *)
+    output. Each trial consumes [n_inputs] [Rng.bool] draws, then the draws
+    of one {!eval_faulty}, so the stream and the count are those of calling
+    the two evaluators trial by trial. One pass over the netlist evaluates
+    63 trials, one per bit of an int; the Monte Carlo allocates only its
+    per-call scratch arrays. *)
 
 (** Library of builders. *)
 
@@ -58,8 +61,9 @@ val majority3 : t
 (** 3-input majority voter (4 gates). *)
 
 val majority : int -> t
-(** [majority n] for odd [n]: n-input majority (sorting-network free,
-    threshold via adder tree of AND/OR/XOR gates). *)
+(** [majority n] for odd [n]: n-input majority. Beyond [n = 3] it counts
+    the inputs with ripples of half adders and compares the count with
+    [(n+1)/2] (AND/OR/XOR gates only). *)
 
 val xor_tree : int -> t
 (** n-input parity. *)

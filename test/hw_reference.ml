@@ -133,7 +133,7 @@ module Netlist = struct
 
   let eval_faulty c rng ~p_gate inputs = eval_with c inputs (fun () -> Rng.bernoulli rng p_gate)
 
-  let mc_circuit_correct rng c ~trials ~p_gate =
+  let count_correct rng c ~trials ~p_gate =
     let correct = ref 0 in
     for _ = 1 to trials do
       let inputs = Array.init (n_inputs c) (fun _ -> Rng.bool rng) in
@@ -141,5 +141,5 @@ module Netlist = struct
       let faulty = eval_faulty c rng ~p_gate inputs in
       if golden = faulty then incr correct
     done;
-    float_of_int !correct /. float_of_int trials
+    !correct
 end

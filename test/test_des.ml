@@ -279,7 +279,54 @@ let test_rng_draws_allocation_free () =
   in
   check "int" (fun () -> ignore (Sys.opaque_identity (Rng.int r 1000)));
   check "bool" (fun () -> ignore (Sys.opaque_identity (Rng.bool r)));
-  check "bernoulli" (fun () -> ignore (Sys.opaque_identity (Rng.bernoulli r 0.3)))
+  check "bernoulli" (fun () -> ignore (Sys.opaque_identity (Rng.bernoulli r 0.3)));
+  check "bool_lanes" (fun () ->
+      ignore (Sys.opaque_identity (Rng.bool_lanes r ~first:5 ~stride:7 ~lanes:63)));
+  check "bernoulli_lanes" (fun () ->
+      ignore (Sys.opaque_identity (Rng.bernoulli_lanes r 0.3 ~first:5 ~stride:7 ~lanes:63)));
+  check "skip" (fun () -> Rng.skip r 1000)
+
+(* The lane helpers read draws out of order; they must give the bits that
+   one-at-a-time draws at the same offsets give, and leave the generator
+   where it was. [draw] is one [Rng.bool] or [Rng.bernoulli] call. *)
+let sequential_mask draw r ~first ~stride ~lanes =
+  let walker = Rng.copy r and pos = ref 0 and mask = ref 0 in
+  for l = 0 to lanes - 1 do
+    while !pos < first + (l * stride) do
+      ignore (Rng.int64 walker);
+      incr pos
+    done;
+    if draw (Rng.copy walker) then mask := !mask lor (1 lsl l)
+  done;
+  !mask
+
+let lane_ps = [ 0.0; Float.min_float; 1e-3; 0.5; 1.0 -. epsilon_float; Float.pred 1.0; 1.0 ]
+
+let prop_lane_draws_match_sequential =
+  QCheck.Test.make ~name:"lane draws match sequential draws" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (seed, p, (first, stride, lanes)) ->
+          Printf.sprintf "seed %Ld p %h first %d stride %d lanes %d" seed p first stride lanes)
+        Gen.(triple ui64 (oneofl lane_ps) (triple (0 -- 200) (1 -- 12) (0 -- 63))))
+    (fun (seed, p, (first, stride, lanes)) ->
+      let r = Rng.create seed in
+      let untouched = Rng.copy r in
+      Rng.bool_lanes r ~first ~stride ~lanes = sequential_mask Rng.bool r ~first ~stride ~lanes
+      && Rng.bernoulli_lanes r p ~first ~stride ~lanes
+         = sequential_mask (fun c -> Rng.bernoulli c p) r ~first ~stride ~lanes
+      && Int64.equal (Rng.int64 r) (Rng.int64 untouched))
+
+let prop_skip_matches_draws =
+  QCheck.Test.make ~name:"skip equals k draws" ~count:300
+    QCheck.(pair int64 (0 -- 300))
+    (fun (seed, k) ->
+      let skipped = Rng.create seed and drawn = Rng.create seed in
+      Rng.skip skipped k;
+      for _ = 1 to k do
+        ignore (Rng.int64 drawn)
+      done;
+      Int64.equal (Rng.int64 skipped) (Rng.int64 drawn))
 
 (* --- Engine --- *)
 
@@ -582,6 +629,7 @@ let () =
           Alcotest.test_case "pop releases payloads" `Quick test_heap_pop_releases;
         ] );
       qsuite "heap-prop" [ prop_heap_sorts; prop_ipq_model ];
+      qsuite "rng-prop" [ prop_lane_draws_match_sequential; prop_skip_matches_draws ];
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;

@@ -375,27 +375,40 @@ let p_gates = [ 0.0; 1e-4; 0.01; 0.5; 1.0 ]
 let circuit_case =
   QCheck.(
     make
-      ~print:(fun ((family, seed), p, rng_seed) ->
-        Printf.sprintf "family %d seed %d p %g rng %d" family seed p rng_seed)
-      Gen.(triple (pair (0 -- 3) nat) (oneofl p_gates) nat))
+      ~print:(fun ((family, seed), rng_seed) ->
+        Printf.sprintf "family %d seed %d rng %d" family seed rng_seed)
+      Gen.(pair (pair (0 -- 3) nat) nat))
+
+(* Trial counts on both sides of each 63-lane word boundary. *)
+let trial_counts = [ 1; 62; 63; 64; 127; 200 ]
 
 let prop_circuit_matches_reference =
-  QCheck.Test.make ~name:"two-lane evaluator matches the reference" ~count:300 circuit_case
-    (fun (spec, p_gate, rng_seed) ->
+  QCheck.Test.make ~name:"word-lane evaluator equals the reference" ~count:60 circuit_case
+    (fun (spec, rng_seed) ->
       let c = circuit_of spec in
-      let fast = Rng.create (Int64.of_int rng_seed) in
-      let slow = Rng.copy fast in
-      let inputs = Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool fast) in
-      ignore (Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool slow));
-      Circuit.eval c inputs = Ref_circuit.eval c inputs
-      && Circuit.eval_faulty c fast ~p_gate inputs = Ref_circuit.eval_faulty c slow ~p_gate inputs
-      && Redundancy.mc_circuit_correct fast c ~trials:25 ~p_gate
-         = Ref_circuit.mc_circuit_correct slow c ~trials:25 ~p_gate
-      && Int64.equal (Rng.int64 fast) (Rng.int64 slow))
+      let same_draws fast slow = Int64.equal (Rng.int64 fast) (Rng.int64 slow) in
+      List.for_all
+        (fun p_gate ->
+          let fast = Rng.create (Int64.of_int rng_seed) in
+          let slow = Rng.copy fast in
+          let inputs = Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool fast) in
+          ignore (Array.init (Circuit.n_inputs c) (fun _ -> Rng.bool slow));
+          Circuit.eval c inputs = Ref_circuit.eval c inputs
+          && Circuit.eval_faulty c fast ~p_gate inputs
+             = Ref_circuit.eval_faulty c slow ~p_gate inputs
+          && same_draws fast slow
+          && List.for_all
+               (fun trials ->
+                 Circuit.count_correct c fast ~trials ~p_gate
+                 = Ref_circuit.count_correct slow c ~trials ~p_gate
+                 && same_draws fast slow)
+               trial_counts)
+        p_gates)
 
 let test_circuit_extreme_p_draws_nothing () =
   (* At p = 0 and p = 1 [bernoulli] never reads the generator: a faulty
-     evaluation leaves it where it was. *)
+     evaluation leaves it where it was, and a Monte Carlo run draws only
+     its trials' input bits. *)
   let c = circuit_of (3, 7) in
   let inputs = Array.make (Circuit.n_inputs c) true in
   List.iter
@@ -406,7 +419,20 @@ let test_circuit_extreme_p_draws_nothing () =
         (Rng.int64 (Rng.create 99L)) (Rng.int64 rng);
       Alcotest.(check (array bool)) (Printf.sprintf "p=%g output" p_gate)
         (Ref_circuit.eval_faulty c (Rng.create 99L) ~p_gate inputs)
-        out)
+        out;
+      List.iter
+        (fun trials ->
+          let rng = Rng.create 99L and expected = Rng.create 99L in
+          let correct = Circuit.count_correct c rng ~trials ~p_gate in
+          for _ = 1 to trials * Circuit.n_inputs c do
+            ignore (Rng.int64 expected)
+          done;
+          Alcotest.(check int64) (Printf.sprintf "p=%g trials=%d input draws only" p_gate trials)
+            (Rng.int64 expected) (Rng.int64 rng);
+          Alcotest.(check int) (Printf.sprintf "p=%g trials=%d count" p_gate trials)
+            (Ref_circuit.count_correct (Rng.create 99L) c ~trials ~p_gate)
+            correct)
+        trial_counts)
     [ 0.0; 1.0 ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
