@@ -1,21 +1,38 @@
-(* Hot-path layout: the queue is an int-keyed binary heap (Ipq) whose key
-   packs (time, seq) into one word — [time lsl seq_bits lor seq] — and
-   whose payload is a slot index into a pooled event table. Scheduling in
-   steady state therefore allocates nothing: the heap stores two unboxed
-   ints, and the slot (action closure cell, cancelled flag, generation)
-   comes off a free list.
+(* Hot-path layout: the queue has two levels, in the style of a hashed
+   timing wheel (Varghese & Lauck, SOSP 1987).
 
-   seq is a 20-bit era counter, not a global one. It only has to order
-   events that coexist in the queue at equal times; when an era runs out
-   we renumber the queued events 0..n-1 in (time, seq) order, which
-   preserves their relative order exactly, and newly scheduled events get
-   larger seqs — so the observable firing order is identical to a global
-   sequence number. That identity is what keeps simulations bit-for-bit
-   deterministic across this optimization (see DESIGN.md).
+   - Near events, due in [now, now + 64), sit in a wheel of 64 buckets,
+     one FIFO list per cycle: bucket [time land 63]. The lists are chained
+     through [free_next], which a queued slot does not otherwise use (a
+     slot is either free or queued, never both).
+   - Far events sit in an int-keyed binary heap (Ipq) whose key packs
+     (time, seq) into one word — [time lsl seq_bits lor seq] — and whose
+     payload is a slot index into the pooled event table.
+
+   Whenever the clock advances, before that cycle's first action runs,
+   every heap event now due within 64 cycles moves into its bucket in key
+   order. That keeps the firing order exactly (time, seq), as if one queue
+   held everything: a heap event for cycle T was scheduled before T entered
+   the window, and every direct wheel schedule for T after it did, so each
+   bucket's FIFO is seq order. Scheduling in steady state allocates
+   nothing: a bucket append or a heap push of two unboxed ints, and the
+   slot (action closure cell, cancelled flag, generation) comes off a free
+   list.
+
+   seq orders heap events only, and it is a 20-bit era counter, not a
+   global one. It only has to order far events that coexist in the heap at
+   equal times; when an era runs out we renumber the heap 0..n-1 in (time,
+   seq) order, which preserves their relative order exactly, and newly
+   scheduled events get larger seqs — so the observable firing order is
+   identical to a global sequence number. That identity is what keeps
+   simulations bit-for-bit deterministic across this optimization (see
+   DESIGN.md).
 
    Cancellation is lazy: the flag lives in the slot, a cancelled event is
-   skipped (and its slot recycled) when popped, and when more than half
-   the queue is dead we purge it in one pass. Handles pack (generation,
+   skipped (and its slot recycled) when popped, and when more than half of
+   all queued entries, wheel and heap together, are dead we purge both
+   levels in one pass. Dead entries migrate like live ones, so [pending]
+   counts exactly what a single queue would. Handles pack (generation,
    slot) so a stale handle — fired, cancelled, or recycled — is a no-op. *)
 
 module Obs = Resoc_obs.Obs
@@ -29,6 +46,9 @@ let slot_bits = 22
 let slot_limit = 1 lsl slot_bits
 let slot_mask = slot_limit - 1
 
+let wheel_size = 64
+let wheel_mask = wheel_size - 1
+
 type handle = int
 
 let nop () = ()
@@ -38,7 +58,12 @@ type t = {
   mutable next_seq : int;
   mutable processed : int;
   mutable stopped : bool;
-  queue : Ipq.t;
+  (* Near level: bucket heads and tails, -1 when empty. *)
+  heads : int array;
+  tails : int array;
+  mutable n_near : int;
+  (* Far level: events due at [now + 64] or later. *)
+  far : Ipq.t;
   (* Event slot pool; all four stores grow together. *)
   mutable actions : (unit -> unit) array;
   mutable cancelled : Bytes.t;
@@ -69,7 +94,10 @@ let create ?(seed = 1L) () =
     next_seq = 0;
     processed = 0;
     stopped = false;
-    queue = Ipq.create ();
+    heads = Array.make wheel_size (-1);
+    tails = Array.make wheel_size (-1);
+    n_near = 0;
+    far = Ipq.create ();
     actions = [||];
     cancelled = Bytes.empty;
     gens = [||];
@@ -127,17 +155,40 @@ let free_slot t slot =
   Array.unsafe_set t.free_next slot t.free_head;
   t.free_head <- slot
 
-(* Compact the queue: drop cancelled entries if [drop_cancelled], then
+let is_dead t slot = Bytes.unsafe_get t.cancelled slot <> '\000'
+
+(* Append [slot] to bucket [b]'s FIFO. *)
+let push_near t b slot =
+  Array.unsafe_set t.free_next slot (-1);
+  let tail = Array.unsafe_get t.tails b in
+  if tail < 0 then Array.unsafe_set t.heads b slot
+  else Array.unsafe_set t.free_next tail slot;
+  Array.unsafe_set t.tails b slot;
+  t.n_near <- t.n_near + 1
+
+(* Move every heap event due before [now + 64] into its bucket, in key
+   order. Called whenever [now] advances, before any action runs at the
+   new time. *)
+let migrate t =
+  let limit = t.now + wheel_size in
+  let far = t.far in
+  while (not (Ipq.is_empty far)) && Ipq.min_key far lsr seq_bits < limit do
+    let key = Ipq.min_key far and slot = Ipq.min_val far in
+    Ipq.remove_min far;
+    push_near t ((key lsr seq_bits) land wheel_mask) slot
+  done
+
+(* Compact the heap: drop cancelled entries if [drop_cancelled], then
    reassign seqs 0..n-1 in (time, seq) order. Relative order of the
    survivors is untouched, and subsequent events get larger seqs, so
    observable behavior is exactly that of an unbounded global seq. *)
 let compact t ~drop_cancelled =
-  let pairs = Ipq.to_sorted_pairs t.queue in
+  let pairs = Ipq.to_sorted_pairs t.far in
   let n = Array.length pairs in
   let kept = ref 0 in
   for i = 0 to n - 1 do
     let key, slot = Array.unsafe_get pairs i in
-    if drop_cancelled && Bytes.get t.cancelled slot <> '\000' then begin
+    if drop_cancelled && is_dead t slot then begin
       t.n_cancelled <- t.n_cancelled - 1;
       free_slot t slot
     end
@@ -146,25 +197,50 @@ let compact t ~drop_cancelled =
       incr kept
     end
   done;
-  Ipq.reload t.queue (Array.sub pairs 0 !kept);
+  Ipq.reload t.far (Array.sub pairs 0 !kept);
   t.next_seq <- !kept
 
 let renumber t =
-  if Ipq.size t.queue >= seq_limit then
+  if Ipq.size t.far >= seq_limit then
     failwith "Engine: more than 2^20 events pending at one time";
   compact t ~drop_cancelled:false
 
-let purge t = compact t ~drop_cancelled:true
+(* Drop every cancelled entry from both levels. Buckets are walked in time
+   order from [now] and before the heap, so slots return to the free list
+   in the same (time, seq) order a single queue would free them. *)
+let purge t =
+  for i = 0 to wheel_mask do
+    let b = (t.now + i) land wheel_mask in
+    let s = ref (Array.unsafe_get t.heads b) in
+    t.heads.(b) <- -1;
+    t.tails.(b) <- -1;
+    while !s >= 0 do
+      let slot = !s in
+      s := Array.unsafe_get t.free_next slot;
+      t.n_near <- t.n_near - 1;
+      if is_dead t slot then begin
+        t.n_cancelled <- t.n_cancelled - 1;
+        free_slot t slot
+      end
+      else push_near t b slot
+    done
+  done;
+  compact t ~drop_cancelled:true
+
+let pending t = t.n_near + Ipq.size t.far
 
 let at t ~time action =
   if time < t.now then invalid_arg "Engine.at: time is in the past";
   if time > max_time then invalid_arg "Engine.at: time beyond the 42-bit cycle horizon";
-  if t.next_seq = seq_limit then renumber t;
   let slot = alloc_slot t in
   Array.unsafe_set t.actions slot action;
   Bytes.unsafe_set t.cancelled slot '\000';
-  Ipq.add t.queue ((time lsl seq_bits) lor t.next_seq) slot;
-  t.next_seq <- t.next_seq + 1;
+  if time - t.now < wheel_size then push_near t (time land wheel_mask) slot
+  else begin
+    if t.next_seq = seq_limit then renumber t;
+    Ipq.add t.far ((time lsl seq_bits) lor t.next_seq) slot;
+    t.next_seq <- t.next_seq + 1
+  end;
   (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
 
 let schedule t ~delay action =
@@ -175,10 +251,9 @@ let every t ~period ?start action =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";
   let first = match start with Some s -> s | None -> t.now + period in
   (* One closure and one mutable cell per periodic timer, reused for
-     every tick: re-arming pushes two ints and recycles a pool slot. The
-     re-arm happens after [action], exactly where the old recursive
-     version scheduled it, so seq interleaving — and thus determinism —
-     is unchanged. *)
+     every tick: re-arming recycles a pool slot. The re-arm happens after
+     [action], exactly where the old recursive version scheduled it, so
+     the firing order — and thus determinism — is unchanged. *)
   let next = ref first in
   let rec tick () =
     action ();
@@ -199,37 +274,72 @@ let cancel t h =
     t.n_cancelled <- t.n_cancelled + 1;
     if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_cancelled;
     (* Lazy deletion: skip-on-pop is free, but a queue that is mostly
-       corpses wastes heap depth — purge once the dead outnumber the
-       live. *)
-    if t.n_cancelled > 64 && 2 * t.n_cancelled > Ipq.size t.queue then purge t
+       corpses wastes heap depth and wheel walks — purge once the dead
+       outnumber the live. *)
+    if t.n_cancelled > 64 && 2 * t.n_cancelled > pending t then purge t
   end
-
-let pending t = Ipq.size t.queue
 
 let events_processed t = t.processed
 
-let step t =
-  if Ipq.is_empty t.queue then false
-  else begin
-    let key = Ipq.min_key t.queue and slot = Ipq.min_val t.queue in
-    Ipq.remove_min t.queue;
-    let action = Array.unsafe_get t.actions slot in
-    let dead = Bytes.get t.cancelled slot <> '\000' in
-    if dead then begin
-      Bytes.set t.cancelled slot '\000';
-      t.n_cancelled <- t.n_cancelled - 1;
-      free_slot t slot
+(* Time of the earliest queued entry, dead or alive; -1 when the queue is
+   empty. Wheel entries all precede heap entries, and the wheel holds only
+   times in [now, now + 64), so the first non-empty bucket from [now] on
+   holds the earliest. *)
+let next_time t =
+  if t.n_near > 0 then begin
+    let heads = t.heads and time = ref t.now in
+    while Array.unsafe_get heads (!time land wheel_mask) < 0 do
+      incr time
+    done;
+    !time
+  end
+  else if Ipq.is_empty t.far then -1
+  else Ipq.min_key t.far lsr seq_bits
+
+(* Pop the earliest entry, due at [time] (from [next_time]), and run it
+   unless it was cancelled. *)
+let fire t time =
+  let slot =
+    if t.n_near > 0 then begin
+      let b = time land wheel_mask in
+      let slot = Array.unsafe_get t.heads b in
+      let next = Array.unsafe_get t.free_next slot in
+      Array.unsafe_set t.heads b next;
+      if next < 0 then Array.unsafe_set t.tails b (-1);
+      t.n_near <- t.n_near - 1;
+      slot
     end
     else begin
-      free_slot t slot;
-      t.now <- key lsr seq_bits;
-      t.processed <- t.processed + 1;
-      if !Obs.metrics_on then begin
-        Registry.incr t.obs.Obs.metrics t.obs_fired;
-        Registry.set t.obs.Obs.metrics t.obs_qdepth (Ipq.size t.queue)
-      end;
-      action ()
+      let slot = Ipq.min_val t.far in
+      Ipq.remove_min t.far;
+      slot
+    end
+  in
+  if is_dead t slot then begin
+    Bytes.unsafe_set t.cancelled slot '\000';
+    t.n_cancelled <- t.n_cancelled - 1;
+    free_slot t slot
+  end
+  else begin
+    let action = Array.unsafe_get t.actions slot in
+    free_slot t slot;
+    if time <> t.now then begin
+      t.now <- time;
+      migrate t
     end;
+    t.processed <- t.processed + 1;
+    if !Obs.metrics_on then begin
+      Registry.incr t.obs.Obs.metrics t.obs_fired;
+      Registry.set t.obs.Obs.metrics t.obs_qdepth (pending t)
+    end;
+    action ()
+  end
+
+let step t =
+  let time = next_time t in
+  if time < 0 then false
+  else begin
+    fire t time;
     true
   end
 
@@ -239,17 +349,25 @@ let run ?until ?max_events t =
   t.stopped <- false;
   let budget = match max_events with Some m -> ref m | None -> ref max_int in
   let horizon = match until with Some u -> u | None -> max_int in
+  (* [true] once nothing queued is due by [horizon]. *)
   let rec loop () =
-    if t.stopped || !budget <= 0 then ()
-    else if Ipq.is_empty t.queue then ()
-    else if Ipq.min_key t.queue lsr seq_bits > horizon then ()
+    if t.stopped then false
     else begin
-      decr budget;
-      ignore (step t);
-      loop ()
+      let time = next_time t in
+      if time < 0 || time > horizon then true
+      else if !budget <= 0 then false
+      else begin
+        decr budget;
+        fire t time;
+        loop ()
+      end
     end
   in
-  loop ();
-  (match until with
-  | Some u when t.now < u && not t.stopped -> t.now <- u
-  | Some _ | None -> ())
+  let drained = loop () in
+  (* The clock moves to [until] only past every entry due by then, so a
+     run cut short by [max_events] leaves it at the last event fired. *)
+  match until with
+  | Some u when drained && t.now < u ->
+      t.now <- u;
+      migrate t
+  | Some _ | None -> ()

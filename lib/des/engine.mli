@@ -6,8 +6,12 @@
     together with the seeded RNG tree — makes every simulation run a pure
     function of its master seed and configuration.
 
-    Steady-state scheduling is allocation-free: the queue is a packed
-    int-keyed heap and event cells are pooled (see DESIGN.md §4). *)
+    The queue has two levels: events due in the next 64 cycles sit in a
+    wheel of per-cycle FIFO buckets, later ones in a packed int-keyed heap,
+    and heap events move into their bucket as the clock comes within 64
+    cycles of them. The firing order is exactly that of one queue ordered
+    by (time, scheduling order). Steady-state scheduling is
+    allocation-free: event cells are pooled (see DESIGN.md §4). *)
 
 type t
 
@@ -53,8 +57,9 @@ val cancel : t -> handle -> unit
     cancelled, or recycled handle is a no-op. *)
 
 val pending : t -> int
-(** Number of events still queued. Cancelled events are counted until
-    they are popped or purged, so this is an upper bound on live events. *)
+(** Number of events still queued, in the wheel and the heap together.
+    Cancelled events are counted until they are popped or purged, so this
+    is an upper bound on live events. *)
 
 val events_processed : t -> int
 
@@ -62,9 +67,11 @@ val step : t -> bool
 (** Execute the next event. Returns [false] when the queue is empty. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
-(** Drain the queue. [until] stops the clock at that cycle (events beyond it
-    stay queued and [now] is clamped to [until]); [max_events] guards
-    against runaway simulations. *)
+(** Drain the queue. [until] stops the clock at that cycle: events beyond it
+    stay queued, and once none is due by [until], [now] is clamped to it.
+    [max_events] guards against runaway simulations; it counts every event
+    taken off the queue, cancelled ones included. A run that [max_events]
+    cuts short leaves [now] at the last event fired. *)
 
 val stop : t -> unit
 (** Makes the current [run] return after the event in progress. *)

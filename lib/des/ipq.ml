@@ -1,9 +1,11 @@
 (* Specialized binary min-heap on unboxed int keys with int payloads.
 
-   This is the engine's event queue. Both backing arrays are plain int
-   arrays, so the heap itself never allocates after warm-up and every
-   comparison is a single machine-word compare — no comparator closure,
-   no boxing, no option wrapping on the pop path. Sift-up and sift-down
+   This is the engine's far-event heap: it holds the events due 64 or more
+   cycles ahead, while a per-cycle wheel holds the near ones (engine.ml).
+   Both backing arrays are plain int arrays, so the heap itself never
+   allocates after warm-up and every comparison is a single machine-word
+   compare — no comparator closure, no boxing, no option wrapping on the
+   pop path. Sift-up and sift-down
    drag a hole instead of swapping, halving the number of stores.
 
    Keys need not be distinct as far as this module is concerned, but the
@@ -89,11 +91,6 @@ let remove_min t =
     Array.unsafe_set keys !i key;
     Array.unsafe_set vals !i v
   end
-
-let clear t =
-  t.keys <- [||];
-  t.vals <- [||];
-  t.len <- 0
 
 let to_sorted_pairs t =
   let pairs = Array.init t.len (fun i -> (t.keys.(i), t.vals.(i))) in

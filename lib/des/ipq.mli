@@ -1,10 +1,11 @@
 (** Specialized binary min-heap: unboxed int keys, int payloads.
 
-    The engine's event queue. Both backing stores are plain [int array]s,
-    so pushes and pops allocate nothing after warm-up and each ordering
-    decision is one machine-word compare — no comparator closure and no
-    option boxing on the hot path, unlike a generic heap over boxed
-    elements.
+    The engine's far-event heap: events due 64 or more cycles ahead wait
+    here, and move to the engine's per-cycle wheel as the clock nears
+    them. Both backing stores are plain [int array]s, so pushes and pops
+    allocate nothing after warm-up and each ordering decision is one
+    machine-word compare — no comparator closure and no option boxing on
+    the hot path, unlike a generic heap over boxed elements.
 
     The engine packs (time, seq) into a single key, making keys unique
     and the heap order total; this module itself tolerates duplicate
@@ -30,12 +31,10 @@ val min_val : t -> int
 val remove_min : t -> unit
 (** Drop the minimum entry. Raises [Invalid_argument] when empty. *)
 
-val clear : t -> unit
-
 val to_sorted_pairs : t -> (int * int) array
 (** Snapshot of the contents as (key, payload) pairs sorted by key
     ascending. Used for the engine's era renumbering and cancelled-event
-    purge; O(n log n), allocates. *)
+    purge of the heap; O(n log n), allocates. *)
 
 val reload : t -> (int * int) array -> unit
 (** Replace the contents with [pairs], which MUST be sorted by key

@@ -1,6 +1,6 @@
 open Resoc_des
 
-(* --- Heap: the engine's event queue --- *)
+(* --- Heap: the engine's far-event heap --- *)
 
 (* Drain [Ipq] keys in pop order. *)
 let pop q =
@@ -472,15 +472,16 @@ let test_engine_cancel_heavy_purge () =
 let test_engine_seq_era_renumber () =
   (* Burn through a full 2^20 sequence era while a cohort of same-time
      events is pending; the renumbering must preserve their firing order
-     and their interleaving with events scheduled after the era rolls. *)
+     and their interleaving with events scheduled after the era rolls.
+     Only far events (due 64 or more cycles ahead) draw seqs, so every
+     tick also schedules one: ~1.1M of them exhaust the first era mid-run. *)
   let e = Engine.create () in
   let t_meet = 1_200_000 in
   let log = ref [] in
   for i = 0 to 49 do
     ignore (Engine.at e ~time:t_meet (fun () -> log := i :: !log))
   done;
-  (* ~1.05M ticks exhaust the first era mid-run *)
-  Engine.every e ~period:1 (fun () -> ());
+  Engine.every e ~period:1 (fun () -> ignore (Engine.schedule e ~delay:100 ignore));
   Engine.run ~until:1_100_000 e;
   for i = 50 to 99 do
     ignore (Engine.at e ~time:t_meet (fun () -> log := i :: !log))
@@ -488,6 +489,268 @@ let test_engine_seq_era_renumber () =
   Engine.run ~until:(t_meet + 1) e;
   Alcotest.(check (list int)) "cohort order across era roll" (List.init 100 Fun.id)
     (List.rev !log)
+
+(* Fire-order log helpers for the wheel-edge cases below. *)
+let logger () =
+  let log = ref [] in
+  (log, fun tag () -> log := tag :: !log)
+
+let fired log = List.rev !log
+
+let test_engine_heap_before_wheel () =
+  (* [far] is scheduled 100 cycles ahead, beyond the wheel; [near] is
+     scheduled for the same cycle once it is 60 cycles ahead. [far] was
+     scheduled first, so it fires first. *)
+  let e = Engine.create () in
+  let log, tag = logger () in
+  ignore (Engine.at e ~time:100 (tag "far"));
+  ignore (Engine.at e ~time:40 (fun () -> ignore (Engine.schedule e ~delay:60 (tag "near"))));
+  Engine.run e;
+  Alcotest.(check (list string)) "heap first" [ "far"; "near" ] (fired log)
+
+let test_engine_clamp_then_earlier () =
+  (* After [run ~until] clamps the clock with nothing due, an event
+     scheduled for before the next queued one still fires first: both when
+     that one is still far and when the clamp brought it into the wheel. *)
+  List.iter
+    (fun queued_at ->
+      let e = Engine.create () in
+      let log, tag = logger () in
+      ignore (Engine.at e ~time:queued_at (tag "queued"));
+      Engine.run ~until:500 e;
+      Alcotest.(check int) "clamped" 500 (Engine.now e);
+      ignore (Engine.schedule e ~delay:10 (tag "new"));
+      Engine.run e;
+      Alcotest.(check (list string))
+        (Printf.sprintf "queued at %d" queued_at)
+        [ "new"; "queued" ] (fired log))
+    [ 520; 5_000 ]
+
+let test_engine_wheel_edge () =
+  (* Delays 63, 64 and 65 from cycle 0 straddle the wheel's edge: 63 goes
+     straight into the wheel, 64 and 65 into the heap. Events scheduled
+     later for cycles 64 and 65, by then inside the wheel, follow them. *)
+  let e = Engine.create () in
+  let log, tag = logger () in
+  ignore (Engine.schedule e ~delay:65 (tag "x65"));
+  ignore (Engine.schedule e ~delay:64 (tag "x64"));
+  ignore (Engine.schedule e ~delay:63 (tag "x63"));
+  ignore (Engine.at e ~time:1 (fun () -> ignore (Engine.schedule e ~delay:63 (tag "y64"))));
+  ignore (Engine.at e ~time:2 (fun () -> ignore (Engine.schedule e ~delay:63 (tag "z65"))));
+  Alcotest.(check int) "pending" 5 (Engine.pending e);
+  let times = ref [] in
+  while Engine.step e do
+    times := Engine.now e :: !times
+  done;
+  Alcotest.(check (list string)) "order" [ "x63"; "x64"; "y64"; "x65"; "z65" ] (fired log);
+  Alcotest.(check (list int)) "clock" [ 1; 2; 63; 64; 64; 65; 65 ] (List.rev !times)
+
+let test_engine_cancel_migrated () =
+  (* An event scheduled beyond the wheel moves into it when the clock
+     comes within 64 cycles; its handle must still cancel it there. *)
+  let e = Engine.create () in
+  let fired = ref false in
+  let h = Engine.at e ~time:200 (fun () -> fired := true) in
+  ignore (Engine.at e ~time:150 ignore);
+  Engine.run ~until:150 e;
+  Engine.cancel e h;
+  Alcotest.(check int) "corpse still queued" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check bool) "never fires" false !fired;
+  Alcotest.(check int) "corpse popped" 0 (Engine.pending e);
+  Alcotest.(check int) "clock stays at the last live event" 150 (Engine.now e)
+
+let test_engine_delay_zero_in_action () =
+  (* A delay-0 schedule from inside an action joins the end of the
+     current cycle: after events already queued for it. *)
+  let e = Engine.create () in
+  let log, tag = logger () in
+  ignore
+    (Engine.at e ~time:5 (fun () ->
+         tag "a" ();
+         ignore (Engine.schedule e ~delay:0 (fun () ->
+             Alcotest.(check int) "same cycle" 5 (Engine.now e);
+             tag "c" ()))));
+  ignore (Engine.at e ~time:5 (tag "b"));
+  ignore (Engine.at e ~time:6 (tag "d"));
+  Engine.run e;
+  Alcotest.(check (list string)) "order" [ "a"; "b"; "c"; "d" ] (fired log)
+
+let test_engine_budget_keeps_clock () =
+  (* [run ~until ~max_events] that runs out of budget before the horizon
+     leaves the clock at the last event fired; the rest fire in order. *)
+  let e = Engine.create () in
+  let log, tag = logger () in
+  List.iter (fun time -> ignore (Engine.at e ~time (tag (string_of_int time)))) [ 10; 20; 30 ];
+  Engine.run ~until:100 ~max_events:2 e;
+  Alcotest.(check int) "clock at the last event" 20 (Engine.now e);
+  Engine.run ~until:100 e;
+  Alcotest.(check (list string)) "all in order" [ "10"; "20"; "30" ] (fired log);
+  Alcotest.(check int) "then clamped" 100 (Engine.now e)
+
+(* --- Engine against its reference model --- *)
+
+(* What the script interpreter needs from an event queue: [Engine] and
+   [Engine_reference] both provide it. *)
+module type QUEUE = sig
+  type t
+  type handle
+
+  val now : t -> int
+  val at : t -> time:int -> (unit -> unit) -> handle
+  val schedule : t -> delay:int -> (unit -> unit) -> handle
+  val every : t -> period:int -> ?start:int -> (unit -> unit) -> unit
+  val cancel : t -> handle -> unit
+  val pending : t -> int
+  val events_processed : t -> int
+  val step : t -> bool
+  val run : ?until:int -> ?max_events:int -> t -> unit
+end
+
+type op =
+  | Schedule of int * int option  (** delay, and the delay of a child it schedules when it fires *)
+  | At of int  (** at [now + delay] *)
+  | Every of int * int option  (** period, and the start as an offset from [now] *)
+  | Burst of int * int  (** n events at one delay *)
+  | Cancel of int  (** the i-th event scheduled so far, modulo their count *)
+  | Cancel_span of int * int  (** n events from the i-th on *)
+  | Step
+  | Run_until of int  (** [run ~until:(now + d)] *)
+  | Run_max of int
+  | Run_both of int * int
+
+let show_op = function
+  | Schedule (d, c) ->
+    Printf.sprintf "Schedule %d%s" d
+      (match c with Some c -> Printf.sprintf " (child %d)" c | None -> "")
+  | At d -> Printf.sprintf "At +%d" d
+  | Every (p, s) ->
+    Printf.sprintf "Every %d%s" p (match s with Some s -> Printf.sprintf " from +%d" s | None -> "")
+  | Burst (n, d) -> Printf.sprintf "Burst %d x %d" n d
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Cancel_span (i, n) -> Printf.sprintf "Cancel_span %d+%d" i n
+  | Step -> "Step"
+  | Run_until d -> Printf.sprintf "Run_until +%d" d
+  | Run_max n -> Printf.sprintf "Run_max %d" n
+  | Run_both (d, n) -> Printf.sprintf "Run_both +%d max %d" d n
+
+(* Every event gets an id in scheduling order and logs it when it fires;
+   a periodic timer logs its one id at every tick. *)
+module Script (Q : QUEUE) = struct
+  type s = {
+    q : Q.t;
+    handles : (int, Q.handle) Hashtbl.t;
+    mutable ids : int;
+    mutable fired : int list;
+    mutable stepped : bool;
+  }
+
+  let create q = { q; handles = Hashtbl.create 64; ids = 0; fired = []; stepped = false }
+
+  let fresh s =
+    let id = s.ids in
+    s.ids <- id + 1;
+    id
+
+  let rec add s ~delay ~child =
+    let id = fresh s in
+    let action () =
+      s.fired <- id :: s.fired;
+      Option.iter (fun delay -> add s ~delay ~child:None) child
+    in
+    Hashtbl.replace s.handles id (Q.schedule s.q ~delay action)
+
+  let cancel s i =
+    if s.ids > 0 then Option.iter (Q.cancel s.q) (Hashtbl.find_opt s.handles (i mod s.ids))
+
+  let exec s = function
+    | Schedule (delay, child) -> add s ~delay ~child
+    | At d ->
+      let id = fresh s in
+      Hashtbl.replace s.handles id
+        (Q.at s.q ~time:(Q.now s.q + d) (fun () -> s.fired <- id :: s.fired))
+    | Every (period, start) ->
+      let id = fresh s in
+      let start = Option.map (fun d -> Q.now s.q + d) start in
+      Q.every s.q ~period ?start (fun () -> s.fired <- id :: s.fired)
+    | Burst (n, delay) ->
+      for _ = 1 to n do
+        add s ~delay ~child:None
+      done
+    | Cancel i -> cancel s i
+    | Cancel_span (i, n) ->
+      for k = i to i + n - 1 do
+        cancel s k
+      done
+    | Step -> s.stepped <- Q.step s.q
+    | Run_until d -> Q.run ~until:(Q.now s.q + d) s.q
+    | Run_max n -> Q.run ~max_events:n s.q
+    | Run_both (d, n) -> Q.run ~until:(Q.now s.q + d) ~max_events:n s.q
+
+  (* What the property compares after every operation. *)
+  let observe s = (List.rev s.fired, Q.now s.q, Q.pending s.q, Q.events_processed s.q, s.stepped)
+end
+
+module Real = Script (Engine)
+
+module Model = Script (Engine_reference)
+
+let script_delays = [ 0; 1; 5; 62; 63; 64; 65; 2_500; 100_000 ]
+
+let gen_script =
+  let open QCheck.Gen in
+  let delay = oneofl script_delays in
+  list_size (1 -- 150)
+    (frequency
+       [
+         (5, map2 (fun d c -> Schedule (d, c)) delay (opt delay));
+         (1, map (fun d -> At d) delay);
+         (1, map2 (fun p s -> Every (p, s)) (oneofl [ 62; 63; 64; 65; 2_500 ]) (opt delay));
+         (2, map2 (fun n d -> Burst (n, d)) (1 -- 120) delay);
+         (3, map (fun i -> Cancel i) nat);
+         (2, map2 (fun i n -> Cancel_span (i, n)) nat (1 -- 120));
+         (3, return Step);
+         (2, map (fun d -> Run_until d) delay);
+         (1, map (fun n -> Run_max n) (0 -- 300));
+         (1, map2 (fun d n -> Run_both (d, n)) delay (0 -- 300));
+       ])
+
+let show_obs (fired, now, pending, processed, stepped) =
+  Printf.sprintf "now %d pending %d processed %d stepped %b fired [%s]" now pending processed
+    stepped
+    (String.concat ";" (List.map string_of_int fired))
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches the reference queue" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) gen_script)
+    (fun ops ->
+      let real = Real.create (Engine.create ())
+      and model = Model.create (Engine_reference.create ()) in
+      List.iteri
+        (fun i op ->
+          Real.exec real op;
+          Model.exec model op;
+          let r = Real.observe real and m = Model.observe model in
+          if r <> m then
+            QCheck.Test.fail_reportf "after op %d (%s):@.engine %s@.model  %s" i (show_op op)
+              (show_obs r) (show_obs m))
+        ops;
+      true)
+
+let test_scripts_reach_purge () =
+  (* The property above only tests the purge if its scripts cross the
+     threshold: check that a fixed sample of them does, often. *)
+  let scripts = QCheck.Gen.generate ~rand:(Random.State.make [| 34 |]) ~n:100 gen_script in
+  let purged =
+    List.length
+      (List.filter
+         (fun ops ->
+           let model = Model.create (Engine_reference.create ()) in
+           List.iter (Model.exec model) ops;
+           model.Model.q.Engine_reference.purges > 0)
+         scripts)
+  in
+  if purged < 10 then Alcotest.failf "only %d of 100 scripts purge" purged
 
 let prop_ipq_model =
   (* The int-keyed heap against the obvious model: a sorted list. Keys
@@ -668,7 +931,15 @@ let () =
           Alcotest.test_case "cancel middle fifo" `Quick test_engine_cancel_middle_fifo;
           Alcotest.test_case "cancel heavy purge" `Quick test_engine_cancel_heavy_purge;
           Alcotest.test_case "seq era renumber" `Slow test_engine_seq_era_renumber;
+          Alcotest.test_case "heap event before wheel event" `Quick test_engine_heap_before_wheel;
+          Alcotest.test_case "clamp then earlier event" `Quick test_engine_clamp_then_earlier;
+          Alcotest.test_case "wheel edge 63/64/65" `Quick test_engine_wheel_edge;
+          Alcotest.test_case "cancel after migration" `Quick test_engine_cancel_migrated;
+          Alcotest.test_case "delay 0 inside an action" `Quick test_engine_delay_zero_in_action;
+          Alcotest.test_case "budget keeps the clock" `Quick test_engine_budget_keeps_clock;
+          Alcotest.test_case "scripts reach the purge" `Quick test_scripts_reach_purge;
         ] );
+      qsuite "engine-prop" [ prop_engine_matches_reference ];
       ( "metrics",
         [
           Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
