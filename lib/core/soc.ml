@@ -60,11 +60,15 @@ let spread_placement t ~n =
 
 let noc_fabric t ~placement ~size_of =
   let n = Array.length placement in
-  let seen = Hashtbl.create n in
-  Array.iter
-    (fun tile ->
-      if Hashtbl.mem seen tile then invalid_arg "Soc.noc_fabric: placement must be injective";
-      Hashtbl.replace seen tile ())
+  (* Tile -> logical endpoint, -1 for tiles outside the placement: one
+     load per delivery. *)
+  let logical_of_tile = Array.make (Mesh.n_nodes t.mesh) (-1) in
+  Array.iteri
+    (fun logical tile ->
+      Mesh.check_id t.mesh tile;
+      if logical_of_tile.(tile) >= 0 then
+        invalid_arg "Soc.noc_fabric: placement must be injective";
+      logical_of_tile.(tile) <- logical)
     placement;
   let network = Network.create t.engine t.mesh t.config.noc in
   (* Forward adaptive-routing partition reports to whoever registered
@@ -72,16 +76,13 @@ let noc_fabric t ~placement ~size_of =
      fabric is built still works). *)
   Network.set_partition_handler network (fun ~reachable ~total ->
       match t.on_partition with Some f -> f ~reachable ~total | None -> ());
-  let logical_of_tile = Hashtbl.create n in
-  Array.iteri (fun logical tile -> Hashtbl.replace logical_of_tile tile logical) placement;
   let send ~src ~dst msg =
     Network.send network ~src:placement.(src) ~dst:placement.(dst) ~bytes_:(size_of msg) msg
   in
   let set_handler logical handler =
     Network.attach network ~node:placement.(logical) (fun ~src msg ->
-        match Hashtbl.find_opt logical_of_tile src with
-        | Some logical_src -> handler ~src:logical_src msg
-        | None -> ())
+        let logical_src = Array.unsafe_get logical_of_tile src in
+        if logical_src >= 0 then handler ~src:logical_src msg)
   in
   let detach logical = Network.detach network ~node:placement.(logical) in
   t.stat_probes <-

@@ -44,7 +44,8 @@ val spread_placement : t -> n:int -> int array
 val noc_fabric :
   t -> placement:int array -> size_of:('msg -> int) -> 'msg Transport.fabric
 (** Endpoint [i] of the returned fabric lives on tile [placement.(i)]
-    (placement must be injective). Messages are routed hop-by-hop over the
+    (placement must be injective and name tiles of the mesh; raises
+    [Invalid_argument] otherwise). Messages are routed hop-by-hop over the
     mesh; [size_of] gives per-message bytes for serialization timing. *)
 
 val noc_messages : t -> int

@@ -41,6 +41,10 @@ let[@inline] combine_int a i = combine a (Int64.of_int i)
 
 let chain prev d = combine prev d
 
+let memo_signers f =
+  let table = Array.init 64 f in
+  fun signer -> if signer >= 0 && signer < 64 then Array.unsafe_get table signer else f signer
+
 let zero = 0L
 
 let equal = Int64.equal

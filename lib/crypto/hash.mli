@@ -17,6 +17,11 @@ val combine : t -> t -> t
 
 val combine_int : t -> int -> t
 
+val memo_signers : (int -> t) -> int -> t
+(** [memo_signers f] is [f] with its results for 0..63 computed once, up
+    front; other arguments are computed on each call. For the per-signer
+    digest prefixes of the trusted components. *)
+
 val chain : t -> t -> t
 (** [chain prev d] extends a hash chain (A2M-style log attestations). *)
 

@@ -1,8 +1,11 @@
-type t = { master : int64; n : int }
+(* The component keys are checked on every certificate, so all n are
+   derived once, at [create]. *)
+type t = { master : int64; n : int; components : Mac.key array }
 
 let create ~master ~n =
   if n <= 0 then invalid_arg "Keychain.create: n must be positive";
-  { master; n }
+  let base = Hash.combine master 0x55534947L in
+  { master; n; components = Array.init n (fun i -> Mac.key_of_int64 (Hash.combine_int base i)) }
 
 let size t = t.n
 
@@ -17,6 +20,6 @@ let pairwise t i j =
 
 let component t i =
   check t i;
-  Mac.key_of_int64 (Hash.combine_int (Hash.combine t.master 0x55534947L) i)
+  Array.unsafe_get t.components i
 
 let group t = Mac.key_of_int64 (Hash.combine t.master 0x47525055L)

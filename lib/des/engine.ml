@@ -178,36 +178,28 @@ let migrate t =
     push_near t ((key lsr seq_bits) land wheel_mask) slot
   done
 
-(* Compact the heap: drop cancelled entries if [drop_cancelled], then
-   reassign seqs 0..n-1 in (time, seq) order. Relative order of the
-   survivors is untouched, and subsequent events get larger seqs, so
-   observable behavior is exactly that of an unbounded global seq. *)
-let compact t ~drop_cancelled =
-  let pairs = Ipq.to_sorted_pairs t.far in
-  let n = Array.length pairs in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let key, slot = Array.unsafe_get pairs i in
-    if drop_cancelled && is_dead t slot then begin
-      t.n_cancelled <- t.n_cancelled - 1;
-      free_slot t slot
-    end
-    else begin
-      pairs.(!kept) <- (((key lsr seq_bits) lsl seq_bits) lor !kept, slot);
-      incr kept
-    end
-  done;
-  Ipq.reload t.far (Array.sub pairs 0 !kept);
-  t.next_seq <- !kept
-
+(* Era renumbering: sort the heap in place and reassign seqs 0..n-1 in
+   (time, seq) order. Keys are unique, so the sort is exact; the entries
+   keep their relative order and stay sorted, hence a valid heap; and
+   subsequent events get larger seqs, so observable behavior is exactly
+   that of an unbounded global seq. Allocates nothing. *)
 let renumber t =
-  if Ipq.size t.far >= seq_limit then
-    failwith "Engine: more than 2^20 events pending at one time";
-  compact t ~drop_cancelled:false
+  let far = t.far in
+  let n = Ipq.size far in
+  if n >= seq_limit then failwith "Engine: more than 2^20 events pending at one time";
+  Ipq.sort far;
+  for i = 0 to n - 1 do
+    let key = Ipq.nth_key far i in
+    Ipq.set_nth far i (((key lsr seq_bits) lsl seq_bits) lor i) (Ipq.nth_val far i)
+  done;
+  t.next_seq <- n
 
-(* Drop every cancelled entry from both levels. Buckets are walked in time
-   order from [now] and before the heap, so slots return to the free list
-   in the same (time, seq) order a single queue would free them. *)
+(* Drop every cancelled entry from both levels, allocating nothing.
+   Buckets are walked in time order from [now]; the heap is filtered in
+   place and re-heapified, and since its keys are unique and unchanged,
+   so is its pop order. Dead heap slots return to the free list in store
+   order, not (time, seq) order: that decides only which slot numbers
+   later events get, and nothing observes those. *)
 let purge t =
   for i = 0 to wheel_mask do
     let b = (t.now + i) land wheel_mask in
@@ -225,7 +217,21 @@ let purge t =
       else push_near t b slot
     done
   done;
-  compact t ~drop_cancelled:true
+  let far = t.far in
+  let kept = ref 0 in
+  for i = 0 to Ipq.size far - 1 do
+    let slot = Ipq.nth_val far i in
+    if is_dead t slot then begin
+      t.n_cancelled <- t.n_cancelled - 1;
+      free_slot t slot
+    end
+    else begin
+      Ipq.set_nth far !kept (Ipq.nth_key far i) slot;
+      incr kept
+    end
+  done;
+  Ipq.truncate far !kept;
+  Ipq.heapify far
 
 let pending t = t.n_near + Ipq.size t.far
 

@@ -92,21 +92,50 @@ let remove_min t =
     Array.unsafe_set vals !i v
   end
 
-let to_sorted_pairs t =
-  let pairs = Array.init t.len (fun i -> (t.keys.(i), t.vals.(i))) in
-  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) pairs;
-  pairs
-
-let reload t pairs =
-  let n = Array.length pairs in
-  if Array.length t.keys < n then begin
-    t.keys <- Array.make (max n 256) 0;
-    t.vals <- Array.make (max n 256) 0
-  end;
+(* Re-insert the entries in store order: entry [i] is read before the
+   sift-up of the first [i] entries can write to index [i]. *)
+let heapify t =
+  let n = t.len in
+  t.len <- 0;
   for i = 0 to n - 1 do
-    let key, v = pairs.(i) in
-    t.keys.(i) <- key;
-    t.vals.(i) <- v
+    add t (Array.unsafe_get t.keys i) (Array.unsafe_get t.vals i)
+  done
+
+(* Heapsort in place: each pop parks the minimum in the slot the shrunken
+   heap just gave up, which leaves the store descending; one reversal
+   makes it ascending, and an ascending array is a valid heap. *)
+let sort t =
+  let n = t.len in
+  for last = n - 1 downto 1 do
+    let key = Array.unsafe_get t.keys 0 and v = Array.unsafe_get t.vals 0 in
+    remove_min t;
+    Array.unsafe_set t.keys last key;
+    Array.unsafe_set t.vals last v
   done;
-  (* Drop stale tails so reload after a purge cannot resurrect entries. *)
-  t.len <- n
+  t.len <- n;
+  let keys = t.keys and vals = t.vals in
+  for i = 0 to (n / 2) - 1 do
+    let j = n - 1 - i in
+    let key = Array.unsafe_get keys i and v = Array.unsafe_get vals i in
+    Array.unsafe_set keys i (Array.unsafe_get keys j);
+    Array.unsafe_set vals i (Array.unsafe_get vals j);
+    Array.unsafe_set keys j key;
+    Array.unsafe_set vals j v
+  done
+
+let check_index t i = if i < 0 || i >= t.len then invalid_arg "Ipq: index out of range"
+
+let nth_key t i =
+  check_index t i;
+  Array.unsafe_get t.keys i
+
+let nth_val t i =
+  check_index t i;
+  Array.unsafe_get t.vals i
+
+let set_nth t i key v =
+  check_index t i;
+  Array.unsafe_set t.keys i key;
+  Array.unsafe_set t.vals i v
+
+let truncate t n = if n >= 0 && n < t.len then t.len <- n

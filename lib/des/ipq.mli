@@ -31,12 +31,29 @@ val min_val : t -> int
 val remove_min : t -> unit
 (** Drop the minimum entry. Raises [Invalid_argument] when empty. *)
 
-val to_sorted_pairs : t -> (int * int) array
-(** Snapshot of the contents as (key, payload) pairs sorted by key
-    ascending. Used for the engine's era renumbering and cancelled-event
-    purge of the heap; O(n log n), allocates. *)
+(** {2 Rewriting in place}
 
-val reload : t -> (int * int) array -> unit
-(** Replace the contents with [pairs], which MUST be sorted by key
-    ascending (a sorted array is a valid binary heap). Clears anything
-    previously stored. *)
+    The engine's cancelled-event purge filters the store and restores
+    the heap order; its era renumbering walks the store in key order and
+    rewrites every key. Neither allocates. *)
+
+val nth_key : t -> int -> int
+(** Key of entry [i] of the backing store, [0 <= i < size]. *)
+
+val nth_val : t -> int -> int
+(** Payload of entry [i] of the backing store. *)
+
+val set_nth : t -> int -> int -> int -> unit
+(** [set_nth t i key v] overwrites entry [i]; the heap order is the
+    caller's to restore (with {!heapify}) or keep. *)
+
+val truncate : t -> int -> unit
+(** Keep only the first [n] entries of the backing store. *)
+
+val heapify : t -> unit
+(** Restore the heap order over the whole store, in place. *)
+
+val sort : t -> unit
+(** Sort the backing store by key ascending, in place: afterwards entry
+    [i] is the [i]-th smallest. A sorted store is still a valid heap, so
+    rewriting it with ascending keys keeps it one. O(n log n). *)

@@ -19,10 +19,10 @@ let create ~id ~key =
 
 let id t = t.id
 
+let signer_prefix = Hash.memo_signers (Hash.combine_int (Hash.of_string "a2m"))
+
 let attestation_digest ~signer ~seq ~entry ~chain =
-  Hash.combine
-    (Hash.combine_int (Hash.of_string "a2m") signer)
-    (Hash.combine seq (Hash.combine entry chain))
+  Hash.combine (signer_prefix signer) (Hash.combine seq (Hash.combine entry chain))
 
 let make_attestation t ~seq ~entry ~chain =
   let tag = Mac.sign t.key (attestation_digest ~signer:t.id ~seq ~entry ~chain) in

@@ -34,10 +34,10 @@ let id t = t.id
 
 let counter_register t = t.reg
 
+let signer_prefix = Hash.memo_signers (Hash.combine_int (Hash.of_string "trinc"))
+
 let attestation_digest ~signer ~previous ~current digest =
-  Hash.combine
-    (Hash.combine_int (Hash.of_string "trinc") signer)
-    (Hash.combine (Hash.combine previous current) digest)
+  Hash.combine (signer_prefix signer) (Hash.combine (Hash.combine previous current) digest)
 
 let attest t ~new_counter ~digest =
   match Register.read t.reg with

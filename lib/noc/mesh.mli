@@ -33,13 +33,6 @@ val check_id : t -> int -> unit
 val xy_route : t -> src:int -> dst:int -> int list
 (** Tiles visited, inclusive of [src] and [dst]; X dimension first. *)
 
-val next_hop : t -> cur:int -> dst:int -> x_first:bool -> int
-(** One step of dimension-order routing; returns [cur] on arrival. Ids
-    must be valid tile ids. Walking [next_hop] to a fixpoint visits
-    exactly the tiles of [xy_route] (or [yx_route] when [x_first] is
-    false) — the transport uses it to route hop by hop without
-    materializing the list. *)
-
 val yx_route : t -> src:int -> dst:int -> int list
 (** Y dimension first — the escape path of simple fault-tolerant routers. *)
 

@@ -27,17 +27,22 @@ let test_mcast_skip_branch = ref false  (* silently prune the last child at ever
 let test_mcast_dup_deliver = ref false  (* deliver every multicast payload twice *)
 
 (* A message in flight is a pooled record spread across parallel arrays:
-   current/previous router, endpoints, injection time, size, hop count,
-   flight id, payload, and one per-slot [advance] closure built when the
-   slot is first created and reused for every hop of every flight that
-   occupies the slot. Routing is recomputed one hop at a time — either
-   dimension-order ([Mesh.next_hop]) or via the epoch-stamped adaptive
-   tables ([Adaptive.next_hop]), which are refreshed synchronously on
-   every fail/repair event through a [Mesh.on_change] subscription. Link
-   occupancy and load live in dense int arrays indexed by
-   [Mesh.link_id]. In steady state a unicast allocates only the payload
-   box; the engine, heap, and per-hop bookkeeping are all
-   allocation-free. *)
+   current/previous router, endpoints, injection time, per-hop cost, hop
+   count, flight id, payload, and one per-slot [advance] closure built
+   when the slot is first created and reused for every hop of every
+   flight that occupies the slot. Routing is recomputed one hop at a
+   time — either dimension-order or via the epoch-stamped adaptive tables
+   ([Adaptive.next_hop]), which are refreshed synchronously on every
+   fail/repair event through a [Mesh.on_change] subscription. A hop
+   divides nothing: dimension order reads the node -> column array
+   [col] and compares, the link id is [cur * 4 + dir] and the next
+   router [cur + delta.(dir)], and the hop cost (router latency plus
+   serialization) is computed once per flight at injection. Link
+   occupancy and load live in dense int arrays indexed by link id.
+   Payloads sit unboxed in a ['msg array] that grows with the slot pool;
+   a released slot holds [filler] instead, so it pins no delivered
+   message. In steady state a unicast allocates nothing: the engine,
+   heap, and per-hop bookkeeping are all allocation-free. *)
 type 'msg t = {
   engine : Engine.t;
   mesh : Mesh.t;
@@ -45,6 +50,9 @@ type 'msg t = {
   adaptive : Adaptive.t option;  (* Some iff routing = Adaptive *)
   mcast : Mcast.t option;  (* Some iff config.multicast *)
   handlers : (src:int -> 'msg -> unit) option array;
+  col : int array;  (* node -> column *)
+  delta : int array;  (* dir -> node-id step: north, west, east, south *)
+  mutable filler : 'msg array;  (* the first payload sent, once there is one *)
   busy_until : int array;  (* by link id *)
   load : int array;  (* by link id *)
   mutable fl_cur : int array;
@@ -52,27 +60,27 @@ type 'msg t = {
   mutable fl_src : int array;
   mutable fl_dst : int array;  (* unicast destination; -1 on multicast branches *)
   mutable fl_start : int array;
-  mutable fl_bytes : int array;
+  mutable fl_cost : int array;  (* cycles per hop: router latency + serialization *)
   mutable fl_hops : int array;
   mutable fl_flight : int array;  (* per-send unique id for the checker *)
   mutable fl_mc : int array;  (* multicast instance slot, -1 = unicast *)
   mutable fl_xfirst : Bytes.t;
-  mutable fl_msg : 'msg option array;
+  mutable fl_msg : 'msg array;  (* [filler] in free and multicast slots *)
   mutable fl_advance : (unit -> unit) array;
   mutable fl_free_next : int array;
   mutable fl_free_head : int;
   (* Multicast instances are pooled like flights: per slot a forwarding
      map over the tree marked at send time (bits 0-3: forward out of that
      direction; bit 4: deliver here), the live branch count, and the
-     shared payload box. An instance retires when its last branch ends. *)
+     shared payload. An instance retires when its last branch ends. *)
   mutable mc_fwd : Bytes.t array;  (* by instance slot: one byte per node *)
   mutable mc_live : int array;  (* outstanding branches (+ pending loopback) *)
   mutable mc_src : int array;
   mutable mc_start : int array;
-  mutable mc_bytes : int array;
+  mutable mc_cost : int array;  (* cycles per hop, as [fl_cost] *)
   mutable mc_id : int array;  (* per-send unique id for the checker *)
   mutable mc_epoch : int array;  (* mesh epoch at send, for strict checking *)
-  mutable mc_msg : 'msg option array;
+  mutable mc_msg : 'msg array;  (* [filler] in free slots *)
   mutable mc_free_next : int array;
   mutable mc_free_head : int;
   mc_stack : int array;  (* DFS scratch for lost-subtree accounting *)
@@ -170,6 +178,9 @@ let create engine mesh config =
       adaptive;
       mcast = (if config.multicast then Some (Mcast.create mesh) else None);
       handlers = Array.make (Mesh.n_nodes mesh) None;
+      col = Array.init (Mesh.n_nodes mesh) (fun id -> id mod Mesh.width mesh);
+      delta = (let w = Mesh.width mesh in [| -w; -1; 1; w |]);
+      filler = [||];
       busy_until = Array.make (Mesh.n_link_ids mesh) 0;
       load = Array.make (Mesh.n_link_ids mesh) 0;
       fl_cur = [||];
@@ -177,7 +188,7 @@ let create engine mesh config =
       fl_src = [||];
       fl_dst = [||];
       fl_start = [||];
-      fl_bytes = [||];
+      fl_cost = [||];
       fl_hops = [||];
       fl_flight = [||];
       fl_mc = [||];
@@ -190,7 +201,7 @@ let create engine mesh config =
       mc_live = [||];
       mc_src = [||];
       mc_start = [||];
-      mc_bytes = [||];
+      mc_cost = [||];
       mc_id = [||];
       mc_epoch = [||];
       mc_msg = [||];
@@ -289,10 +300,45 @@ let deliver t ~src ~dst ~start msg =
     end;
     handler ~src msg
 
-let serialization_cycles t bytes_ = (bytes_ + t.config.bytes_per_cycle - 1) / t.config.bytes_per_cycle
+(* Cycles a flight of [bytes_] holds each link: router latency plus
+   serialization. Computed once per flight, at injection. *)
+let hop_cost t bytes_ =
+  t.config.router_latency + ((bytes_ + t.config.bytes_per_cycle - 1) / t.config.bytes_per_cycle)
+
+(* Payload slots that hold no message hold the first payload ever sent,
+   so the pools grow and release without a ['msg option] box per send
+   and without [Obj.magic]; retaining that one message is the whole
+   cost. Called before the first slot of either pool is taken. *)
+let retain_filler t msg = if Array.length t.filler = 0 then t.filler <- [| msg |]
+
+(* Direction (0 north, 1 west, 2 east, 3 south) of the dimension-order
+   hop from [cur] toward [dst <> cur], without a division: the hops walk
+   the tiles of [Mesh.xy_route] (or [yx_route]). Two nodes share a row
+   iff their rows start at the same id, [id - col.(id)]. *)
+let dor_dir t ~cur ~dst ~x_first =
+  let col = t.col in
+  let cx = Array.unsafe_get col cur and dx = Array.unsafe_get col dst in
+  if x_first then
+    if cx <> dx then (if cx < dx then 2 else 1)
+    else if cur < dst then 3
+    else 0
+  else if cur - cx <> dst - dx then (if cur < dst then 3 else 0)
+  else if cx < dx then 2
+  else 1
+
+(* Direction of the hop from [cur] to its neighbour [next]. North and
+   south are tested before west and east, so on a width-1 mesh, where
+   -1 and +1 are -width and +width, it agrees with [Mesh.dir_of]. *)
+let dir_to t ~cur ~next =
+  let d = next - cur and w = Array.unsafe_get t.delta 3 in
+  if d = -w then 0
+  else if d = w then 3
+  else if d = -1 then 1
+  else if d = 1 then 2
+  else invalid_arg "Network: not a link between adjacent tiles"
 
 let release t slot =
-  Array.unsafe_set t.fl_msg slot None;
+  Array.unsafe_set t.fl_msg slot (Array.unsafe_get t.filler 0);
   Array.unsafe_set t.fl_free_next slot t.fl_free_head;
   t.fl_free_head <- slot
 
@@ -327,20 +373,23 @@ let rec hop t slot =
     in
     if next < 0 || !test_blackhole then drop_flight t slot ~cur
     else begin
-      if !Obs.metrics_on && next <> Mesh.next_hop t.mesh ~cur ~dst ~x_first:true then
+      let dir = dir_to t ~cur ~next in
+      if !Obs.metrics_on && dir <> dor_dir t ~cur ~dst ~x_first:true then
         Registry.incr t.obs.Obs.metrics t.obs_reroutes;
-      transmit t slot ~cur ~next
+      transmit t slot ~cur ~dir
     end
   | None ->
     let x_first = Bytes.unsafe_get t.fl_xfirst slot <> '\000' in
-    transmit t slot ~cur ~next:(Mesh.next_hop t.mesh ~cur ~dst ~x_first)
+    transmit t slot ~cur ~dir:(dor_dir t ~cur ~dst ~x_first)
 
-(* Cross the [cur -> next] link if it and the local router are up. The
-   checker hook fires only on actual traversals, recording the visited
-   trail for loop detection and flagging crossings of failed
-   components (reachable only via the [test_skip_up_check] knob). *)
-and transmit t slot ~cur ~next =
-  let lid = Mesh.link_id t.mesh ~src:cur ~dst:next in
+(* Cross the link out of [cur] in direction [dir] if it and the local
+   router are up. The checker hook fires only on actual traversals,
+   recording the visited trail for loop detection and flagging crossings
+   of failed components (reachable only via the [test_skip_up_check]
+   knob). *)
+and transmit t slot ~cur ~dir =
+  let lid = (cur * 4) + dir in
+  let next = cur + Array.unsafe_get t.delta dir in
   let cur_up = Mesh.router_up t.mesh cur in
   let link_up = Mesh.link_up_id t.mesh lid in
   if (cur_up && link_up) || !test_skip_up_check then begin
@@ -351,9 +400,7 @@ and transmit t slot ~cur ~next =
     let now = Engine.now t.engine in
     let free_at = Array.unsafe_get t.busy_until lid in
     let begin_tx = if now > free_at then now else free_at in
-    let done_at =
-      begin_tx + t.config.router_latency + serialization_cycles t (Array.unsafe_get t.fl_bytes slot)
-    in
+    let done_at = begin_tx + Array.unsafe_get t.fl_cost slot in
     Array.unsafe_set t.busy_until lid done_at;
     let load = Array.unsafe_get t.load lid + 1 in
     Array.unsafe_set t.load lid load;
@@ -381,7 +428,7 @@ and advance t slot =
       if cur = Array.unsafe_get t.fl_dst slot then begin
         let src = Array.unsafe_get t.fl_src slot in
         let start = Array.unsafe_get t.fl_start slot in
-        let msg = match Array.unsafe_get t.fl_msg slot with Some m -> m | None -> assert false in
+        let msg = Array.unsafe_get t.fl_msg slot in
         if !Obs.metrics_on then begin
           (* Path stretch: hops taken beyond the Manhattan distance. *)
           let w = Mesh.width t.mesh in
@@ -405,14 +452,14 @@ and grow_flights t =
   t.fl_src <- extend t.fl_src;
   t.fl_dst <- extend t.fl_dst;
   t.fl_start <- extend t.fl_start;
-  t.fl_bytes <- extend t.fl_bytes;
+  t.fl_cost <- extend t.fl_cost;
   t.fl_hops <- extend t.fl_hops;
   t.fl_flight <- extend t.fl_flight;
   t.fl_mc <- Array.append t.fl_mc (Array.make (ncap - cap) (-1));
   let nxfirst = Bytes.make ncap '\000' in
   Bytes.blit t.fl_xfirst 0 nxfirst 0 cap;
   t.fl_xfirst <- nxfirst;
-  let nmsg = Array.make ncap None in
+  let nmsg = Array.make ncap t.filler.(0) in
   Array.blit t.fl_msg 0 nmsg 0 cap;
   t.fl_msg <- nmsg;
   let nadv = Array.make ncap (fun () -> ()) in
@@ -470,11 +517,10 @@ and mcast_arrive t slot mc ~cur =
     else dirs
   in
   let hops = Array.unsafe_get t.fl_hops slot in
-  let w = Mesh.width t.mesh in
   let reused = ref false in
   for dir = 0 to 3 do
     if dirs land (1 lsl dir) <> 0 then begin
-      let child = match dir with 0 -> cur - w | 1 -> cur - 1 | 2 -> cur + 1 | _ -> cur + w in
+      let child = cur + Array.unsafe_get t.delta dir in
       let lid = (cur * 4) + dir in
       let link_up = Mesh.link_up_id t.mesh lid in
       if link_up || !test_skip_up_check then begin
@@ -500,10 +546,7 @@ and mcast_arrive t slot mc ~cur =
         let now = Engine.now t.engine in
         let free_at = Array.unsafe_get t.busy_until lid in
         let begin_tx = if now > free_at then now else free_at in
-        let done_at =
-          begin_tx + t.config.router_latency
-          + serialization_cycles t (Array.unsafe_get t.mc_bytes mc)
-        in
+        let done_at = begin_tx + Array.unsafe_get t.mc_cost mc in
         Array.unsafe_set t.busy_until lid done_at;
         let load = Array.unsafe_get t.load lid + 1 in
         Array.unsafe_set t.load lid load;
@@ -524,12 +567,11 @@ and mcast_arrive t slot mc ~cur =
 and deliver_mcast t mc ~node =
   if t.chk >= 0 then Check.mcast_deliver ~net:t.chk ~mcast:(Array.unsafe_get t.mc_id mc) ~node;
   if t.mcast_obs then Registry.incr t.obs.Obs.metrics t.obs_mcast_deliveries;
-  let msg = match Array.unsafe_get t.mc_msg mc with Some m -> m | None -> assert false in
   deliver t
     ~src:(Array.unsafe_get t.mc_src mc)
     ~dst:node
     ~start:(Array.unsafe_get t.mc_start mc)
-    msg
+    (Array.unsafe_get t.mc_msg mc)
 
 (* Each deliver mark at or below [at] is one logical message lost to a
    mid-flight fault; [site] is the router blamed for the drops. The
@@ -578,7 +620,7 @@ and mcast_ref_drop t mc =
         ~mcast:(Array.unsafe_get t.mc_id mc)
         ~strict:(Mesh.epoch t.mesh = Array.unsafe_get t.mc_epoch mc);
     Bytes.fill (Array.unsafe_get t.mc_fwd mc) 0 (Array.length t.handlers) '\000';
-    Array.unsafe_set t.mc_msg mc None;
+    Array.unsafe_set t.mc_msg mc (Array.unsafe_get t.filler 0);
     Array.unsafe_set t.mc_free_next mc t.mc_free_head;
     t.mc_free_head <- mc
   end
@@ -604,19 +646,20 @@ let send t ~src ~dst ~bytes_ msg =
     (* The sender's own router must be alive to inject at all. *)
     if not (Mesh.router_up t.mesh src) then drop t ~node:src
     else begin
+      retain_filler t msg;
       let slot = alloc_flight t in
       Array.unsafe_set t.fl_cur slot src;
       Array.unsafe_set t.fl_prev slot (-1);
       Array.unsafe_set t.fl_src slot src;
       Array.unsafe_set t.fl_dst slot dst;
       Array.unsafe_set t.fl_start slot start;
-      Array.unsafe_set t.fl_bytes slot bytes_;
+      Array.unsafe_set t.fl_cost slot (hop_cost t bytes_);
       Array.unsafe_set t.fl_hops slot 0;
       Array.unsafe_set t.fl_flight slot t.next_flight;
       t.next_flight <- t.next_flight + 1;
       Array.unsafe_set t.fl_mc slot (-1);
       Bytes.unsafe_set t.fl_xfirst slot (if x_first then '\001' else '\000');
-      Array.unsafe_set t.fl_msg slot (Some msg);
+      Array.unsafe_set t.fl_msg slot msg;
       hop t slot
     end
   end
@@ -631,7 +674,7 @@ let grow_mcasts t =
   t.mc_live <- extend t.mc_live;
   t.mc_src <- extend t.mc_src;
   t.mc_start <- extend t.mc_start;
-  t.mc_bytes <- extend t.mc_bytes;
+  t.mc_cost <- extend t.mc_cost;
   t.mc_id <- extend t.mc_id;
   t.mc_epoch <- extend t.mc_epoch;
   let nfwd = Array.make ncap Bytes.empty in
@@ -640,7 +683,7 @@ let grow_mcasts t =
     nfwd.(i) <- Bytes.make n '\000'
   done;
   t.mc_fwd <- nfwd;
-  let nmsg = Array.make ncap None in
+  let nmsg = Array.make ncap t.filler.(0) in
   Array.blit t.mc_msg 0 nmsg 0 cap;
   t.mc_msg <- nmsg;
   let nfree = Array.make ncap (-1) in
@@ -706,6 +749,7 @@ let multicast t ~src ~dsts ?n ~bytes_ msg =
       done
     else begin
       let parent = Mcast.tree mcast ~root:src in
+      retain_filler t msg;
       let mc = alloc_mcast t in
       let fwd = Array.unsafe_get t.mc_fwd mc in
       let w = Mesh.width t.mesh in
@@ -713,10 +757,10 @@ let multicast t ~src ~dsts ?n ~bytes_ msg =
       t.next_flight <- t.next_flight + 1;
       Array.unsafe_set t.mc_src mc src;
       Array.unsafe_set t.mc_start mc (Engine.now t.engine);
-      Array.unsafe_set t.mc_bytes mc bytes_;
+      Array.unsafe_set t.mc_cost mc (hop_cost t bytes_);
       Array.unsafe_set t.mc_id mc id;
       Array.unsafe_set t.mc_epoch mc (Mesh.epoch t.mesh);
-      Array.unsafe_set t.mc_msg mc (Some msg);
+      Array.unsafe_set t.mc_msg mc msg;
       if t.chk >= 0 then Check.mcast_begin ~net:t.chk ~mcast:id;
       for i = 0 to k - 1 do
         let dst = Array.unsafe_get dsts i in

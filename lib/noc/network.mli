@@ -6,9 +6,12 @@
     than being parameterized. Failures are evaluated per hop, so a link or
     router that dies mid-flight kills the messages crossing it.
 
-    In-flight messages are pooled records and the next hop is recomputed
-    per hop ([Mesh.next_hop] or the adaptive tables — see {!routing}), so a
-    unicast allocates only its payload box regardless of distance. *)
+    In-flight messages are pooled records, payloads included, and the next
+    hop is recomputed per hop (dimension order from a node -> column
+    array, without divisions, or the adaptive tables — see {!routing}),
+    so in steady state a unicast allocates nothing, whatever the
+    distance. The first payload sent stays referenced as the filler of
+    empty pool slots. *)
 
 type routing =
   | Xy  (** Deterministic dimension-order; a fault on the unique path drops. *)

@@ -44,12 +44,14 @@ end
 (* The kv app folds its 16-slot store into the [state] digest after every
    operation so agreement checks (which compare [state]) detect ordering
    divergence. The store itself lives in the closure. *)
+let kv_tag = Hash.of_string "kv"
+
 let kv () =
   let store = Array.make 16 0l in
   let digest () =
     Array.fold_left
       (fun acc v -> Hash.combine acc (Int64.of_int32 v))
-      (Hash.of_string "kv") store
+      kv_tag store
   in
   let step _state payload =
     let result =

@@ -63,7 +63,8 @@ module Trinc_hybrid = struct
   let module_name = "Cheapbft"
   let protocol_name = "cheapbft"
   let make ~id ~key ~protection = Trinc.create ~id ~key ~protection
-  let statement digest = Hash.combine (Hash.of_string "cheap-stmt") digest
+  let statement_tag = Hash.of_string "cheap-stmt"
+  let statement digest = Hash.combine statement_tag digest
   let current_counter t = fst (Register.read (Trinc.counter_register t))
 
   let create_cert t digest =

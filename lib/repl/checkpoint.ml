@@ -136,8 +136,10 @@ let low t = t.low
 let high t = t.low + (t.cfg.window * t.cfg.interval)
 let is_boundary t seq = seq > 0 && seq mod t.cfg.interval = 0
 
+let digest_tag = Hash.of_string "resoc-ckpt"
+
 let digest ~seq ~state ~rids =
-  let h = Hash.combine_int (Hash.combine (Hash.of_string "resoc-ckpt") state) seq in
+  let h = Hash.combine_int (Hash.combine digest_tag state) seq in
   List.fold_left
     (fun h (client, rid, result) ->
       Hash.combine (Hash.combine_int h ((client * 1_000_003) + rid)) result)

@@ -152,6 +152,10 @@ let send_commit_if_prepared r ~seq (e : entry) =
 
 (* --- view changes --- *)
 
+(* What an equivocating primary mixes into the digest it tells half the
+   backups. *)
+let lie_tag = Hash.of_string "lie"
+
 (* One sequence number covers the whole batch, agreed under its batch
    digest, shipped as one (multicast-able) flight per destination. Callers
    dedup against the log's [ordered] first ([Replica.propose] on the way
@@ -180,7 +184,7 @@ let order_batch r (requests : Types.request list) =
          the slot stalls until a view change evicts the primary. *)
       let lies = r.f + 1 in
       for i = 0 to Array.length backups - 1 do
-        let digest' = if i < lies then Hash.combine digest (Hash.of_string "lie") else digest in
+        let digest' = if i < lies then Hash.combine digest lie_tag else digest in
         Replica.send r.core ~dst:backups.(i)
           (Pre_prepare_b { view; seq; digest = digest'; requests })
       done

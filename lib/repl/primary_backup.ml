@@ -66,11 +66,13 @@ let kit =
    (client, rid, result) reply folded over the post-batch state, so the
    checker can compare primary and backup commits at one (epoch, seq)
    slot. *)
+let update_tag = Hash.of_string "pb-update-b"
+
 let update_digest ~state ~(replies : (int * int * int64) list) =
   List.fold_left
     (fun acc (client, rid, result) ->
       Hash.combine_int (Hash.combine acc result) ((client * 1_000_003) + rid))
-    (Hash.combine (Hash.of_string "pb-update-b") state)
+    (Hash.combine update_tag state)
     replies
 
 (* Primary-side checkpointing: at every boundary the primary digests its

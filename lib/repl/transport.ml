@@ -18,10 +18,12 @@ let broadcast fabric ~src ~to_ msg =
   | None -> List.iter (fun dst -> fabric.send ~src ~dst msg) to_
 
 (* Hub deliveries ride pooled slots: per slot a (src, dst) pair, the
-   payload, and a fire closure built once and reused — so a send pushes
-   two ints into the engine and boxes the payload, nothing else. The
-   slot is released before the handler runs, so a handler that sends
-   can reuse it immediately. *)
+   payload, and a fire closure built once and reused — so a send stores
+   two ints and the payload and pushes a slot into the engine, and
+   allocates nothing. A slot with no message in it holds the first
+   payload ever sent ([filler]), so a delivered message is not kept
+   reachable. The slot is released before the handler runs, so a
+   handler that sends can reuse it immediately. *)
 let hub engine ~n ?(latency = 5) ?(size_of = fun _ -> 64) ?(multicast = false) () =
   if n <= 0 then invalid_arg "Transport.hub: need at least one endpoint";
   if latency < 0 then invalid_arg "Transport.hub: negative latency";
@@ -31,13 +33,14 @@ let hub engine ~n ?(latency = 5) ?(size_of = fun _ -> 64) ?(multicast = false) (
   let p_src = ref [||] in
   let p_dst = ref [||] in
   let p_msg = ref [||] in
+  let filler = ref [||] in
   let p_fire = ref [||] in
   let p_free_next = ref [||] in
   let free_head = ref (-1) in
   let fire slot =
     let src = (!p_src).(slot) and dst = (!p_dst).(slot) in
-    let msg = match (!p_msg).(slot) with Some m -> m | None -> assert false in
-    (!p_msg).(slot) <- None;
+    let msg = (!p_msg).(slot) in
+    (!p_msg).(slot) <- (!filler).(0);
     (!p_free_next).(slot) <- !free_head;
     free_head := slot;
     match handlers.(dst) with
@@ -50,7 +53,7 @@ let hub engine ~n ?(latency = 5) ?(size_of = fun _ -> 64) ?(multicast = false) (
     let extend a = Array.append a (Array.make (ncap - cap) 0) in
     p_src := extend !p_src;
     p_dst := extend !p_dst;
-    let nmsg = Array.make ncap None in
+    let nmsg = Array.make ncap (!filler).(0) in
     Array.blit !p_msg 0 nmsg 0 cap;
     p_msg := nmsg;
     let nfire = Array.make ncap (fun () -> ()) in
@@ -72,12 +75,13 @@ let hub engine ~n ?(latency = 5) ?(size_of = fun _ -> 64) ?(multicast = false) (
     incr messages;
     bytes := !bytes + size_of msg;
     let delay = if src = dst then 1 else latency in
+    if Array.length !filler = 0 then filler := [| msg |];
     if !free_head < 0 then grow ();
     let slot = !free_head in
     free_head := (!p_free_next).(slot);
     (!p_src).(slot) <- src;
     (!p_dst).(slot) <- dst;
-    (!p_msg).(slot) <- Some msg;
+    (!p_msg).(slot) <- msg;
     ignore (Engine.schedule engine ~delay (!p_fire).(slot))
   in
   {

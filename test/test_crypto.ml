@@ -86,6 +86,20 @@ let test_keychain_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Keychain: principal out of range")
     (fun () -> ignore (Keychain.pairwise kc 0 3))
 
+(* Component keys are precomputed at [create]; they must stay the keys
+   the per-call formula derived. *)
+let test_keychain_component_formula () =
+  let master = 0x17E4C0L and n = 70 in
+  let kc = Keychain.create ~master ~n in
+  let d = Hash.of_string "m" in
+  for i = 0 to n - 1 do
+    let formula = Mac.key_of_int64 (Hash.combine_int (Hash.combine master 0x55534947L) i) in
+    if not (Mac.equal (Mac.sign (Keychain.component kc i) d) (Mac.sign formula d)) then
+      Alcotest.failf "component key %d moved" i
+  done;
+  Alcotest.check_raises "out of range" (Invalid_argument "Keychain: principal out of range")
+    (fun () -> ignore (Keychain.component kc n))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -116,5 +130,6 @@ let () =
           Alcotest.test_case "component distinct" `Quick test_keychain_component_distinct_from_pairwise;
           Alcotest.test_case "deterministic" `Quick test_keychain_deterministic;
           Alcotest.test_case "bounds" `Quick test_keychain_bounds;
+          Alcotest.test_case "component formula" `Quick test_keychain_component_formula;
         ] );
     ]

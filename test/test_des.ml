@@ -469,6 +469,30 @@ let test_engine_cancel_heavy_purge () =
   Engine.run e;
   Alcotest.(check int) "survivors fired" 250 !count
 
+let test_engine_purge_allocation_free () =
+  (* The purge filters the far heap in place and re-heapifies it. Fill
+     both levels, cancel exactly half (no purge yet), then time the
+     cancel that tips the dead past half: it purges, allocating nothing
+     beyond the boxed floats [Gc.minor_words] itself returns. *)
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let action () = incr fired in
+  let handles =
+    Array.init 1000 (fun i ->
+        Engine.at e ~time:(if i mod 3 = 0 then 10 else 500 + (i * 7 mod 300)) action)
+  in
+  for i = 0 to 499 do
+    Engine.cancel e handles.(2 * i)
+  done;
+  Alcotest.(check int) "no purge at half" 1000 (Engine.pending e);
+  let before = Gc.minor_words () in
+  Engine.cancel e handles.(1);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "purged" 499 (Engine.pending e);
+  if words > 8.0 then Alcotest.failf "the purge allocated %.0f minor words" words;
+  Engine.run e;
+  Alcotest.(check int) "survivors fired" 499 !fired
+
 let test_engine_seq_era_renumber () =
   (* Burn through a full 2^20 sequence era while a cohort of same-time
      events is pending; the renumbering must preserve their firing order
@@ -777,15 +801,38 @@ let prop_ipq_model =
           end)
         ops;
       ok := !ok && Ipq.size q = List.length !model;
-      (* to_sorted_pairs/reload round-trip (the renumbering path) *)
-      let pairs = Ipq.to_sorted_pairs q in
-      ok := !ok && Array.to_list pairs = !model;
-      Ipq.reload q pairs;
+      (* Filter in place and re-heapify (the purge path): the survivors
+         pop in key order. *)
+      let keep (_, v) = v mod 3 <> 0 in
+      let kept = ref 0 in
+      for i = 0 to Ipq.size q - 1 do
+        let k = Ipq.nth_key q i and v = Ipq.nth_val q i in
+        if keep (k, v) then begin
+          Ipq.set_nth q !kept k v;
+          incr kept
+        end
+      done;
+      Ipq.truncate q !kept;
+      Ipq.heapify q;
+      let model = List.filter keep !model in
+      let half = List.length model / 2 in
+      List.iteri
+        (fun i (mk, mv) ->
+          if i < half then begin
+            ok := !ok && Ipq.min_key q = mk && Ipq.min_val q = mv;
+            Ipq.remove_min q
+          end)
+        model;
+      (* In-place sort (the renumbering path): the store lists the rest of
+         the model in order and still pops as a heap. *)
+      let rest = List.filteri (fun i _ -> i >= half) model in
+      Ipq.sort q;
+      ok := !ok && List.init (Ipq.size q) (fun i -> (Ipq.nth_key q i, Ipq.nth_val q i)) = rest;
       List.iter
         (fun (mk, mv) ->
           ok := !ok && Ipq.min_key q = mk && Ipq.min_val q = mv;
           Ipq.remove_min q)
-        !model;
+        rest;
       !ok && Ipq.is_empty q)
 
 (* --- Metrics --- *)
@@ -938,6 +985,7 @@ let () =
           Alcotest.test_case "delay 0 inside an action" `Quick test_engine_delay_zero_in_action;
           Alcotest.test_case "budget keeps the clock" `Quick test_engine_budget_keeps_clock;
           Alcotest.test_case "scripts reach the purge" `Quick test_scripts_reach_purge;
+          Alcotest.test_case "purge allocates nothing" `Quick test_engine_purge_allocation_free;
         ] );
       qsuite "engine-prop" [ prop_engine_matches_reference ];
       ( "metrics",

@@ -228,9 +228,104 @@ let test_a2m_fork_detected () =
   Alcotest.(check int64) "same seq" fork1.A2m.seq fork2.A2m.seq;
   Alcotest.(check bool) "chains diverge" false (Hash.equal fork1.A2m.chain fork2.A2m.chain)
 
+(* --- Certificate digests pinned to their per-call formulas --- *)
+
+(* The trusted components precompute their constant tags and per-signer
+   prefixes; every certificate must still carry the tag the original
+   formula gives, for the precomputed signers 0..63 and past them. *)
+let signers = List.init 64 Fun.id @ [ 64; 65; 200 ]
+
+let check_tag what signer expected tag =
+  if not (Mac.equal expected tag) then Alcotest.failf "%s: signer %d's tag moved" what signer
+
+let test_usig_digest_formula () =
+  let d = Hash.of_string "msg" in
+  List.iter
+    (fun signer ->
+      let u = Usig.create ~id:signer ~key ~protection:Register.Secded in
+      ignore (Usig.create_ui u d);
+      match Usig.create_ui u d with
+      | Error e -> Alcotest.failf "create_ui failed: %s" e
+      | Ok ui ->
+        let formula =
+          Hash.combine
+            (Hash.combine_int (Hash.combine_int (Hash.of_string "usig-ui") signer) 0)
+            (Hash.combine 2L d)
+        in
+        check_tag "usig" signer (Mac.sign key formula) ui.Usig.tag;
+        Alcotest.(check bool) "verify_ui" true (Usig.verify_ui ~key ~digest:d ui))
+    signers
+
+let test_trinc_digest_formula () =
+  let d = Hash.of_string "msg" in
+  List.iter
+    (fun signer ->
+      let t = Trinc.create ~id:signer ~key ~protection:Register.Secded in
+      match Trinc.attest t ~new_counter:7L ~digest:d with
+      | Error e -> Alcotest.failf "attest failed: %s" e
+      | Ok a ->
+        let formula =
+          Hash.combine
+            (Hash.combine_int (Hash.of_string "trinc") signer)
+            (Hash.combine (Hash.combine 0L 7L) d)
+        in
+        check_tag "trinc" signer (Mac.sign key formula) a.Trinc.tag;
+        Alcotest.(check bool) "verify" true (Trinc.verify ~key a))
+    signers
+
+let test_a2m_digest_formula () =
+  let d1 = Hash.of_string "one" and d2 = Hash.of_string "two" in
+  List.iter
+    (fun signer ->
+      let log = A2m.create ~id:signer ~key in
+      ignore (A2m.append log d1);
+      let a = A2m.append log d2 in
+      let chain = Hash.chain (Hash.chain Hash.zero d1) d2 in
+      let formula =
+        Hash.combine
+          (Hash.combine_int (Hash.of_string "a2m") signer)
+          (Hash.combine 2L (Hash.combine d2 chain))
+      in
+      check_tag "a2m" signer (Mac.sign key formula) a.A2m.tag;
+      Alcotest.(check bool) "verify" true (A2m.verify ~key a))
+    signers
+
+(* CheapBFT's TrInc certificates attest [H("cheap-stmt") . batch digest]:
+   watch the prepares a live group sends over a hub. *)
+let test_cheapbft_statement_formula () =
+  let open Resoc_repl in
+  let engine = Resoc_des.Engine.create () in
+  let config = Cheapbft.default_config in
+  let n = Cheapbft.n_replicas config + config.Cheapbft.n_clients in
+  let hub = Transport.hub engine ~n () in
+  let seen = ref 0 in
+  let send ~src ~dst msg =
+    (match msg with
+    | Cheapbft.Prepare_b { requests; cert; _ } ->
+      incr seen;
+      let formula = Hash.combine (Hash.of_string "cheap-stmt") (Types.batch_digest requests) in
+      Alcotest.(check bool) "statement" true (Hash.equal formula cert.Trinc.digest)
+    | _ -> ());
+    hub.Transport.send ~src ~dst msg
+  in
+  let sys = Cheapbft.start engine { hub with Transport.send } config () in
+  for i = 1 to 3 do
+    Cheapbft.submit sys ~client:0 ~payload:(Int64.of_int i)
+  done;
+  Resoc_des.Engine.run ~until:100_000 engine;
+  Alcotest.(check int) "completed" 3 (Cheapbft.stats sys).Stats.completed;
+  if !seen = 0 then Alcotest.fail "no prepare seen"
+
 let () =
   Alcotest.run "resoc_hybrid"
     [
+      ( "digests",
+        [
+          Alcotest.test_case "usig ui formula" `Quick test_usig_digest_formula;
+          Alcotest.test_case "trinc attestation formula" `Quick test_trinc_digest_formula;
+          Alcotest.test_case "a2m attestation formula" `Quick test_a2m_digest_formula;
+          Alcotest.test_case "cheapbft statement formula" `Quick test_cheapbft_statement_formula;
+        ] );
       ( "usig",
         [
           Alcotest.test_case "counter monotonic" `Quick test_usig_counter_monotonic;

@@ -324,6 +324,56 @@ let test_campaign_deterministic_across_jobs () =
   Alcotest.(check bool) "trees were actually (re)built" true
     (List.exists (fun cell -> List.assoc "builds" cell > 0.0) j1)
 
+(* Unicasts and multicast branches share one flight pool, and the
+   unboxed payload array must grow with it whichever path grows it. On
+   one 8x8 network, launch a burst of one kind, run it out, then a larger
+   burst of the other kind, so each kind grows the pool in turn (the
+   pool starts at 64 slots and doubles): every payload must arrive
+   intact, exactly once. *)
+let test_pool_growth_across_send_paths () =
+  List.iter
+    (fun mcast_first ->
+      let engine = Engine.create () in
+      let mesh = Mesh.create ~width:8 ~height:8 in
+      let net = Network.create engine mesh { Network.default_config with multicast = true } in
+      let got = Hashtbl.create 4096 and expected = Hashtbl.create 4096 in
+      let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
+      for node = 0 to 63 do
+        Network.attach net ~node (fun ~src:_ payload -> bump got (node, payload))
+      done;
+      let all = Array.init 64 Fun.id in
+      let multicasts roots =
+        List.iter
+          (fun src ->
+            let payload = Printf.sprintf "mcast from %d" src in
+            Array.iter (fun node -> bump expected (node, payload)) all;
+            Network.multicast net ~src ~dsts:all ~bytes_:48 payload)
+          roots;
+        Engine.run engine
+      in
+      let unicasts k =
+        for i = 0 to k - 1 do
+          let src = i mod 64 and dst = ((i * 7) + 3) mod 64 in
+          let payload = Printf.sprintf "unicast %d" i in
+          bump expected (dst, payload);
+          Network.send net ~src ~dst ~bytes_:48 payload
+        done;
+        Engine.run engine
+      in
+      if mcast_first then begin
+        multicasts (List.init 16 (fun i -> i * 4));
+        unicasts 400
+      end
+      else begin
+        unicasts 100;
+        multicasts (List.init 64 Fun.id)
+      end;
+      let sorted tbl = List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl []) in
+      Alcotest.(check (list (pair (pair int string) int)))
+        (if mcast_first then "multicast first" else "unicast first")
+        (sorted expected) (sorted got))
+    [ true; false ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -340,6 +390,10 @@ let () =
         [
           Alcotest.test_case "skip-branch fires" `Quick test_knob_skip_branch;
           Alcotest.test_case "dup-deliver fires" `Quick test_knob_dup_deliver;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "growth across send paths" `Quick test_pool_growth_across_send_paths;
         ] );
       ( "end-to-end",
         [

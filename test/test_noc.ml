@@ -1,5 +1,7 @@
 open Resoc_noc
 module Engine = Resoc_des.Engine
+module Obs = Resoc_obs.Obs
+module Registry = Resoc_obs.Registry
 
 (* --- Mesh --- *)
 
@@ -325,6 +327,112 @@ let test_partition_handler_fires () =
   (* One directed link down: 2x2 = 4 left-to-right pairs lost. *)
   Alcotest.(check int) "severed pairs detected" 8 reachable
 
+(* --- Hop-by-hop route identity --- *)
+
+(* A send on a random W x H mesh (1 x n and n x 1 included) between two
+   distinct nodes, with up to [faults] random directed links to fail. *)
+let gen_send ~faults =
+  QCheck.Gen.(
+    let* w = 1 -- 7 and* h = 1 -- 7 in
+    let h = if w * h = 1 then 2 else h in
+    let n = w * h in
+    let* src = 0 -- (n - 1) and* dst = 0 -- (n - 2) in
+    let+ cuts = list_size (0 -- faults) (pair (0 -- (n - 1)) (0 -- 3)) in
+    (w, h, src, (if dst >= src then dst + 1 else dst), cuts))
+
+let print_send (w, h, src, dst, cuts) =
+  Printf.sprintf "%dx%d %d->%d cuts [%s]" w h src dst
+    (String.concat ";" (List.map (fun (a, d) -> Printf.sprintf "%d/%d" a d) cuts))
+
+let cut_links mesh cuts =
+  let real = Mesh.real_link_ids mesh in
+  List.iter
+    (fun (node, dir) ->
+      let lid = (node * 4) + dir in
+      if Array.mem lid real then Mesh.fail_link mesh (Mesh.link_of_id mesh lid))
+    cuts
+
+(* The directed links a route crosses, in order. *)
+let rec route_links = function
+  | a :: (b :: _ as rest) -> { Mesh.src = a; dst = b } :: route_links rest
+  | [ _ ] | [] -> []
+
+(* The loads after one send against an expected route, each of whose
+   links is crossed once, in two views: [Network.hop_load]'s links, and
+   the per-link-id counters of the metrics registry, which must sit on
+   [Mesh.link_id] of each hop (a width-1 mesh has an east and a south id
+   for the same pair of tiles). *)
+let loads_match (engine, net) route =
+  let mesh = Network.mesh net in
+  let links = route_links route in
+  let by_id = List.sort compare (List.map (fun (l : Mesh.link) -> Mesh.link_id mesh ~src:l.src ~dst:l.dst) links) in
+  let counted = ref [] in
+  Registry.iter_scalars (Engine.obs engine).Obs.metrics (fun name ~gauge:_ v ->
+      match String.split_on_char '.' name with
+      | [ "noc"; "link"; lid ] when v > 0 -> counted := (int_of_string lid, v) :: !counted
+      | _ -> ());
+  List.sort compare !counted = List.map (fun lid -> (lid, 1)) by_id
+  && Network.hop_load net = List.map (fun lid -> (Mesh.link_of_id mesh lid, 1)) by_id
+
+let send_once ~routing (w, h, src, dst, cuts) =
+  Fun.protect ~finally:Obs.disable (fun () ->
+      Obs.enable_metrics ();
+      let engine, net =
+        make_net ~config:{ Network.default_config with routing } ~width:w ~height:h ()
+      in
+      cut_links (Network.mesh net) cuts;
+      Network.attach net ~node:dst (fun ~src:_ () -> ());
+      Network.send net ~src ~dst ~bytes_:24 ();
+      Engine.run engine;
+      (engine, net))
+
+let prop_xy_hops =
+  QCheck.Test.make ~name:"xy flights follow xy_route hop for hop" ~count:300
+    (QCheck.make ~print:print_send (gen_send ~faults:0))
+    (fun ((_, _, src, dst, _) as case) ->
+      let ((_, net) as xy) = send_once ~routing:Network.Xy case in
+      let route = Mesh.xy_route (Network.mesh net) ~src ~dst in
+      Network.delivered net = 1
+      && loads_match xy route
+      && loads_match (send_once ~routing:Network.Xy_with_yx_fallback case) route)
+
+(* With a link of the XY path failed, the fallback takes the YX path; when
+   that is broken too, the flight dies on it. *)
+let prop_yx_fallback_hops =
+  QCheck.Test.make ~name:"fallback flights follow yx_route hop for hop" ~count:300
+    (QCheck.make ~print:print_send
+       QCheck.Gen.(
+         let* w, h, src, dst, cuts = gen_send ~faults:3 in
+         let xy = Mesh.xy_route (Mesh.create ~width:w ~height:h) ~src ~dst in
+         let+ k = 0 -- (List.length xy - 2) in
+         let a = List.nth xy k and b = List.nth xy (k + 1) in
+         let dir = if b = a - w then 0 else if b = a + w then 3 else if b = a - 1 then 1 else 2 in
+         (w, h, src, dst, (a, dir) :: cuts)))
+    (fun ((_, _, src, dst, _) as case) ->
+      let ((_, net) as run) = send_once ~routing:Network.Xy_with_yx_fallback case in
+      let mesh = Network.mesh net in
+      let yx = Mesh.yx_route mesh ~src ~dst in
+      if List.for_all (Mesh.link_up mesh) (route_links yx) then
+        Network.delivered net = 1 && loads_match run yx
+      else Network.dropped net = 1)
+
+(* Adaptive flights: walking a second copy of the tables gives the path,
+   and each hop's load must sit on [Mesh.link_id] of that hop. *)
+let prop_adaptive_hops =
+  QCheck.Test.make ~name:"adaptive hops load Mesh.link_id" ~count:300
+    (QCheck.make ~print:print_send (gen_send ~faults:8))
+    (fun ((_, _, src, dst, _) as case) ->
+      let ((_, net) as run) = send_once ~routing:Network.Adaptive case in
+      let mesh = Network.mesh net in
+      let ad = Adaptive.create mesh in
+      if not (Adaptive.reachable ad ~src ~dst) then Network.dropped net = 1
+      else begin
+        let rec walk cur acc =
+          if cur = dst then List.rev (cur :: acc) else walk (Adaptive.next_hop ad ~cur ~dst) (cur :: acc)
+        in
+        Network.delivered net = 1 && loads_match run (walk src [])
+      end)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -369,4 +477,5 @@ let () =
           Alcotest.test_case "route epoch tracks mesh" `Quick test_route_epoch_tracks_mesh;
           Alcotest.test_case "partition handler" `Quick test_partition_handler_fires;
         ] );
+      qsuite "routes" [ prop_xy_hops; prop_yx_fallback_hops; prop_adaptive_hops ];
     ]
