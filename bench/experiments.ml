@@ -34,8 +34,6 @@ module Generator = Resoc_workload.Generator
 module Campaign = Resoc_campaign.Campaign
 module Cstats = Resoc_campaign.Stats
 module Emit = Resoc_campaign.Emit
-module Check = Resoc_check.Check
-module Inject = Resoc_check.Inject
 module Replay = Resoc_check.Replay
 
 let header title claim =
@@ -130,18 +128,14 @@ let replay_campaign (rt : Replay.t) cells =
       Printf.eprintf "replay: campaign %s has no cell %s\n" rt.experiment rt.cell;
       exit 2
   in
-  Check.begin_replicate ();
-  Inject.begin_replicate ();
-  if !Resoc_obs.Obs.metrics_on then Resoc_obs.Obs.begin_replicate ();
-  Inject.set_mask ~total:rt.total_events rt.keep;
-  match cell.Campaign.run ~seed:rt.seed with
-  | _ ->
+  let run () = ignore (cell.Campaign.run ~seed:rt.seed) in
+  match Replay.attempt ~mask:(rt.total_events, rt.keep) run with
+  | None ->
     Printf.printf "replay: %s/%s seed %Ld ran clean — failure NOT reproduced\n" rt.experiment
       rt.cell rt.seed;
     exit 1
-  | exception e ->
-    Printf.printf "replay: %s/%s seed %Ld reproduced: %s\n" rt.experiment rt.cell rt.seed
-      (Printexc.to_string e);
+  | Some error ->
+    Printf.printf "replay: %s/%s seed %Ld reproduced: %s\n" rt.experiment rt.cell rt.seed error;
     exit 0
 
 let run_campaign ~id ~title cells =

@@ -15,7 +15,6 @@ module Scenario = Resoc_workload.Scenario
 module Obs = Resoc_obs.Obs
 module Check = Resoc_check.Check
 module Inject = Resoc_check.Inject
-module Shrink = Resoc_check.Shrink
 module Replay = Resoc_check.Replay
 open Cmdliner
 
@@ -27,12 +26,6 @@ let print_event_log sys =
   Format.printf "@.--- resilience event trace (%d entries) ---@." (List.length entries);
   List.iter (fun e -> Format.printf "%a@." Resoc_des.Trace.pp_entry e) entries
 
-(* Observability flags must be set before the system (and its engine) is
-   created: instruments are registered at component construction. *)
-let setup_obs ~metrics ~trace =
-  if metrics then Obs.enable_metrics ();
-  if trace <> None then Obs.enable_tracing ()
-
 let finish_obs ~metrics ~trace =
   (match trace with
    | Some path ->
@@ -41,28 +34,54 @@ let finish_obs ~metrics ~trace =
    | None -> ());
   if metrics then print_string (Obs.metrics_json ())
 
-(* Run [body] — which builds and executes one simulation, printing its report
-   only when [quiet] is false — under the invariant checker. Shrinking
-   re-executes the same configuration many times with [quiet:true], so the
-   body must be re-entrant. Replay re-executes once under the recorded mask;
-   the caller must pass the same configuration flags as the original run. *)
-let checked_run ~check ~shrink ~replay ~cell ~seed body =
-  let check = check || shrink || replay <> None in
-  if not check then body ~quiet:false
+(* A FAIL record to replay, refused (exit 2) when it cannot be read or was
+   recorded for another experiment, cell or seed: re-running it with this
+   run's configuration would prove nothing. *)
+let replay_record path ~cell ~seed =
+  let refuse msg =
+    Format.eprintf "--replay %s: %s@." path msg;
+    exit 2
+  in
+  match Replay.read path with
+  | exception (Sys_error msg | Failure msg) -> refuse msg
+  | rt when rt.Replay.experiment <> "soc_sim" ->
+    refuse (Printf.sprintf "recorded by experiment %s, not soc_sim" rt.experiment)
+  | rt when rt.cell <> cell ->
+    refuse (Printf.sprintf "recorded for %s, not %s" rt.cell cell)
+  | rt when rt.seed <> seed ->
+    refuse (Printf.sprintf "recorded with seed %Ld, not %Ld" rt.seed seed)
+  | rt -> rt
+
+(* Build and run one simulation of [config], printing its report, event
+   log and obs output unless [quiet], under the invariant checker when
+   [check], [shrink] or [replay] asks for it. Shrinking re-executes the
+   simulation many times with [quiet:true]. Replay re-executes it once
+   under the recorded mask; the caller must pass the same configuration
+   flags as the original run. Observability flags are set before the
+   system (and its engine) is created: instruments are registered at
+   component construction. *)
+let simulate ~cell config ~horizon ~workload_period ~show_event_log ~metrics ~trace ~check
+    ~shrink ~replay =
+  if metrics then Obs.enable_metrics ();
+  if trace <> None then Obs.enable_tracing ();
+  let run ~quiet () =
+    let sys = Resilient_system.create config in
+    let report = Resilient_system.run sys ~horizon ~workload_period in
+    if not quiet then begin
+      print_report report;
+      if show_event_log then print_event_log sys;
+      finish_obs ~metrics ~trace
+    end
+  in
+  let seed = config.Resilient_system.soc.Soc.seed in
+  if not (check || shrink || replay <> None) then run ~quiet:false ()
   else begin
+    let replay = Option.map (replay_record ~cell ~seed) replay in
     Check.enable ();
     Inject.record ();
-    let attempt ~quiet mask =
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      if !Obs.metrics_on then Obs.begin_replicate ();
-      (match mask with Some (total, keep) -> Inject.set_mask ~total keep | None -> ());
-      match body ~quiet with () -> None | exception e -> Some (Printexc.to_string e)
-    in
     match replay with
-    | Some path ->
-      let rt = Replay.read path in
-      (match attempt ~quiet:false (Some (rt.Replay.total_events, rt.Replay.keep)) with
+    | Some rt ->
+      (match Replay.attempt ~mask:(rt.total_events, rt.keep) (run ~quiet:false) with
        | Some err ->
          Format.printf "replay: reproduced: %s@." err;
          exit 0
@@ -70,31 +89,17 @@ let checked_run ~check ~shrink ~replay ~cell ~seed body =
          Format.printf "replay: ran clean — failure NOT reproduced@.";
          exit 1)
     | None ->
-      (match attempt ~quiet:false None with
+      (match Replay.attempt (run ~quiet:false) with
        | None -> ()
        | Some err ->
          Format.eprintf "invariant failure: %s@." err;
          if shrink then begin
-           let total = Inject.count () in
-           let test keep = attempt ~quiet:true (Some (total, keep)) <> None in
-           let keep = List.sort_uniq compare (Shrink.ddmin ~test total) in
-           let error =
-             match attempt ~quiet:true (Some (total, keep)) with Some e -> e | None -> err
-           in
-           let events =
-             List.mapi
-               (fun i (ev : Inject.event) ->
-                 { Replay.kind = ev.kind; time = ev.time; a = ev.a; b = ev.b;
-                   kept = List.mem i keep })
-               (Inject.events ())
-           in
-           let record =
-             { Replay.experiment = "soc_sim"; cell; seed; error; total_events = total;
-               keep; events }
-           in
-           let out = Replay.write ~dir:"." record in
-           Format.eprintf "shrunk %d -> %d injection events; wrote %s@." total
-             (List.length keep) out
+           match Replay.shrink ~experiment:"soc_sim" ~cell ~seed (run ~quiet:true) with
+           | Some record ->
+             let out = Replay.write ~dir:"." record in
+             Format.eprintf "shrunk %d -> %d injection events; wrote %s@." record.total_events
+               (List.length record.keep) out
+           | None -> Format.eprintf "the failure did not recur on re-run; not shrinking@."
          end;
          exit 1)
   end
@@ -114,18 +119,9 @@ let run_scenario name horizon_override show_event_log metrics trace check shrink
     let horizon =
       match horizon_override with Some h -> h | None -> scenario.Scenario.horizon
     in
-    setup_obs ~metrics ~trace;
-    let seed = scenario.Scenario.config.Resilient_system.soc.Soc.seed in
-    checked_run ~check ~shrink ~replay ~cell:("scenario/" ^ name) ~seed (fun ~quiet ->
-        let sys = Resilient_system.create scenario.Scenario.config in
-        let report =
-          Resilient_system.run sys ~horizon ~workload_period:scenario.Scenario.workload_period
-        in
-        if not quiet then begin
-          print_report report;
-          if show_event_log then print_event_log sys;
-          finish_obs ~metrics ~trace
-        end)
+    simulate ~cell:("scenario/" ^ name) scenario.Scenario.config ~horizon
+      ~workload_period:scenario.Scenario.workload_period ~show_event_log ~metrics ~trace ~check
+      ~shrink ~replay
 
 let event_log_flag =
   Arg.(value & flag & info [ "event-log" ] ~doc:"Print the resilience event trace.")
@@ -151,8 +147,9 @@ let replay_arg =
   Arg.(value & opt (some string) None
        & info [ "replay" ] ~docv:"FILE"
            ~doc:"Re-execute the run under the suppression mask recorded in $(docv); exit 0 when \
-                 the failure reproduces. Pass the same configuration flags as the original run \
-                 (implies $(b,--check)).")
+                 the failure reproduces, 2 when $(docv) cannot be read or was recorded for \
+                 another experiment, cell or seed. Pass the same configuration flags as the \
+                 original run (implies $(b,--check)).")
 
 let scenario_cmd =
   let name_arg =
@@ -223,15 +220,8 @@ let run_custom protocol f n_clients mesh protection diversity n_variants rejuv_p
          | None -> None);
     }
   in
-  setup_obs ~metrics ~trace;
-  checked_run ~check ~shrink ~replay ~cell:"run" ~seed:(Int64.of_int seed) (fun ~quiet ->
-      let sys = Resilient_system.create config in
-      let report = Resilient_system.run sys ~horizon ~workload_period in
-      if not quiet then begin
-        print_report report;
-        if show_event_log then print_event_log sys;
-        finish_obs ~metrics ~trace
-      end)
+  simulate ~cell:"run" config ~horizon ~workload_period ~show_event_log ~metrics ~trace ~check
+    ~shrink ~replay
 
 let run_cmd =
   let protocol =

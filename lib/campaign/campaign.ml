@@ -1,7 +1,6 @@
 module Obs = Resoc_obs.Obs
 module Check = Resoc_check.Check
 module Inject = Resoc_check.Inject
-module Shrink = Resoc_check.Shrink
 module Replay = Resoc_check.Replay
 
 type metrics = (string * float) list
@@ -52,47 +51,22 @@ type result = {
   cells : aggregate list;
 }
 
-(* Re-execute one failing replicate under suppression masks until ddmin lands
-   on a locally minimal injection schedule, then emit the FAIL record. Runs on
-   the calling domain after the pool has drained; each attempt resets the
-   domain-local checker, injection log and (when live) observability state, so
-   the re-runs see exactly what the worker saw. *)
-let shrink_failure ~fail_dir ~campaign_id (cell : cell) ~seed (f : Pool.failure) =
-  let attempt mask =
-    Check.begin_replicate ();
-    Inject.begin_replicate ();
-    if !Obs.metrics_on then Obs.begin_replicate ();
-    (match mask with Some (total, keep) -> Inject.set_mask ~total keep | None -> ());
-    match cell.run ~seed with _ -> None | exception e -> Some (Printexc.to_string e)
-  in
-  match attempt None with
+(* Re-execute one failing replicate on the calling domain, after the pool
+   has drained, until ddmin lands on a locally minimal injection schedule,
+   then emit the FAIL record. *)
+let shrink_failure ~fail_dir ~campaign_id (cell : cell) ~seed =
+  match
+    Replay.shrink ~experiment:campaign_id ~cell:cell.id ~seed (fun () ->
+        ignore (cell.run ~seed))
+  with
   | None ->
     Printf.eprintf
       "campaign %s: cell %s seed %Ld failed in the pool but not on re-run; not shrinking\n%!"
       campaign_id cell.id seed
-  | Some _ ->
-    let total = Inject.count () in
-    let test keep = attempt (Some (total, keep)) <> None in
-    let keep = List.sort_uniq compare (Shrink.ddmin ~test total) in
-    let error = match attempt (Some (total, keep)) with Some e -> e | None -> f.Pool.error in
-    let events =
-      List.mapi
-        (fun i (ev : Inject.event) ->
-          { Replay.kind = ev.kind; time = ev.time; a = ev.a; b = ev.b; kept = List.mem i keep })
-        (Inject.events ())
-    in
-    let record =
-      { Replay.experiment = campaign_id; cell = cell.id; seed; error; total_events = total;
-        keep; events }
-    in
-    (match fail_dir with
-     | Some dir ->
-       let path = Replay.write ~dir record in
-       Printf.eprintf "campaign %s: cell %s seed %Ld shrunk %d -> %d injection events; wrote %s\n%!"
-         campaign_id cell.id seed total (List.length keep) path
-     | None ->
-       Printf.eprintf "campaign %s: cell %s seed %Ld shrunk %d -> %d injection events\n%!"
-         campaign_id cell.id seed total (List.length keep))
+  | Some record ->
+    let wrote = match fail_dir with Some dir -> "; wrote " ^ Replay.write ~dir record | None -> "" in
+    Printf.eprintf "campaign %s: cell %s seed %Ld shrunk %d -> %d injection events%s\n%!"
+      campaign_id cell.id seed record.total_events (List.length record.keep) wrote
 
 let run ?(config = default_config) ~id ~title cells =
   if config.replicates < 1 then invalid_arg "Campaign.run: replicates must be >= 1";
@@ -128,18 +102,14 @@ let run ?(config = default_config) ~id ~title cells =
         else cell.run ~seed:(seed_of index))
   in
   Option.iter Progress.finish progress;
-  if config.check && config.shrink then begin
+  if config.check && config.shrink then
     Array.iteri
       (fun index -> function
         | Ok _ -> ()
-        | Error f ->
+        | Error _ ->
           shrink_failure ~fail_dir:config.fail_dir ~campaign_id:id grid.(index / reps)
-            ~seed:(seed_of index) f)
+            ~seed:(seed_of index))
       raw;
-    (* Leave no mask behind for whatever runs next on this domain. *)
-    Check.begin_replicate ();
-    Inject.begin_replicate ()
-  end;
   let cells =
     List.mapi
       (fun c (cell : cell) ->

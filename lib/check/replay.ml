@@ -1,4 +1,5 @@
 module Json = Resoc_obs.Json
+module Obs = Resoc_obs.Obs
 
 type event = { kind : Inject.kind; time : int; a : int; b : int; kept : bool }
 
@@ -62,63 +63,77 @@ let to_json t =
 let write ~dir t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (filename t) in
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_json t));
   path
 
 let of_json text =
-  let fields =
-    match Json.parse text with Json.Obj f -> f | _ -> failwith "Replay.of_json: expected an object"
-  in
+  let fail what = failwith ("Replay.of_json: " ^ what) in
+  let fields = match Json.parse text with Json.Obj f -> f | _ -> fail "expected an object" in
   let get name =
-    match List.assoc_opt name fields with
-    | Some v -> v
-    | None -> failwith ("Replay.of_json: missing field " ^ name)
+    match List.assoc_opt name fields with Some v -> v | None -> fail ("missing field " ^ name)
   in
-  let str name = match get name with Json.String s -> s | _ -> failwith ("Replay.of_json: " ^ name) in
-  let int64 name = match get name with Json.Int i -> i | _ -> failwith ("Replay.of_json: " ^ name) in
-  let int name = Int64.to_int (int64 name) in
-  (match get "schema" with
-  | Json.String "resoc-fail/1" -> ()
-  | _ -> failwith "Replay.of_json: unsupported schema");
+  let str name = match get name with Json.String s -> s | _ -> fail name in
+  let int64 name = match get name with Json.Int i -> i | _ -> fail name in
+  if get "schema" <> Json.String "resoc-fail/1" then fail "unsupported schema";
   let keep =
     match get "keep" with
-    | Json.List l -> List.map (function Json.Int i -> Int64.to_int i | _ -> failwith "Replay.of_json: keep") l
-    | _ -> failwith "Replay.of_json: keep"
+    | Json.List l -> List.map (function Json.Int i -> Int64.to_int i | _ -> fail "keep") l
+    | _ -> fail "keep"
   in
-  let events =
-    match get "events" with
-    | Json.List l ->
-      List.map
-        (function
-          | Json.Obj e ->
-            let f name = match List.assoc_opt name e with Some v -> v | None -> failwith ("Replay.of_json: event." ^ name) in
-            let num name = match f name with Json.Int i -> Int64.to_int i | _ -> failwith ("Replay.of_json: event." ^ name) in
-            {
-              kind = (match f "kind" with Json.String k -> Inject.kind_of_name k | _ -> failwith "Replay.of_json: event.kind");
-              time = num "time";
-              a = num "a";
-              b = num "b";
-              kept = (match f "kept" with Json.Bool b -> b | _ -> failwith "Replay.of_json: event.kept");
-            }
-          | _ -> failwith "Replay.of_json: events")
-        l
-    | _ -> failwith "Replay.of_json: events"
+  let event = function
+    | Json.Obj e ->
+      let f name = match List.assoc_opt name e with Some v -> v | None -> fail ("event." ^ name) in
+      let num name = match f name with Json.Int i -> Int64.to_int i | _ -> fail ("event." ^ name) in
+      let kind =
+        match f "kind" with
+        | Json.String k -> (try Inject.kind_of_name k with Invalid_argument m -> failwith m)
+        | _ -> fail "event.kind"
+      in
+      let kept = match f "kept" with Json.Bool b -> b | _ -> fail "event.kept" in
+      { kind; time = num "time"; a = num "a"; b = num "b"; kept }
+    | _ -> fail "events"
   in
+  let events = match get "events" with Json.List l -> List.map event l | _ -> fail "events" in
   {
     experiment = str "experiment";
     cell = str "cell";
     seed = int64 "seed";
     error = str "error";
-    total_events = int "total_events";
+    total_events = Int64.to_int (int64 "total_events");
     keep;
     events;
   }
 
-let read path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  of_json text
+let read path = of_json (In_channel.with_open_bin path In_channel.input_all)
+
+(* The driver. Every re-execution starts from fresh per-domain state, so a
+   re-run on the calling domain sees exactly what the original run saw. *)
+
+let attempt ?mask run =
+  Check.begin_replicate ();
+  Inject.begin_replicate ();
+  if !Obs.metrics_on then Obs.begin_replicate ();
+  (match mask with Some (total, keep) -> Inject.set_mask ~total keep | None -> ());
+  match run () with () -> None | exception e -> Some (Printexc.to_string e)
+
+let shrink ~experiment ~cell ~seed run =
+  let record =
+    match attempt run with
+    | None -> None
+    | Some unmasked ->
+      let total = Inject.count () in
+      let test keep = attempt ~mask:(total, keep) run <> None in
+      let keep = List.sort_uniq compare (Shrink.ddmin ~test total) in
+      let error = Option.value (attempt ~mask:(total, keep) run) ~default:unmasked in
+      let events =
+        List.mapi
+          (fun i (ev : Inject.event) ->
+            { kind = ev.kind; time = ev.time; a = ev.a; b = ev.b; kept = List.mem i keep })
+          (Inject.events ())
+      in
+      Some { experiment; cell; seed; error; total_events = total; keep; events }
+  in
+  (* Leave no mask behind for whatever runs next on this domain. *)
+  Check.begin_replicate ();
+  Inject.begin_replicate ();
+  record

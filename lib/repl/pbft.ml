@@ -355,8 +355,6 @@ let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
 let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core.app state
 
-let replica_online t ~replica = t.replicas.(replica).core.online
-
 let set_offline t ~replica = Replica.set_offline t.replicas.(replica).core
 
 let set_online t ~replica = Replica.set_online t.replicas.(replica).core

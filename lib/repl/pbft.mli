@@ -93,8 +93,6 @@ val replica_state : t -> replica:int -> int64
 val set_replica_state : t -> replica:int -> int64 -> unit
 (** Out-of-band state installation (epoch-based protocol switching). *)
 
-val replica_online : t -> replica:int -> bool
-
 val set_offline : t -> replica:int -> unit
 (** Tile powered down (e.g. for rejuvenation): drops all traffic. *)
 

@@ -329,8 +329,6 @@ let submit t ~client ~payload = Replica.submit "Primary_backup" t.clients ~clien
 
 let stats t = t.shared_stats
 
-let epoch t ~replica = t.replicas.(replica).core.view
-
 let current_primary t =
   let best =
     Array.fold_left
@@ -342,8 +340,6 @@ let current_primary t =
 let replica_state t ~replica = App.state t.replicas.(replica).core.app
 
 let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core.app state
-
-let replica_online t ~replica = t.replicas.(replica).core.online
 
 let set_offline t ~replica =
   let r = t.replicas.(replica) in

@@ -68,9 +68,6 @@ val submit : t -> client:int -> payload:int64 -> unit
 
 val stats : t -> Stats.t
 
-val epoch : t -> replica:int -> int
-(** Failover count as seen by a replica. *)
-
 val current_primary : t -> int
 (** Highest-epoch active primary (oracle view). *)
 
@@ -78,8 +75,6 @@ val replica_state : t -> replica:int -> int64
 
 val set_replica_state : t -> replica:int -> int64 -> unit
 (** Out-of-band state installation (epoch-based protocol switching). *)
-
-val replica_online : t -> replica:int -> bool
 
 val set_offline : t -> replica:int -> unit
 (** Tile powered down (e.g. for rejuvenation): drops all traffic. *)

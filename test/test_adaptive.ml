@@ -12,50 +12,17 @@ module Engine = Resoc_des.Engine
 module Rng = Resoc_des.Rng
 module Check = Resoc_check.Check
 module Inject = Resoc_check.Inject
+module Replay = Resoc_check.Replay
 module Link_fault = Resoc_fault.Link_fault
 module Campaign = Resoc_campaign.Campaign
 
 let with_check f =
-  Fun.protect
-    ~finally:(fun () ->
-      Check.disable ();
-      Inject.stop ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
+  Check_fixture.with_check f ~reset:(fun () ->
       Network.test_skip_up_check := false;
       Network.test_detour_loop := false;
       Network.test_blackhole := false)
-    (fun () ->
-      Check.enable ();
-      Inject.record ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      f ())
 
-(* Reference connectivity: plain BFS over the surviving topology, written
-   against the mesh API only (no shared code with Adaptive). *)
-let ref_reachable mesh ~src ~dst =
-  if not (Mesh.router_up mesh src && Mesh.router_up mesh dst) then false
-  else begin
-    let seen = Array.make (Mesh.n_nodes mesh) false in
-    let q = Queue.create () in
-    seen.(src) <- true;
-    Queue.push src q;
-    let found = ref false in
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      if u = dst then found := true;
-      List.iter
-        (fun v ->
-          if (not seen.(v)) && Mesh.router_up mesh v && Mesh.link_up mesh { Mesh.src = u; dst = v }
-          then begin
-            seen.(v) <- true;
-            Queue.push v q
-          end)
-        (Mesh.neighbors mesh u)
-    done;
-    !found
-  end
+let ref_reachable = Mesh_reference.reachable
 
 (* Reference route tables: for every destination a reverse BFS over the
    up routers and up links that explores the predecessors of each
@@ -268,7 +235,7 @@ let prop_live_delivery_iff_connected =
 (* --- Mutation knobs: each NoC invariant must fire when its property is
    deliberately broken (DESIGN.md section 7 discipline). --- *)
 
-let fires f = match f () with () -> false | exception Check.Violation _ -> true
+let fires = Check_fixture.fires
 
 let test_knob_skip_up_check () =
   with_check (fun () ->
@@ -381,25 +348,29 @@ let hot_campaign =
   }
 
 let masked_run ~seed ~mask ~campaign =
-  Inject.begin_replicate ();
-  (match mask with Some (total, keep) -> Inject.set_mask ~total keep | None -> ());
-  let engine = Engine.create ~seed () in
-  let traffic = Rng.split (Engine.rng engine) in
-  let mesh = Mesh.create ~width:4 ~height:4 in
-  let net = Network.create engine mesh adaptive_config in
-  for node = 0 to 15 do
-    Network.attach net ~node (fun ~src:_ _ -> ())
-  done;
-  let lf = Link_fault.start engine (Rng.split (Engine.rng engine)) mesh campaign in
-  Engine.every engine ~period:100 (fun () ->
-      Network.send net ~src:(Rng.int traffic 16) ~dst:(Rng.int traffic 16) ~bytes_:16 ());
-  Engine.run ~until:15_000 engine;
-  Link_fault.halt lf;
-  ( Inject.count (),
-    Link_fault.upsets lf + Link_fault.wearouts lf,
-    Network.sent net,
-    Network.delivered net,
-    Mesh.failed_link_count mesh )
+  let outcome = ref (0, 0, 0, 0) in
+  let run () =
+    let engine = Engine.create ~seed () in
+    let traffic = Rng.split (Engine.rng engine) in
+    let mesh = Mesh.create ~width:4 ~height:4 in
+    let net = Network.create engine mesh adaptive_config in
+    for node = 0 to 15 do
+      Network.attach net ~node (fun ~src:_ _ -> ())
+    done;
+    let lf = Link_fault.start engine (Rng.split (Engine.rng engine)) mesh campaign in
+    Engine.every engine ~period:100 (fun () ->
+        Network.send net ~src:(Rng.int traffic 16) ~dst:(Rng.int traffic 16) ~bytes_:16 ());
+    Engine.run ~until:15_000 engine;
+    Link_fault.halt lf;
+    outcome :=
+      ( Link_fault.upsets lf + Link_fault.wearouts lf,
+        Network.sent net,
+        Network.delivered net,
+        Mesh.failed_link_count mesh )
+  in
+  Option.iter Alcotest.fail (Replay.attempt ?mask run);
+  let applied, sent, delivered, down = !outcome in
+  (Inject.count (), applied, sent, delivered, down)
 
 let test_link_campaign_mask_alignment () =
   with_check (fun () ->

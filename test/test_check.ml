@@ -22,26 +22,10 @@ module Batcher = Resoc_repl.Batcher
 module Campaign = Resoc_campaign.Campaign
 module Emit = Resoc_campaign.Emit
 
-(* Gates are global; every test that touches them restores the disabled
-   state so suites cannot contaminate one another. *)
-let with_check f =
-  Fun.protect
-    ~finally:(fun () ->
-      Check.disable ();
-      Inject.stop ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ())
-    (fun () ->
-      Check.enable ();
-      Inject.record ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      f ())
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+let with_check = Check_fixture.with_check
+let fires = Check_fixture.fires
+let contains = Check_fixture.contains
+let mutant_flagged = Check_fixture.mutant_flagged
 
 (* --- ddmin -------------------------------------------------------------- *)
 
@@ -124,17 +108,19 @@ let test_replay_roundtrip () =
   Alcotest.(check bool) "round-trips" true (rt = sample_record);
   Alcotest.(check string) "filename" "FAIL_e6_-3.json" (Replay.filename sample_record)
 
-let test_replay_write_read () =
+(* A directory name nothing uses yet; [Replay.write] creates it. *)
+let fresh_dir () =
   let dir = Filename.temp_file "resoc_check" "" in
   Sys.remove dir;
+  dir
+
+let test_replay_write_read () =
+  let dir = fresh_dir () in
   let path = Replay.write ~dir sample_record in
   Alcotest.(check bool) "file lands under dir" true (Filename.dirname path = dir);
   Alcotest.(check bool) "read back equal" true (Replay.read path = sample_record)
 
 (* --- invariant units ---------------------------------------------------- *)
-
-let violates f =
-  match f () with () -> false | exception Check.Violation _ -> true
 
 let test_agreement () =
   with_check (fun () ->
@@ -146,9 +132,9 @@ let test_agreement () =
       commit ~replica:1 ~view:0 ~seq:1 ~digest:11L;
       commit ~replica:0 ~view:1 ~seq:1 ~digest:22L;
       Alcotest.(check bool) "same slot, different digest" true
-        (violates (fun () -> commit ~replica:2 ~view:0 ~seq:1 ~digest:22L));
+        (fires (fun () -> commit ~replica:2 ~view:0 ~seq:1 ~digest:22L));
       Alcotest.(check bool) "faulty replicas may lie" false
-        (violates (fun () ->
+        (fires (fun () ->
              Check.commit ~session:s ~replica:3 ~view:0 ~seq:1 ~digest:33L ~signers:3 ~quorum:3
                ~faulty:true)))
 
@@ -156,11 +142,11 @@ let test_quorum_certificate () =
   with_check (fun () ->
       let s = Check.new_session ~protocol:"unit" in
       Alcotest.(check bool) "thin certificate" true
-        (violates (fun () ->
+        (fires (fun () ->
              Check.commit ~session:s ~replica:0 ~view:0 ~seq:1 ~digest:1L ~signers:2 ~quorum:3
                ~faulty:false));
       Alcotest.(check bool) "certificate-free protocols skip the check" false
-        (violates (fun () ->
+        (fires (fun () ->
              Check.commit ~session:s ~replica:0 ~view:0 ~seq:2 ~digest:1L ~signers:(-1) ~quorum:3
                ~faulty:false)))
 
@@ -170,17 +156,17 @@ let test_counter_issuance () =
       Check.counter_issued ~hybrid:h ~read:0L ~issued:1L ~digest:10L;
       Check.counter_issued ~hybrid:h ~read:1L ~issued:2L ~digest:20L;
       Alcotest.(check bool) "re-issue to a different digest is equivocation" true
-        (violates (fun () -> Check.counter_issued ~hybrid:h ~read:2L ~issued:2L ~digest:30L));
+        (fires (fun () -> Check.counter_issued ~hybrid:h ~read:2L ~issued:2L ~digest:30L));
       let h = Check.new_hybrid ~name:"usig" in
       Check.counter_issued ~hybrid:h ~read:0L ~issued:1L ~digest:10L;
       Alcotest.(check bool) "regression" true
-        (violates (fun () -> Check.counter_issued ~hybrid:h ~read:1L ~issued:0L ~digest:40L));
+        (fires (fun () -> Check.counter_issued ~hybrid:h ~read:1L ~issued:0L ~digest:40L));
       (* An SEU that corrupts the register shows up as a readback that differs
          from the last issued value; the tracker resyncs instead of firing. *)
       let h = Check.new_hybrid ~name:"usig" in
       Check.counter_issued ~hybrid:h ~read:0L ~issued:1L ~digest:10L;
       Alcotest.(check bool) "perturbed readback forgiven" false
-        (violates (fun () -> Check.counter_issued ~hybrid:h ~read:9L ~issued:10L ~digest:50L)))
+        (fires (fun () -> Check.counter_issued ~hybrid:h ~read:9L ~issued:10L ~digest:50L)))
 
 let test_a2m_and_noc () =
   with_check (fun () ->
@@ -188,12 +174,12 @@ let test_a2m_and_noc () =
       Check.a2m_append ~hybrid:h ~seq:1L ~digest:1L;
       Check.a2m_append ~hybrid:h ~seq:2L ~digest:2L;
       Alcotest.(check bool) "a2m gap" true
-        (violates (fun () -> Check.a2m_append ~hybrid:h ~seq:4L ~digest:4L));
+        (fires (fun () -> Check.a2m_append ~hybrid:h ~seq:4L ~digest:4L));
       let n = Check.new_network () in
       Check.flit_injected ~net:n;
       Check.flit_delivered ~net:n;
       Alcotest.(check bool) "phantom delivery" true
-        (violates (fun () -> Check.flit_dropped ~net:n)))
+        (fires (fun () -> Check.flit_dropped ~net:n)))
 
 (* --- mutation self-tests ------------------------------------------------ *)
 
@@ -240,16 +226,8 @@ let test_mutant_usig_reissue () =
       let _, sys, _ = run_minbft ~seed:7L ~count:4 in
       Alcotest.(check int) "unmutated minbft passes" 4 (Minbft.stats sys).Stats.completed;
       Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0);
-      Check.begin_replicate ();
-      Fun.protect
-        ~finally:(fun () -> Usig.test_reissue := false)
-        (fun () ->
-          Usig.test_reissue := true;
-          match run_minbft ~seed:7L ~count:4 with
-          | _ -> Alcotest.fail "usig counter re-issue not flagged"
-          | exception Check.Violation msg ->
-            Alcotest.(check bool) "names the counter invariant" true
-              (contains ~sub:"counter" msg)))
+      mutant_flagged ~knob:Usig.test_reissue ~sub:"counter" (fun () ->
+          ignore (run_minbft ~seed:7L ~count:4)))
 
 let run_pbft_batched () =
   let engine = Engine.create () in
@@ -271,18 +249,10 @@ let test_mutant_batch_duplicate () =
   with_check (fun () ->
       Alcotest.(check int) "unmutated batched pbft passes" 12 (run_pbft_batched ());
       Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0);
-      Check.begin_replicate ();
-      Fun.protect
-        ~finally:(fun () -> Batcher.test_duplicate_first := false)
-        (fun () ->
-          (* Re-inject the first request of every sealed batch into the
-             next one: the same request is agreed in two instances. *)
-          Batcher.test_duplicate_first := true;
-          match run_pbft_batched () with
-          | _ -> Alcotest.fail "duplicated batch entry not flagged"
-          | exception Check.Violation msg ->
-            Alcotest.(check bool) "names batch atomicity" true
-              (contains ~sub:"batch atomicity" msg)))
+      (* Re-inject the first request of every sealed batch into the next
+         one: the same request is agreed in two instances. *)
+      mutant_flagged ~knob:Batcher.test_duplicate_first ~sub:"batch atomicity" (fun () ->
+          ignore (run_pbft_batched ())))
 
 (* MinBFT's legacy [batch_window]: the primary receives every request
    once from the client and once per forwarding backup, and each copy
@@ -337,8 +307,7 @@ let minbft_cell =
       [ ("completed", float_of_int (Minbft.stats sys).Stats.completed) ])
 
 let campaign_json ~check =
-  let dir = Filename.temp_file "resoc_check" "" in
-  Sys.remove dir;
+  let dir = fresh_dir () in
   Sys.mkdir dir 0o755;
   let config = { Campaign.default_config with replicates = 6; jobs = 2; check } in
   let result = Campaign.run ~config ~id:"chk" ~title:"transparency" [ minbft_cell ] in
@@ -367,45 +336,40 @@ let seu_cell =
       | _ -> failwith "register 0 corrupted");
       [ ("injected", float_of_int (Seu.injected seu)) ])
 
+(* [cell] as a checked, shrinking campaign: the failed-replicate count and
+   the FAIL records it wrote. *)
+let shrink_campaign ~id ?(jobs = 1) ~replicates cell =
+  let dir = fresh_dir () in
+  let config =
+    {
+      Campaign.default_config with
+      replicates;
+      jobs;
+      check = true;
+      shrink = true;
+      fail_dir = Some dir;
+    }
+  in
+  let result = Campaign.run ~config ~id ~title:id [ cell ] in
+  ( List.fold_left (fun acc agg -> acc + Campaign.failures agg) 0 result.Campaign.cells,
+    Sys.readdir dir |> Array.to_list |> List.map (fun f -> Replay.read (Filename.concat dir f)) )
+
 let test_campaign_shrink () =
   with_check (fun () ->
-      let dir = Filename.temp_file "resoc_check" "" in
-      Sys.remove dir;
-      let config =
-        {
-          Campaign.default_config with
-          replicates = 4;
-          jobs = 2;
-          check = true;
-          shrink = true;
-          fail_dir = Some dir;
-        }
-      in
-      let result = Campaign.run ~config ~id:"shrinke2e" ~title:"shrink e2e" [ seu_cell ] in
-      let failures =
-        List.fold_left (fun acc agg -> acc + Campaign.failures agg) 0 result.Campaign.cells
-      in
+      let failures, records = shrink_campaign ~id:"shrinke2e" ~jobs:2 ~replicates:4 seu_cell in
       Alcotest.(check bool) "some replicate hit register 0" true (failures > 0);
-      let fails =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> String.length f > 5 && String.sub f 0 5 = "FAIL_")
-      in
-      Alcotest.(check int) "one FAIL file per failed replicate" failures (List.length fails);
-      let rt = Replay.read (Filename.concat dir (List.hd fails)) in
+      Alcotest.(check int) "one FAIL file per failed replicate" failures (List.length records);
+      let rt = List.hd records in
       Alcotest.(check string) "experiment recorded" "shrinke2e" rt.Replay.experiment;
       Alcotest.(check bool) "shrunk to <= 3 events" true (List.length rt.Replay.keep <= 3);
       Alcotest.(check bool) "schedule shrank" true
         (List.length rt.Replay.keep < rt.Replay.total_events);
       (* The minimal schedule reproduces under its mask. *)
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      Inject.set_mask ~total:rt.Replay.total_events rt.Replay.keep;
       let reproduced =
-        match seu_cell.Campaign.run ~seed:rt.Replay.seed with
-        | _ -> false
-        | exception _ -> true
+        Replay.attempt ~mask:(rt.Replay.total_events, rt.Replay.keep) (fun () ->
+            ignore (seu_cell.Campaign.run ~seed:rt.Replay.seed))
       in
-      Alcotest.(check bool) "masked replay reproduces" true reproduced)
+      Alcotest.(check bool) "masked replay reproduces" true (reproduced <> None))
 
 (* The broken-quorum mutant through the full campaign path: every replicate
    is flagged, and since no injection events are involved the schedule
@@ -422,27 +386,60 @@ let test_campaign_shrink_quorum_mutant () =
                 ignore (run_pbft ());
                 [ ("ok", 1.0) ]))
       in
-      let dir = Filename.temp_file "resoc_check" "" in
-      Sys.remove dir;
-      let config =
-        {
-          Campaign.default_config with
-          replicates = 2;
-          check = true;
-          shrink = true;
-          fail_dir = Some dir;
-        }
-      in
-      let result = Campaign.run ~config ~id:"quorumx" ~title:"quorum mutant" [ cell ] in
-      let failures =
-        List.fold_left (fun acc agg -> acc + Campaign.failures agg) 0 result.Campaign.cells
-      in
+      let failures, records = shrink_campaign ~id:"quorumx" ~replicates:2 cell in
       Alcotest.(check int) "every replicate flagged" 2 failures;
-      let fails = Sys.readdir dir |> Array.to_list in
-      Alcotest.(check int) "FAIL file per replicate" 2 (List.length fails);
-      let rt = Replay.read (Filename.concat dir (List.hd fails)) in
+      Alcotest.(check int) "FAIL file per replicate" 2 (List.length records);
+      let rt = List.hd records in
       Alcotest.(check bool) "error names quorum" true (contains ~sub:"quorum" rt.Replay.error);
       Alcotest.(check bool) "<= 3-event repro" true (List.length rt.Replay.keep <= 3))
+
+(* --- the driver: attempt and shrink -------------------------------------- *)
+
+let unmasked () = Inject.permit ~kind:Inject.Seu ~time:0 ~a:0 ~b:0
+
+let test_driver_clean () =
+  with_check (fun () ->
+      ignore (Replay.attempt ~mask:(1, []) ignore);
+      Alcotest.(check bool) "mask installed" false (unmasked ());
+      let record = Replay.shrink ~experiment:"x" ~cell:"clean" ~seed:1L ignore in
+      Alcotest.(check bool) "a clean run shrinks to nothing" true (record = None);
+      Alcotest.(check bool) "no mask left behind" true (unmasked ()))
+
+(* The first seed whose unmasked SEU replicate fails. *)
+let failing_seu_seed () =
+  let run seed () = ignore (seu_cell.Campaign.run ~seed) in
+  let rec go seed = if Replay.attempt (run seed) <> None then seed else go (Int64.succ seed) in
+  go 1L
+
+let test_driver_shrink_roundtrip () =
+  with_check (fun () ->
+      let seed = failing_seu_seed () in
+      let run () = ignore (seu_cell.Campaign.run ~seed) in
+      let record =
+        match Replay.shrink ~experiment:"driver" ~cell:"seu" ~seed run with
+        | Some r -> r
+        | None -> Alcotest.fail "a failing replicate must shrink to a record"
+      in
+      Alcotest.(check bool) "no mask left behind" true (unmasked ());
+      Alcotest.(check bool) "schedule shrank" true
+        (record.Replay.keep <> [] && List.length record.keep < record.total_events);
+      let dir = fresh_dir () in
+      let path = Replay.write ~dir record in
+      let rt = Replay.read path in
+      Sys.remove path;
+      Sys.rmdir dir;
+      Alcotest.(check bool) "write/read round trip" true (rt = record);
+      Alcotest.(check (option string)) "replay reproduces the recorded error" (Some rt.error)
+        (Replay.attempt ~mask:(rt.total_events, rt.keep) run))
+
+let test_driver_empty_keep () =
+  with_check (fun () ->
+      let seed = failing_seu_seed () in
+      let total = Inject.count () in
+      let run () = ignore (seu_cell.Campaign.run ~seed) in
+      Alcotest.(check bool) "the failure needs an injection" true (total > 0);
+      Alcotest.(check (option string)) "an empty keep runs clean" None
+        (Replay.attempt ~mask:(total, []) run))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -488,5 +485,11 @@ let () =
         [
           Alcotest.test_case "campaign auto-shrink" `Quick test_campaign_shrink;
           Alcotest.test_case "quorum mutant shrunk" `Quick test_campaign_shrink_quorum_mutant;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "clean run, no mask left" `Quick test_driver_clean;
+          Alcotest.test_case "shrunk record replays" `Quick test_driver_shrink_roundtrip;
+          Alcotest.test_case "empty keep runs clean" `Quick test_driver_empty_keep;
         ] );
     ]

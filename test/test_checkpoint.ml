@@ -14,26 +14,8 @@ module Group = Resoc_core.Group
 
 let ckpt_config = { Checkpoint.interval = 4; window = 4; chunk = 3 }
 
-(* Gates are global; every test that touches them restores the disabled
-   state so suites cannot contaminate one another. *)
-let with_check f =
-  Fun.protect
-    ~finally:(fun () ->
-      Check.disable ();
-      Inject.stop ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ())
-    (fun () ->
-      Check.enable ();
-      Inject.record ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      f ())
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+let with_check = Check_fixture.with_check
+let mutant_flagged = Check_fixture.mutant_flagged
 
 (* --- digest / snapshot units -------------------------------------------- *)
 
@@ -201,16 +183,8 @@ let test_mutant_watermark_overrun () =
   with_check (fun () ->
       Alcotest.(check int) "gated pbft still completes" 8 (run_gated_pbft ());
       Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0);
-      Check.begin_replicate ();
-      Fun.protect
-        ~finally:(fun () -> Checkpoint.test_ignore_watermarks := false)
-        (fun () ->
-          Checkpoint.test_ignore_watermarks := true;
-          match run_gated_pbft () with
-          | _ -> Alcotest.fail "watermark overrun not flagged"
-          | exception Check.Violation msg ->
-            Alcotest.(check bool) "names the watermark invariant" true
-              (contains ~sub:"watermark window" msg)))
+      mutant_flagged ~knob:Checkpoint.test_ignore_watermarks ~sub:"watermark window"
+        (fun () -> ignore (run_gated_pbft ())))
 
 let run_transfer_pbft () =
   let engine = Engine.create () in
@@ -233,16 +207,8 @@ let test_mutant_unverified_transfer () =
       Alcotest.(check bool) "unmutated transfer verifies and installs" true
         (run_transfer_pbft () >= 1);
       Alcotest.(check bool) "checker observed traffic" true (Check.hooks_fired () > 0);
-      Check.begin_replicate ();
-      Fun.protect
-        ~finally:(fun () -> Checkpoint.test_unverified_transfer := false)
-        (fun () ->
-          Checkpoint.test_unverified_transfer := true;
-          match run_transfer_pbft () with
-          | _ -> Alcotest.fail "corrupted transfer not flagged"
-          | exception Check.Violation msg ->
-            Alcotest.(check bool) "names the transfer invariant" true
-              (contains ~sub:"does not match" msg)))
+      mutant_flagged ~knob:Checkpoint.test_unverified_transfer ~sub:"does not match" (fun () ->
+          ignore (run_transfer_pbft ())))
 
 let () =
   Alcotest.run "resoc_checkpoint"

@@ -19,45 +19,11 @@ module Soc = Resoc_core.Soc
 module Generator = Resoc_workload.Generator
 
 let with_check f =
-  Fun.protect
-    ~finally:(fun () ->
-      Check.disable ();
-      Inject.stop ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
+  Check_fixture.with_check f ~reset:(fun () ->
       Network.test_mcast_skip_branch := false;
       Network.test_mcast_dup_deliver := false)
-    (fun () ->
-      Check.enable ();
-      Inject.record ();
-      Check.begin_replicate ();
-      Inject.begin_replicate ();
-      f ())
 
-(* Reference connectivity: plain BFS over the surviving topology, written
-   against the mesh API only (no shared code with Mcast). *)
-let ref_reachable mesh ~src ~dst =
-  if not (Mesh.router_up mesh src && Mesh.router_up mesh dst) then false
-  else begin
-    let seen = Array.make (Mesh.n_nodes mesh) false in
-    let q = Queue.create () in
-    seen.(src) <- true;
-    Queue.push src q;
-    let found = ref false in
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      if u = dst then found := true;
-      List.iter
-        (fun v ->
-          if (not seen.(v)) && Mesh.router_up mesh v && Mesh.link_up mesh { Mesh.src = u; dst = v }
-          then begin
-            seen.(v) <- true;
-            Queue.push v q
-          end)
-        (Mesh.neighbors mesh u)
-    done;
-    !found
-  end
+let ref_reachable = Mesh_reference.reachable
 
 let apply_ops mesh ops =
   let links = Mesh.real_link_ids mesh in
@@ -197,7 +163,7 @@ let prop_checked_clean =
 (* --- Mutation knobs: each multicast invariant must fire when its
    property is deliberately broken (DESIGN.md section 7 discipline). --- *)
 
-let fires f = match f () with () -> false | exception Check.Violation _ -> true
+let fires = Check_fixture.fires
 
 let test_knob_skip_branch () =
   with_check (fun () ->
