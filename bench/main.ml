@@ -25,8 +25,8 @@
    [--check] turns on the resoc_check invariant checker and injection log;
    a replicate that trips an invariant is recorded as a failed trial and
    the run exits 1. [--shrink] additionally ddmin-minimizes every failing
-   replicate's injection schedule into FAIL_<exp>_<seed>.json under
-   --json-dir. [--replay FILE] re-executes the one replicate a FAIL file
+   replicate's injection schedule into FAIL_<exp>_<cell>_<seed>.json
+   under --json-dir. [--replay FILE] re-executes the one replicate a FAIL file
    describes, under its suppression mask: exit 0 when the failure
    reproduces, 1 when it does not. Checking composes with --jobs: checker
    state is domain-local.
@@ -108,7 +108,7 @@ let () =
         " enable the resoc_check invariant checker; exit 1 on any failed replicate" );
       ( "--shrink",
         Arg.Set shrink,
-        " with --check: minimize failing injection schedules to FAIL_*.json (implies --check)" );
+        " with --check: minimize failing injection schedules to FAIL_<exp>_<cell>_<seed>.json (implies --check)" );
       ( "--replay",
         Arg.Set_string replay_file,
         "FILE re-execute the failing replicate recorded in a FAIL_*.json (implies --check)" );

@@ -13,6 +13,7 @@ module Soc = Resoc_core.Soc
 module Resilient_system = Resoc_core.Resilient_system
 module Scenario = Resoc_workload.Scenario
 module Obs = Resoc_obs.Obs
+module Ring = Resoc_obs.Ring
 module Check = Resoc_check.Check
 module Inject = Resoc_check.Inject
 module Replay = Resoc_check.Replay
@@ -21,10 +22,20 @@ open Cmdliner
 let print_report report =
   Format.printf "%a@." Resilient_system.pp_report report
 
+(* The run's resilience records, oldest first, named as in Chrome traces.
+   The lost count says whether wraparound overwrote the start of the run. *)
 let print_event_log sys =
-  let entries = Resoc_des.Trace.entries (Resilient_system.trace sys) in
-  Format.printf "@.--- resilience event trace (%d entries) ---@." (List.length entries);
-  List.iter (fun e -> Format.printf "%a@." Resoc_des.Trace.pp_entry e) entries
+  let ring = (Engine.obs (Soc.engine (Resilient_system.soc sys))).Obs.ring in
+  let lines = ref [] in
+  Ring.iter ring (fun ~time ~cat ~phase:_ ~id ~arg ->
+      if cat = Obs.Cat.resilience then
+        lines :=
+          Printf.sprintf "[%8d] %-22s %s" time (Obs.default_name ~cat ~id)
+            (Obs.resilience_detail ~id ~arg)
+          :: !lines);
+  Format.printf "@.--- resilience event log (%d entries) ---@." (List.length !lines);
+  List.iter (Format.printf "%s@.") (List.rev !lines);
+  Format.printf "ring records lost to wraparound: %d@." (Ring.dropped ring)
 
 let finish_obs ~metrics ~trace =
   (match trace with
@@ -63,7 +74,7 @@ let replay_record path ~cell ~seed =
 let simulate ~cell config ~horizon ~workload_period ~show_event_log ~metrics ~trace ~check
     ~shrink ~replay =
   if metrics then Obs.enable_metrics ();
-  if trace <> None then Obs.enable_tracing ();
+  if trace <> None || show_event_log then Obs.enable_tracing ();
   let run ~quiet () =
     let sys = Resilient_system.create config in
     let report = Resilient_system.run sys ~horizon ~workload_period in
@@ -124,7 +135,11 @@ let run_scenario name horizon_override show_event_log metrics trace check shrink
       ~shrink ~replay
 
 let event_log_flag =
-  Arg.(value & flag & info [ "event-log" ] ~doc:"Print the resilience event trace.")
+  Arg.(value & flag
+       & info [ "event-log" ]
+           ~doc:"Turn tracing on and print the run's resilience events (rejuvenations, \
+                 relocations, compromises, safety loss) from its trace ring, with the number \
+                 of ring records lost to wraparound.")
 
 let metrics_flag =
   Arg.(value & flag & info [ "metrics" ] ~doc:"Print the obs metrics registry as JSON on stdout.")
@@ -140,8 +155,8 @@ let check_flag =
 let shrink_flag =
   Arg.(value & flag
        & info [ "shrink" ]
-           ~doc:"Minimize a failing injection schedule to FAIL_soc_sim_<seed>.json \
-                 (implies $(b,--check)).")
+           ~doc:"Minimize a failing injection schedule to FAIL_soc_sim_<cell>_<seed>.json, \
+                 where <cell> is $(b,run) or $(b,scenario_)<name> (implies $(b,--check)).")
 
 let replay_arg =
   Arg.(value & opt (some string) None

@@ -13,7 +13,12 @@ type t = {
   events : event list;
 }
 
-let filename t = Printf.sprintf "FAIL_%s_%Ld.json" t.experiment t.seed
+let filename t =
+  let safe = function
+    | ('A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '.' | '_' | '-') as c -> c
+    | _ -> '_'
+  in
+  Printf.sprintf "FAIL_%s_%s_%Ld.json" t.experiment (String.map safe t.cell) t.seed
 
 (* Writer — same hand-rolled style as Emit/Obs, on the shared escaper. *)
 

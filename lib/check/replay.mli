@@ -1,4 +1,4 @@
-(** FAIL_<exp>_<seed>.json records: everything needed to re-execute a failing
+(** FAIL_<exp>_<cell>_<seed>.json records: everything needed to re-execute a failing
     replicate deterministically — the replicate seed, the size of its original
     injection schedule, the minimized occurrence indices to keep, and the
     (annotated) event list of the minimal reproduction for human eyes.
@@ -21,7 +21,8 @@ type t = {
 }
 
 val filename : t -> string
-(** [FAIL_<experiment>_<seed>.json]. *)
+(** [FAIL_<experiment>_<cell>_<seed>.json], with every character of the
+    cell outside [[A-Za-z0-9._-]] mapped to [_]. *)
 
 val to_json : t -> string
 

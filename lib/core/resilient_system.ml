@@ -1,5 +1,4 @@
 module Engine = Resoc_des.Engine
-module Trace = Resoc_des.Trace
 module Rng = Resoc_des.Rng
 module Histogram = Resoc_des.Metrics.Histogram
 module Register = Resoc_hw.Register
@@ -10,6 +9,8 @@ module Common_mode = Resoc_fault.Common_mode
 module Diversity = Resoc_resilience.Diversity
 module Rejuvenation = Resoc_resilience.Rejuvenation
 module Stats = Resoc_repl.Stats
+module Obs = Resoc_obs.Obs
+module Ring = Resoc_obs.Ring
 
 type apt_config = {
   mean_exploit_cycles : float;
@@ -111,15 +112,20 @@ type t = {
   rejuvenation : Rejuvenation.t option ref;
   apt : Apt.t option;
   rng : Rng.t;
-  trace : Trace.t;
   mutable compromises : int;
   mutable compromised_peak : int;
   mutable failed_at : int option;
   mutable ran : bool;
 }
 
-let emit t level component msg =
-  Trace.emit t.trace ~time:(Engine.now (Soc.engine t.soc)) level ~component msg
+(* Resilience events go on the engine's obs ring; see DESIGN.md §6 for the
+   id/arg layout. *)
+let record t ~code ~replica ~arg =
+  if !Obs.trace_on then begin
+    let engine = Soc.engine t.soc in
+    Ring.instant (Engine.obs engine).Obs.ring ~time:(Engine.now engine) ~cat:Obs.Cat.resilience
+      ~id:(Obs.resilience_event ~replica ~code) ~arg
+  end
 
 let compromised_now t =
   Array.fold_left
@@ -134,8 +140,7 @@ let note_compromise_level t =
   if now_count > t.compromised_peak then t.compromised_peak <- now_count;
   if now_count > t.group.Group.f && t.failed_at = None then begin
     t.failed_at <- Some (Engine.now (Soc.engine t.soc));
-    emit t Trace.Error "safety" (fun () ->
-        Printf.sprintf "more than f=%d replicas compromised simultaneously" t.group.Group.f)
+    record t ~code:Obs.code_safety_lost ~replica:0 ~arg:t.group.Group.f
   end
 
 (* Grid placement for one replica region; trojan avoidance is a rejuvenation
@@ -175,9 +180,7 @@ let create (config : config) =
     | None -> ()
     | Some t ->
       t.compromises <- t.compromises + 1;
-      emit t Trace.Warn "apt" (fun () ->
-          Printf.sprintf "replica %d compromised (variant %d)" replica
-            t.sites.(replica).variant);
+      record t ~code:Obs.code_compromise ~replica ~arg:t.sites.(replica).variant;
       note_compromise_level t;
       (match (config.apt, config.reactive_rejuvenation, !(t.rejuvenation)) with
        | Some a, true, Some mgr when a.detection_prob > 0.0 ->
@@ -212,7 +215,6 @@ let create (config : config) =
       rejuvenation;
       apt;
       rng;
-      trace = Trace.create ();
       compromises = 0;
       compromised_peak = 0;
       failed_at = None;
@@ -228,8 +230,7 @@ let create (config : config) =
          Rejuvenation.n_replicas = n;
          take_offline =
            (fun replica ->
-             emit t Trace.Info "rejuvenation" (fun () ->
-                 Printf.sprintf "replica %d going down for rejuvenation" replica);
+             record t ~code:Obs.code_down ~replica ~arg:0;
              t.group.Group.set_offline ~replica;
              match (t.apt, sites.(replica).apt_target) with
              | Some adversary, Some target -> Apt.deactivate adversary target
@@ -240,20 +241,16 @@ let create (config : config) =
              Diversity.rejuvenation_variant t.diversity ~replica ~current:t.assignment);
          on_restart =
            (fun ~replica ~variant ->
-             emit t Trace.Info "rejuvenation" (fun () ->
-                 Printf.sprintf "replica %d restarted on variant %d" replica variant);
+             record t ~code:Obs.code_restart ~replica ~arg:variant;
              let site = sites.(replica) in
              t.assignment.(replica) <- variant;
              site.variant <- variant;
              if t.config.relocate_on_rejuvenation then
                (match Grid.relocate (Soc.grid t.soc) site.slot ~avoid_trojaned:true () with
                 | Ok region ->
-                  emit t Trace.Info "fabric" (fun () ->
-                      Format.asprintf "replica %d relocated to %a" replica
-                        Resoc_fabric.Region.pp region)
-                | Error e ->
-                  emit t Trace.Warn "fabric" (fun () ->
-                      Printf.sprintf "replica %d relocation failed: %s" replica e));
+                  record t ~code:Obs.code_relocate ~replica
+                    ~arg:(Obs.pack_origin ~x:region.Region.x ~y:region.Region.y)
+                | Error _ -> record t ~code:Obs.code_relocate_failed ~replica ~arg:0);
              Grid.set_variant (Soc.grid t.soc) site.slot variant;
              (match (t.apt, site.apt_target) with
               | Some adversary, Some target ->
@@ -270,8 +267,6 @@ let soc t = t.soc
 let group t = t.group
 
 let variant_of t ~replica = t.sites.(replica).variant
-
-let trace t = t.trace
 
 let run t ~horizon ~workload_period =
   if t.ran then invalid_arg "Resilient_system.run: already ran";

@@ -5,10 +5,11 @@
 
     This is the integration point of every substrate library and the engine
     behind experiments E6/F1 and the domain examples: one [create], one
-    [run], one {!report}. *)
+    [run], one {!report}. With tracing on, each rejuvenation, restart,
+    relocation, compromise and safety loss is an instant record on the
+    engine's obs ring under [Resoc_obs.Obs.Cat.resilience]. *)
 
 module Engine = Resoc_des.Engine
-module Trace = Resoc_des.Trace
 module Register = Resoc_hw.Register
 module Diversity = Resoc_resilience.Diversity
 module Rejuvenation = Resoc_resilience.Rejuvenation
@@ -78,10 +79,6 @@ val soc : t -> Soc.t
 val group : t -> Group.t
 
 val variant_of : t -> replica:int -> int
-
-val trace : t -> Trace.t
-(** Structured event log of the resilience machinery: compromises,
-    rejuvenations, relocations, detections. Ring-buffered (last 4096). *)
 
 val run : t -> horizon:int -> workload_period:int -> report
 (** Drives a periodic workload (one request per client every

@@ -50,7 +50,6 @@ let engine t = t.engine
 let rng t = Rng.split (Engine.rng t.engine)
 let mesh t = t.mesh
 let grid t = t.grid
-let icap t = t.icap
 
 let spread_placement t ~n =
   let total = Mesh.n_nodes t.mesh in

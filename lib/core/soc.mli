@@ -34,7 +34,6 @@ val rng : t -> Rng.t
 
 val mesh : t -> Mesh.t
 val grid : t -> Grid.t
-val icap : t -> Icap.t
 
 val spread_placement : t -> n:int -> int array
 (** [n] distinct tile ids spread evenly over the mesh (replicas far apart

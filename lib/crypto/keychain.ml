@@ -7,8 +7,6 @@ let create ~master ~n =
   let base = Hash.combine master 0x55534947L in
   { master; n; components = Array.init n (fun i -> Mac.key_of_int64 (Hash.combine_int base i)) }
 
-let size t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Keychain: principal out of range"
 
@@ -21,5 +19,3 @@ let pairwise t i j =
 let component t i =
   check t i;
   Array.unsafe_get t.components i
-
-let group t = Mac.key_of_int64 (Hash.combine t.master 0x47525055L)

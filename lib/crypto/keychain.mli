@@ -11,14 +11,9 @@ type t
 val create : master:int64 -> n:int -> t
 (** [create ~master ~n] provisions keys for principals [0 .. n-1]. *)
 
-val size : t -> int
-
 val pairwise : t -> int -> int -> Mac.key
 (** [pairwise t i j] is symmetric: the same key for (i,j) and (j,i).
     Raises [Invalid_argument] on out-of-range principals. *)
 
 val component : t -> int -> Mac.key
 (** Key of principal [i]'s trusted component. *)
-
-val group : t -> Mac.key
-(** A group-wide key (broadcast authenticators in simplified settings). *)

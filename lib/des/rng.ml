@@ -108,10 +108,6 @@ let weibull t ~shape ~scale =
   let u = if u <= 0.0 then Float.min_float else u in
   scale *. ((-.log u) ** (1.0 /. shape))
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -55,12 +55,6 @@ val poisson : t -> mean:float -> int
 val weibull : t -> shape:float -> scale:float -> float
 (** Weibull variate; [shape] > 1 models aging (increasing hazard). *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian variate (Box-Muller). *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -17,8 +17,6 @@ let make ~variant ~w ~h =
   { variant; w; h; payload; checksum = checksum_of ~variant ~w ~h payload }
 
 let variant t = t.variant
-let width t = t.w
-let height t = t.h
 
 (* 212 KiB per frame column is a plausible 7-series-like figure; any constant
    works since only ratios matter. *)
@@ -33,10 +31,3 @@ let corrupt t = { t with payload = Hash.combine t.payload (Hash.of_string "bitro
 let forge t ~variant = { t with variant }
 
 let matches_region t (r : Region.t) = t.w = r.Region.w && t.h = r.Region.h
-
-let equal a b =
-  a.variant = b.variant && a.w = b.w && a.h = b.h
-  && Hash.equal a.payload b.payload
-  && Hash.equal a.checksum b.checksum
-
-let pp ppf t = Format.fprintf ppf "bitstream(v%d %dx%d)" t.variant t.w t.h

@@ -13,9 +13,6 @@ val make : variant:int -> w:int -> h:int -> t
 
 val variant : t -> int
 
-val width : t -> int
-val height : t -> int
-
 val size_bytes : t -> int
 (** Proportional to the frame count; drives reconfiguration timing. *)
 
@@ -29,7 +26,3 @@ val forge : t -> variant:int -> t
     detected by [checksum_ok]. *)
 
 val matches_region : t -> Region.t -> bool
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -26,5 +26,3 @@ let fits t ~grid_w ~grid_h = t.x + t.w <= grid_w && t.y + t.h <= grid_h
 let with_origin t ~x ~y = make ~x ~y ~w:t.w ~h:t.h
 
 let equal a b = a.x = b.x && a.y = b.y && a.w = b.w && a.h = b.h
-
-let pp ppf t = Format.fprintf ppf "[%dx%d@(%d,%d)]" t.w t.h t.x t.y

@@ -21,5 +21,3 @@ val with_origin : t -> x:int -> y:int -> t
 (** Same shape at a different origin (spatial relocation). *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -26,7 +26,6 @@ type t = {
   worn : Bytes.t;  (* by link id: '\001' once wear-out landed (permanent) *)
   mutable upsets : int;
   mutable wearouts : int;
-  mutable repairs : int;
   mutable halted : bool;
   obs : Obs.t;
   obs_upsets : int;
@@ -36,7 +35,8 @@ type t = {
 
 let trace t ~arg =
   if !Obs.trace_on then
-    Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.fault ~id:1 ~arg
+    Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.fault
+      ~id:Obs.fault_link ~arg
 
 (* Transient upsets arrive as a Poisson process over the whole fabric:
    exponential inter-arrival at [upset_rate] per link per cycle, a uniform
@@ -74,7 +74,6 @@ let rec schedule_upset t =
                         && Bytes.get t.worn lid = '\000'
                       then begin
                         Mesh.repair_link t.mesh (Mesh.link_of_id t.mesh lid);
-                        t.repairs <- t.repairs + 1;
                         if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_repairs
                       end))
              end;
@@ -135,7 +134,6 @@ let start engine rng mesh config =
       worn = Bytes.make (Mesh.n_link_ids mesh) '\000';
       upsets = 0;
       wearouts = 0;
-      repairs = 0;
       halted = false;
       obs;
       obs_upsets;
@@ -150,4 +148,3 @@ let start engine rng mesh config =
 let halt t = t.halted <- true
 let upsets t = t.upsets
 let wearouts t = t.wearouts
-let repairs t = t.repairs

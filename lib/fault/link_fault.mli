@@ -35,4 +35,3 @@ val halt : t -> unit
 
 val upsets : t -> int
 val wearouts : t -> int
-val repairs : t -> int

@@ -47,7 +47,7 @@ let rec schedule_next t =
                if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_injected;
                if !Obs.trace_on then
                  Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.fault
-                   ~id:0 ~arg:t.injected
+                   ~id:Obs.fault_seu ~arg:t.injected
              end;
              schedule_next t
            end))

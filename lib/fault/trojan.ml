@@ -31,7 +31,8 @@ let fire t =
     t.triggered <- true;
     if !Obs.metrics_on then Registry.incr t.obs.Obs.metrics t.obs_triggered;
     if !Obs.trace_on then
-      Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.fault ~id:1 ~arg:0;
+      Ring.instant t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.fault
+        ~id:Obs.fault_trojan ~arg:0;
     t.on_trigger t.effect
   end
 
@@ -67,8 +68,6 @@ let observe t input =
   | Cheat_code _ | Time_bomb _ -> ()
 
 let triggered t = t.triggered
-
-let effect t = t.effect
 
 let disarm t =
   t.armed <- false;

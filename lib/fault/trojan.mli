@@ -22,8 +22,6 @@ val observe : t -> int64 -> unit
 
 val triggered : t -> bool
 
-val effect : t -> effect
-
 val disarm : t -> unit
 (** E.g. the host region was wiped by reconfiguration before the trigger. *)
 

@@ -5,14 +5,6 @@
     id. [name] resolves a (category, id) pair to the event name and
     [cat_label] a category to its label. *)
 
-val write :
-  Buffer.t ->
-  first:bool ref ->
-  Ring.t ->
-  name:(cat:int -> id:int -> string) ->
-  cat_label:(int -> string) ->
-  unit
-
 val to_string :
   rings:Ring.t list ->
   name:(cat:int -> id:int -> string) ->

@@ -66,13 +66,22 @@ module Cat = struct
 
   let fault = 4
 
+  let resilience = 5
+
   let label = function
     | 0 -> "des"
     | 1 | 2 -> "noc"
     | 3 -> "repl"
     | 4 -> "fault"
+    | 5 -> "resilience"
     | _ -> "other"
 end
+
+let fault_seu = 0
+
+let fault_trojan = 1
+
+let fault_link = 2
 
 let code_request = 0
 
@@ -94,6 +103,22 @@ let repl_counter_span ~replica ~counter =
 
 let repl_event ~replica ~code = (replica lsl 3) lor code
 
+let code_down = 0
+
+let code_restart = 1
+
+let code_relocate = 2
+
+let code_relocate_failed = 3
+
+let code_compromise = 4
+
+let code_safety_lost = 5
+
+let resilience_event = repl_event
+
+let pack_origin ~x ~y = (x lsl 16) lor (y land 0xffff)
+
 let repl_code_name = function
   | 0 -> "request"
   | 1 -> "pre-prepare"
@@ -104,11 +129,30 @@ let repl_code_name = function
   | 6 -> "new-view"
   | _ -> "repl"
 
+let resilience_code_name = function
+  | 0 -> "rejuvenation.down"
+  | 1 -> "rejuvenation.restart"
+  | 2 -> "fabric.relocate"
+  | 3 -> "fabric.relocate-failed"
+  | 4 -> "apt.compromise"
+  | 5 -> "safety.lost"
+  | _ -> "resilience"
+
+let resilience_detail ~id ~arg =
+  let replica = id lsr 3 in
+  match id land 7 with
+  | 1 | 4 -> Printf.sprintf "replica %d variant %d" replica arg
+  | 2 -> Printf.sprintf "replica %d origin (%d,%d)" replica (arg lsr 16) (arg land 0xffff)
+  | 5 -> Printf.sprintf "more than f=%d compromised" arg
+  | _ -> Printf.sprintf "replica %d" replica
+
 let default_name ~cat ~id =
   if cat = Cat.noc_link then "noc.link." ^ string_of_int id
   else if cat = Cat.noc_drop then "noc.drop"
   else if cat = Cat.repl then repl_code_name (id land 7)
-  else if cat = Cat.fault then (match id with 0 -> "fault.seu" | 1 -> "fault.trojan" | _ -> "fault.inject")
+  else if cat = Cat.fault then
+    (match id with 0 -> "fault.seu" | 1 -> "fault.trojan" | 2 -> "fault.link" | _ -> "fault.inject")
+  else if cat = Cat.resilience then resilience_code_name (id land 7)
   else "des"
 
 (* Merge scalars across this domain's instances, preserving first-seen

@@ -38,8 +38,14 @@ module Cat : sig
   val noc_drop : int
   val repl : int
   val fault : int
+  val resilience : int
   val label : int -> string
 end
+
+(** [Cat.fault] ids: which injector recorded the instant. *)
+val fault_seu : int
+val fault_trojan : int
+val fault_link : int
 
 
 (** Protocol-phase codes packed into the low 3 bits of [Cat.repl] ids. *)
@@ -56,6 +62,31 @@ val repl_counter_span : replica:int -> counter:int -> int
 
 (** Id for instant protocol events (prepare broadcast, view change). *)
 val repl_event : replica:int -> code:int -> int
+
+(** Resilience-event codes packed into the low 3 bits of [Cat.resilience]
+    ids. [arg] carries the new variant ({!code_restart}, {!code_compromise}),
+    the packed origin of the new region ({!code_relocate}), [f]
+    ({!code_safety_lost}), or 0. *)
+val code_down : int
+val code_restart : int
+val code_relocate : int
+val code_relocate_failed : int
+val code_compromise : int
+val code_safety_lost : int
+
+(** Id for a resilience event of one replica; the {!repl_event} layout. *)
+val resilience_event : replica:int -> code:int -> int
+
+(** A region origin packed into one [arg]: [(x lsl 16) lor y]. *)
+val pack_origin : x:int -> y:int -> int
+
+(** The replica and [arg] of a [Cat.resilience] record in words, e.g.
+    ["replica 2 variant 3"], as [soc_sim --event-log] prints them. *)
+val resilience_detail : id:int -> arg:int -> string
+
+(** Name of a record, as exported in Chrome traces and printed by
+    [soc_sim --event-log]. *)
+val default_name : cat:int -> id:int -> string
 
 (** Register a hook run just before {!write_trace} exports, letting a
     component emit closing samples (e.g. the NoC's final per-link load

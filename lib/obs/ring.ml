@@ -70,7 +70,3 @@ let iter t f =
       ~phase:(phase_of_code (t.data.(off + 1) land 7))
       ~id:t.data.(off + 2) ~arg:t.data.(off + 3)
   done
-
-let clear t =
-  t.next <- 0;
-  t.total <- 0

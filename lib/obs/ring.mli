@@ -32,5 +32,3 @@ val async_end : t -> time:int -> cat:int -> id:int -> arg:int -> unit
 
 (** Iterate retained records oldest-first. *)
 val iter : t -> (time:int -> cat:int -> phase:phase -> id:int -> arg:int -> unit) -> unit
-
-val clear : t -> unit

@@ -234,7 +234,6 @@ let note_vote t ~seq ~digest:d ~voter =
       end
 
 let needs_catchup t = t.catchup
-let stable t = t.stable
 
 (* Crash-model self-stabilization (primary-backup): adopt this replica's
    own snapshot at [seq] as the stable checkpoint under a single-signer

@@ -108,9 +108,6 @@ val needs_catchup : t -> bool
     has fallen behind the group and should recover by state transfer
     ({!begin_recovery} clears the flag). *)
 
-val stable : t -> (cert * int64 * (int * int * int64) list) option
-(** The stable checkpoint: certificate, state, reply cache. *)
-
 val force_stable :
   t ->
   seq:int ->

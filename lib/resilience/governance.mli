@@ -45,9 +45,6 @@ val single_kernel :
   Resoc_des.Engine.t -> Icap.t -> ?compromised:bool -> governance_principal:int -> unit -> t
 (** The unprotected baseline: one kernel, threshold one. *)
 
-val legitimate : t -> op -> bool
-(** The validation every honest kernel applies. *)
-
 val propose : t -> proposer:int -> op -> (decision -> unit) -> unit
 (** [proposer] is the kernel submitting the ballot; a malicious proposer
     pushes rogue ops. Raises [Invalid_argument] on unknown kernels. *)

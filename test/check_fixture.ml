@@ -42,3 +42,16 @@ let mutant_flagged ~knob ~sub run =
       | _ -> Alcotest.fail ("mutant not flagged: " ^ sub)
       | exception Check.Violation msg ->
         Alcotest.(check bool) ("names " ^ sub) true (contains ~sub msg))
+
+(* Runs [f] on a directory name nothing uses yet ([f] or the code under
+   test creates it), then removes the directory and the files left in it. *)
+let with_fresh_dir f =
+  let dir = Filename.temp_file "resoc_check" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)

@@ -139,18 +139,19 @@ let test_determinism_across_jobs () =
 
 (* Byte-identical emitted JSON across worker counts. *)
 let test_json_across_jobs () =
-  let dir = Filename.temp_file "campaign" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
   let read path = In_channel.with_open_bin path In_channel.input_all in
-  let emit jobs =
-    let result = run_toy ~root_seed:99L ~replicates:8 ~jobs in
-    let path = Emit.json_file ~dir result in
-    let csv = Emit.csv_file ~dir result in
-    (read path, read csv)
+  let (j1, c1), (j4, c4) =
+    Check_fixture.with_fresh_dir (fun dir ->
+        Sys.mkdir dir 0o755;
+        let emit jobs =
+          let result = run_toy ~root_seed:99L ~replicates:8 ~jobs in
+          let path = Emit.json_file ~dir result in
+          let csv = Emit.csv_file ~dir result in
+          (read path, read csv)
+        in
+        let first = emit 1 in
+        (first, emit 4))
   in
-  let j1, c1 = emit 1 in
-  let j4, c4 = emit 4 in
   Alcotest.(check string) "json identical across jobs" j1 j4;
   Alcotest.(check string) "csv identical across jobs" c1 c4;
   Alcotest.(check bool) "json non-trivial" true (String.length j1 > 100)

@@ -26,6 +26,7 @@ let with_check = Check_fixture.with_check
 let fires = Check_fixture.fires
 let contains = Check_fixture.contains
 let mutant_flagged = Check_fixture.mutant_flagged
+let with_fresh_dir = Check_fixture.with_fresh_dir
 
 (* --- ddmin -------------------------------------------------------------- *)
 
@@ -106,19 +107,22 @@ let sample_record =
 let test_replay_roundtrip () =
   let rt = Replay.of_json (Replay.to_json sample_record) in
   Alcotest.(check bool) "round-trips" true (rt = sample_record);
-  Alcotest.(check string) "filename" "FAIL_e6_-3.json" (Replay.filename sample_record)
+  Alcotest.(check string) "filename" "FAIL_e6_reactive__max__-3.json"
+    (Replay.filename sample_record)
 
-(* A directory name nothing uses yet; [Replay.write] creates it. *)
-let fresh_dir () =
-  let dir = Filename.temp_file "resoc_check" "" in
-  Sys.remove dir;
-  dir
+(* [soc_sim run] and [soc_sim scenario <name>] share experiment and seed;
+   only the cell tells their records apart. *)
+let test_replay_filename_per_cell () =
+  let record cell = { sample_record with Replay.experiment = "soc_sim"; cell; seed = 1L } in
+  Alcotest.(check string) "run" "FAIL_soc_sim_run_1.json" (Replay.filename (record "run"));
+  Alcotest.(check string) "scenario" "FAIL_soc_sim_scenario_space_1.json"
+    (Replay.filename (record "scenario/space"))
 
 let test_replay_write_read () =
-  let dir = fresh_dir () in
-  let path = Replay.write ~dir sample_record in
-  Alcotest.(check bool) "file lands under dir" true (Filename.dirname path = dir);
-  Alcotest.(check bool) "read back equal" true (Replay.read path = sample_record)
+  with_fresh_dir (fun dir ->
+      let path = Replay.write ~dir sample_record in
+      Alcotest.(check bool) "file lands under dir" true (Filename.dirname path = dir);
+      Alcotest.(check bool) "read back equal" true (Replay.read path = sample_record))
 
 (* --- invariant units ---------------------------------------------------- *)
 
@@ -307,12 +311,12 @@ let minbft_cell =
       [ ("completed", float_of_int (Minbft.stats sys).Stats.completed) ])
 
 let campaign_json ~check =
-  let dir = fresh_dir () in
-  Sys.mkdir dir 0o755;
-  let config = { Campaign.default_config with replicates = 6; jobs = 2; check } in
-  let result = Campaign.run ~config ~id:"chk" ~title:"transparency" [ minbft_cell ] in
-  let path = Emit.json_file ~dir result in
-  In_channel.with_open_bin path In_channel.input_all
+  with_fresh_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let config = { Campaign.default_config with replicates = 6; jobs = 2; check } in
+      let result = Campaign.run ~config ~id:"chk" ~title:"transparency" [ minbft_cell ] in
+      let path = Emit.json_file ~dir result in
+      In_channel.with_open_bin path In_channel.input_all)
 
 let test_bench_json_transparent () =
   let base = campaign_json ~check:false in
@@ -339,20 +343,21 @@ let seu_cell =
 (* [cell] as a checked, shrinking campaign: the failed-replicate count and
    the FAIL records it wrote. *)
 let shrink_campaign ~id ?(jobs = 1) ~replicates cell =
-  let dir = fresh_dir () in
-  let config =
-    {
-      Campaign.default_config with
-      replicates;
-      jobs;
-      check = true;
-      shrink = true;
-      fail_dir = Some dir;
-    }
-  in
-  let result = Campaign.run ~config ~id ~title:id [ cell ] in
-  ( List.fold_left (fun acc agg -> acc + Campaign.failures agg) 0 result.Campaign.cells,
-    Sys.readdir dir |> Array.to_list |> List.map (fun f -> Replay.read (Filename.concat dir f)) )
+  with_fresh_dir (fun dir ->
+      let config =
+        {
+          Campaign.default_config with
+          replicates;
+          jobs;
+          check = true;
+          shrink = true;
+          fail_dir = Some dir;
+        }
+      in
+      let result = Campaign.run ~config ~id ~title:id [ cell ] in
+      ( List.fold_left (fun acc agg -> acc + Campaign.failures agg) 0 result.Campaign.cells,
+        Sys.readdir dir |> Array.to_list
+        |> List.map (fun f -> Replay.read (Filename.concat dir f)) ))
 
 let test_campaign_shrink () =
   with_check (fun () ->
@@ -423,11 +428,7 @@ let test_driver_shrink_roundtrip () =
       Alcotest.(check bool) "no mask left behind" true (unmasked ());
       Alcotest.(check bool) "schedule shrank" true
         (record.Replay.keep <> [] && List.length record.keep < record.total_events);
-      let dir = fresh_dir () in
-      let path = Replay.write ~dir record in
-      let rt = Replay.read path in
-      Sys.remove path;
-      Sys.rmdir dir;
+      let rt = with_fresh_dir (fun dir -> Replay.read (Replay.write ~dir record)) in
       Alcotest.(check bool) "write/read round trip" true (rt = record);
       Alcotest.(check (option string)) "replay reproduces the recorded error" (Some rt.error)
         (Replay.attempt ~mask:(rt.total_events, rt.keep) run))
@@ -461,6 +462,7 @@ let () =
       ( "replay",
         [
           Alcotest.test_case "json round-trip" `Quick test_replay_roundtrip;
+          Alcotest.test_case "filename per cell" `Quick test_replay_filename_per_cell;
           Alcotest.test_case "write/read" `Quick test_replay_write_read;
         ] );
       ( "invariants",

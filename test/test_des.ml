@@ -890,41 +890,6 @@ let test_histogram_empty () =
   Alcotest.(check (float 0.0)) "mean empty" 0.0 (Metrics.Histogram.mean h);
   Alcotest.(check (float 0.0)) "percentile empty" 0.0 (Metrics.Histogram.percentile h 50.0)
 
-(* --- Trace --- *)
-
-let test_trace_levels () =
-  let t = Trace.create ~min_level:Trace.Warn () in
-  Trace.emit t ~time:1 Trace.Info ~component:"x" (fun () -> "dropped");
-  Trace.emit t ~time:2 Trace.Error ~component:"x" (fun () -> "kept");
-  Alcotest.(check int) "only warn+" 1 (List.length (Trace.entries t))
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:4 ~min_level:Trace.Debug () in
-  for i = 1 to 10 do
-    Trace.emit t ~time:i Trace.Info ~component:"c" (fun () -> string_of_int i)
-  done;
-  let kept = Trace.entries t in
-  Alcotest.(check int) "capacity respected" 4 (List.length kept);
-  Alcotest.(check (list string)) "last four kept" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.message) kept);
-  Alcotest.(check int) "total counted" 10 (Trace.count t)
-
-let test_trace_lazy () =
-  let t = Trace.create ~min_level:Trace.Error () in
-  let evaluated = ref false in
-  Trace.emit t ~time:0 Trace.Debug ~component:"c" (fun () ->
-      evaluated := true;
-      "x");
-  Alcotest.(check bool) "message not built when filtered" false !evaluated
-
-let test_trace_find () =
-  let t = Trace.create () in
-  Trace.emit t ~time:3 Trace.Info ~component:"noc" (fun () -> "hop");
-  Trace.emit t ~time:4 Trace.Warn ~component:"pbft" (fun () -> "view change");
-  match Trace.find t (fun e -> e.Trace.component = "pbft") with
-  | Some e -> Alcotest.(check int) "found" 4 e.Trace.time
-  | None -> Alcotest.fail "expected entry"
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -996,11 +961,4 @@ let () =
           Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
         ] );
       qsuite "metrics-prop" [ prop_percentile_oracle ];
-      ( "trace",
-        [
-          Alcotest.test_case "levels" `Quick test_trace_levels;
-          Alcotest.test_case "ring buffer" `Quick test_trace_ring;
-          Alcotest.test_case "lazy formatting" `Quick test_trace_lazy;
-          Alcotest.test_case "find" `Quick test_trace_find;
-        ] );
     ]

@@ -2,7 +2,6 @@
    in the integrated system, and protocol switching over the NoC. *)
 
 module Engine = Resoc_des.Engine
-module Trace = Resoc_des.Trace
 module Rng = Resoc_des.Rng
 module Hash = Resoc_crypto.Hash
 module Keychain = Resoc_crypto.Keychain
@@ -17,6 +16,8 @@ module Protocol_switch = Resoc_core.Protocol_switch
 module Resilient_system = Resoc_core.Resilient_system
 module Diversity = Resoc_resilience.Diversity
 module Rejuvenation = Resoc_resilience.Rejuvenation
+module Obs = Resoc_obs.Obs
+module Ring = Resoc_obs.Ring
 
 let fmt_to_string pp v = Format.asprintf "%a" pp v
 
@@ -118,6 +119,19 @@ let test_trinc_register_fault_detected () =
 
 (* --- resilient system trace --- *)
 
+(* Runs [config] with tracing on (for this run only) and returns the
+   (code, replica, arg) of its resilience records, oldest first. *)
+let resilience_records config ~horizon =
+  Obs.enable_tracing ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      let sys = Resilient_system.create config in
+      ignore (Resilient_system.run sys ~horizon ~workload_period:5_000);
+      let records = ref [] in
+      Ring.iter (Engine.obs (Soc.engine (Resilient_system.soc sys))).Obs.ring
+        (fun ~time:_ ~cat ~phase:_ ~id ~arg ->
+          if cat = Obs.Cat.resilience then records := (id land 7, id lsr 3, arg) :: !records);
+      List.rev !records)
+
 let test_resilient_system_trace_captures_events () =
   let config =
     {
@@ -136,12 +150,31 @@ let test_resilient_system_trace_captures_events () =
       diversity = Diversity.Max_diversity;
     }
   in
-  let sys = Resilient_system.create config in
-  ignore (Resilient_system.run sys ~horizon:200_000 ~workload_period:5_000);
-  let entries = Trace.entries (Resilient_system.trace sys) in
-  let has component = List.exists (fun e -> e.Trace.component = component) entries in
-  Alcotest.(check bool) "rejuvenation events" true (has "rejuvenation");
-  Alcotest.(check bool) "apt events" true (has "apt")
+  let records = resilience_records config ~horizon:200_000 in
+  let has code = List.exists (fun (c, _, _) -> c = code) records in
+  Alcotest.(check bool) "rejuvenation events" true (has Obs.code_down && has Obs.code_restart);
+  Alcotest.(check bool) "apt events" true (has Obs.code_compromise)
+
+(* Every frame of a 4x4 grid is trojaned, so each relocation that avoids
+   trojaned frames fails, and each failure is recorded in place of a move. *)
+let test_resilient_system_relocation_failure_recorded () =
+  let config =
+    {
+      Resilient_system.default_config with
+      soc = { Soc.default_config with grid_width = 4; grid_height = 4 };
+      group = { Group.default_spec with n_clients = 1 };
+      apt = None;
+      relocate_on_rejuvenation = true;
+      trojaned_frames = List.init 16 (fun i -> (i mod 4, i / 4));
+      rejuvenation = Some { Rejuvenation.period = 30_000; downtime = 500 };
+    }
+  in
+  let records = resilience_records config ~horizon:200_000 in
+  let count code = List.length (List.filter (fun (c, _, _) -> c = code) records) in
+  Alcotest.(check bool) "restarts happened" true (count Obs.code_restart > 0);
+  Alcotest.(check int) "one failure per restart" (count Obs.code_restart)
+    (count Obs.code_relocate_failed);
+  Alcotest.(check int) "no relocation" 0 (count Obs.code_relocate)
 
 (* --- protocol switch over the NoC --- *)
 
@@ -175,12 +208,6 @@ let test_engine_pending_counts () =
   Alcotest.(check bool) "step consumes" true (Engine.step e);
   Alcotest.(check int) "one left" 1 (Engine.pending e)
 
-let test_trace_dump_smoke () =
-  let t = Trace.create () in
-  Trace.emit t ~time:5 Trace.Info ~component:"x" (fun () -> "hello");
-  let text = Format.asprintf "%t" (Trace.dump t) in
-  Alcotest.(check bool) "mentions component" true (contains ~affix:"hello" text)
-
 let () =
   Alcotest.run "resoc_misc"
     [
@@ -201,11 +228,12 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "resilient system trace" `Quick test_resilient_system_trace_captures_events;
+          Alcotest.test_case "relocation failure recorded" `Quick
+            test_resilient_system_relocation_failure_recorded;
           Alcotest.test_case "protocol switch on soc" `Quick test_protocol_switch_on_soc;
         ] );
       ( "engine",
         [
           Alcotest.test_case "pending counts" `Quick test_engine_pending_counts;
-          Alcotest.test_case "trace dump" `Quick test_trace_dump_smoke;
         ] );
     ]

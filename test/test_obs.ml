@@ -340,6 +340,28 @@ let test_trace_spans_pair_up () =
       Alcotest.(check bool) "protocol spans recorded" true (!begins > 0);
       Alcotest.(check bool) "no span outlives the run" true (!ends <= !begins))
 
+(* Link upsets carry their own fault id, so Chrome names them after the
+   link campaign rather than after the trojan injector. *)
+let test_link_upset_exports_as_link () =
+  with_flags ~metrics:false ~trace:true (fun () ->
+      let engine = Engine.create () in
+      let mesh = Mesh.create ~width:4 ~height:4 in
+      let lf =
+        Resoc_fault.Link_fault.start engine
+          (Resoc_des.Rng.split (Engine.rng engine))
+          mesh
+          { Resoc_fault.Link_fault.default_config with upset_rate = 1e-3 }
+      in
+      Engine.run ~until:2_000 engine;
+      Alcotest.(check bool) "upsets happened" true (Resoc_fault.Link_fault.upsets lf > 0);
+      let s =
+        Chrome.to_string ~rings:[ (Engine.obs engine).Obs.ring ] ~name:Obs.default_name
+          ~cat_label:Obs.Cat.label ()
+      in
+      let has sub = Check_fixture.contains ~sub s in
+      Alcotest.(check bool) "named fault.link" true (has {|"name":"fault.link"|});
+      Alcotest.(check bool) "not named fault.trojan" false (has {|"name":"fault.trojan"|}))
+
 let prop_tracing_is_transparent =
   QCheck.Test.make ~name:"enabling tracing never changes a MinBFT run" ~count:20
     QCheck.(pair (int_bound 1000) (int_range 1 6))
@@ -378,7 +400,11 @@ let () =
           Alcotest.test_case "capacity 0 disabled" `Quick test_ring_disabled;
           Alcotest.test_case "phases" `Quick test_ring_phases;
         ] );
-      ("chrome", [ Alcotest.test_case "well-formed JSON" `Quick test_chrome_wellformed ]);
+      ( "chrome",
+        [
+          Alcotest.test_case "well-formed JSON" `Quick test_chrome_wellformed;
+          Alcotest.test_case "link upset named fault.link" `Quick test_link_upset_exports_as_link;
+        ] );
       ( "wiring",
         [
           Alcotest.test_case "disabled registers nothing" `Quick test_disabled_registers_nothing;
