@@ -210,8 +210,10 @@ let () =
     (fun (id, _title, run) -> if !only = [] || List.mem id !only then run ())
     Experiments.all;
   if !trace_file <> "" then begin
-    Resoc_obs.Obs.write_trace !trace_file;
-    Printf.eprintf "wrote Chrome trace to %s\n%!" !trace_file
+    let dropped = Resoc_obs.Obs.write_trace !trace_file in
+    Printf.eprintf "wrote Chrome trace to %s\n%!" !trace_file;
+    if dropped > 0 then
+      Printf.eprintf "trace rings wrapped: %d records lost, the trace starts mid-run\n%!" dropped
   end;
   if !check && !Experiments.total_failures > 0 then begin
     Printf.eprintf "resoc_check: %d replicate(s) failed invariant checking\n"

@@ -40,8 +40,10 @@ let print_event_log sys =
 let finish_obs ~metrics ~trace =
   (match trace with
    | Some path ->
-     Obs.write_trace path;
-     Format.eprintf "wrote Chrome trace to %s@." path
+     let dropped = Obs.write_trace path in
+     Format.eprintf "wrote Chrome trace to %s@." path;
+     if dropped > 0 then
+       Format.eprintf "trace rings wrapped: %d records lost, the trace starts mid-run@." dropped
    | None -> ());
   if metrics then print_string (Obs.metrics_json ())
 

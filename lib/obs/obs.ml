@@ -191,4 +191,5 @@ let write_trace path =
   let rings = List.map (fun i -> i.ring) (domain_instances ()) in
   let s = Chrome.to_string ~rings ~name:default_name ~cat_label:Cat.label () in
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s);
+  Chrome.dropped rings

@@ -107,5 +107,6 @@ val replicate_metrics : unit -> (string * float) list
 val metrics_json : unit -> string
 
 (** Export every ring collected on this domain to [path] as Chrome
-    [trace_event] JSON. *)
-val write_trace : string -> unit
+    [trace_event] JSON, and return the records the rings lost to
+    wraparound (then also noted in the file, see {!Chrome.to_string}). *)
+val write_trace : string -> int

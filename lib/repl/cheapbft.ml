@@ -192,13 +192,13 @@ let on_update r ~view ~upto ~state ~rid_table =
     Replica.import_rid_table core rid_table;
     (* Requests the actives already served are no longer pending here. *)
     let stale =
-      Hashtbl.fold
+      Digest_map.fold
         (fun digest req acc -> if Replica.executed core req then digest :: acc else acc)
         core.pending []
     in
     List.iter
       (fun digest ->
-        Hashtbl.remove core.pending digest;
+        Digest_map.remove core.pending digest;
         Replica.cancel_timer core digest)
       stale
   end

@@ -3,9 +3,12 @@ module Histogram = Resoc_des.Metrics.Histogram
 
 (* One request is in flight at a time, so its state lives directly on
    the client and is reset in place per request: no inflight record, no
-   fresh votes table, no queue-list reversal. The retransmission timer
-   guards on the request id instead of physical equality — rids are
-   unique per client, so the checks are equivalent. *)
+   votes table, no queue-list reversal. The replies are a voter bitset
+   plus one result slot per replica, so tallying a reply is a loop over
+   at most n slots with nothing allocated. The retransmission timer is
+   one closure per client; it guards on the id of the request it was
+   armed for instead of physical equality — rids are unique per client,
+   so the checks are equivalent. *)
 type 'msg t = {
   engine : Engine.t;
   fabric : 'msg Transport.fabric;
@@ -22,8 +25,11 @@ type 'msg t = {
   mutable inflight : bool;
   mutable request : Types.request;
   mutable submitted_at : int;
-  votes : (int, int64) Hashtbl.t;
+  mutable voters : Quorum.t;  (* replicas that replied to [request] *)
+  results : int64 array;  (* replica -> its result, valid for [voters] *)
   mutable timer : Engine.handle option;
+  mutable timer_rid : int;  (* the request [timer] was armed for *)
+  retry : unit -> unit;
   (* FIFO payload queue: a circular buffer of unboxed int64s *)
   mutable queue : int64 array;
   mutable queue_head : int;
@@ -31,7 +37,7 @@ type 'msg t = {
   mutable stopped : bool;
 }
 
-let no_request : Types.request = { Types.client = -1; rid = -1; payload = 0L }
+let no_request = Types.make_request ~client:(-1) ~rid:(-1) ~payload:0L
 
 let cancel_timer t =
   match t.timer with
@@ -46,15 +52,19 @@ let broadcast_request t request =
     t.fabric.Transport.send ~src:t.id ~dst:(Array.unsafe_get t.replica_ids i) msg
   done
 
-let rec arm_timer t rid =
-  t.timer <-
-    Some
-      (Engine.schedule t.engine ~delay:t.retry_timeout (fun () ->
-           if (not t.stopped) && t.inflight && t.request.Types.rid = rid then begin
-             t.stats.Stats.retransmissions <- t.stats.Stats.retransmissions + 1;
-             broadcast_request t t.request;
-             arm_timer t rid
-           end))
+let arm_timer t rid =
+  t.timer_rid <- rid;
+  t.timer <- Some (Engine.schedule t.engine ~delay:t.retry_timeout t.retry)
+
+(* The timer's action: retransmit the request it was armed for, if that
+   request is still the one in flight, and re-arm. *)
+let retry t () =
+  let rid = t.timer_rid in
+  if (not t.stopped) && t.inflight && t.request.Types.rid = rid then begin
+    t.stats.Stats.retransmissions <- t.stats.Stats.retransmissions + 1;
+    broadcast_request t t.request;
+    arm_timer t rid
+  end
 
 let start_request t payload =
   t.next_rid <- t.next_rid + 1;
@@ -62,7 +72,7 @@ let start_request t payload =
   t.inflight <- true;
   t.request <- request;
   t.submitted_at <- Engine.now t.engine;
-  Hashtbl.reset t.votes;
+  t.voters <- Quorum.empty;
   t.timer <- None;
   t.stats.Stats.submitted <- t.stats.Stats.submitted + 1;
   broadcast_request t request;
@@ -89,42 +99,50 @@ let queue_pop t =
   t.queue_len <- t.queue_len - 1;
   payload
 
+(* Replies for the current request whose result is (or, with [agree]
+   false, is not) [result]. *)
+let tally t result ~agree =
+  let c = ref 0 in
+  for i = 0 to t.n_replicas - 1 do
+    if Quorum.mem t.voters i && Int64.equal (Array.unsafe_get t.results i) result = agree then
+      incr c
+  done;
+  !c
+
 let complete t (reply : Types.reply) =
   cancel_timer t;
   t.inflight <- false;
   t.stats.Stats.completed <- t.stats.Stats.completed + 1;
   Histogram.add t.stats.Stats.latency (float_of_int (Engine.now t.engine - t.submitted_at));
-  let dissent =
-    Hashtbl.fold
-      (fun _ result acc -> if Int64.equal result reply.Types.result then acc else acc + 1)
-      t.votes 0
-  in
-  t.stats.Stats.wrong_replies <- t.stats.Stats.wrong_replies + dissent;
+  t.stats.Stats.wrong_replies <-
+    t.stats.Stats.wrong_replies + tally t reply.Types.result ~agree:false;
   (match t.on_complete with Some k -> k reply | None -> ());
   if t.queue_len > 0 then start_request t (queue_pop t)
 
+(* A repeated reply from one replica overwrites its earlier result. *)
 let on_reply t (reply : Types.reply) =
-  if t.inflight && reply.Types.rid = t.request.Types.rid then begin
-    Hashtbl.replace t.votes reply.Types.replica reply.Types.result;
-    let matching =
-      Hashtbl.fold
-        (fun _ result acc -> if Int64.equal result reply.Types.result then acc + 1 else acc)
-        t.votes 0
-    in
-    if matching >= t.quorum then complete t reply
+  let replica = reply.Types.replica in
+  if t.inflight && reply.Types.rid = t.request.Types.rid && replica >= 0
+     && replica < t.n_replicas
+  then begin
+    t.voters <- Quorum.add t.voters replica;
+    Array.unsafe_set t.results replica reply.Types.result;
+    if tally t reply.Types.result ~agree:true >= t.quorum then complete t reply
   end
 
 let create engine fabric ~id ~n_replicas ~quorum ~retry_timeout ~stats ~to_msg ~of_msg
     ?on_complete () =
   if quorum <= 0 then invalid_arg "Client.create: quorum must be positive";
   if retry_timeout <= 0 then invalid_arg "Client.create: timeout must be positive";
-  let t =
+  Quorum.check_n n_replicas "Client.create";
+  let replica_ids = Array.init n_replicas Fun.id in
+  let rec t =
     {
       engine;
       fabric;
       id;
       n_replicas;
-      replica_ids = Array.init n_replicas Fun.id;
+      replica_ids;
       quorum;
       retry_timeout;
       stats;
@@ -134,8 +152,11 @@ let create engine fabric ~id ~n_replicas ~quorum ~retry_timeout ~stats ~to_msg ~
       inflight = false;
       request = no_request;
       submitted_at = 0;
-      votes = Hashtbl.create 8;
+      voters = Quorum.empty;
+      results = Array.make n_replicas 0L;
       timer = None;
+      timer_rid = -1;
+      retry = (fun () -> retry t ());
       queue = [||];
       queue_head = 0;
       queue_len = 0;

@@ -3,8 +3,10 @@
     Broadcasts each request to all replicas (backups forward to the
     primary), retries on timeout, and accepts a result once [quorum]
     distinct replicas reported the same value for the current request —
-    f+1 for BFT protocols, 1 for crash-tolerant ones. One request is
-    outstanding at a time; further submissions queue. *)
+    f+1 for BFT protocols, 1 for crash-tolerant ones. A replica's
+    repeated reply replaces its earlier result; replies naming a replica
+    outside [0, n_replicas) are ignored. One request is outstanding at a
+    time; further submissions queue. *)
 
 type 'msg t
 

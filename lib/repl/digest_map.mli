@@ -1,8 +1,8 @@
 (** Open-addressed map from 64-bit digests ({!Resoc_crypto.Hash.t}) to
     arbitrary values — the replication layer's replacement for
     [(Hash.t, _) Hashtbl.t] on the hot path. Linear probing over a
-    power-of-two table, tombstone deletion, no per-operation allocation
-    in steady state.
+    power-of-two table, backward-shift deletion (no tombstones), and no
+    allocation per lookup, [set] or [remove_at] in steady state.
 
     Iteration order is the (deterministic) table order, not insertion
     order; callers that need a canonical order must sort, as they
@@ -28,8 +28,9 @@ val remove : 'a t -> int64 -> unit
 
 val index : 'a t -> int64 -> int
 (** Slot of the key, or [-1] if absent. Valid until the next [set],
-    [remove] or [reset]. With {!value_at} / {!remove_at} this gives
-    find-and-remove in one probe sequence with zero allocation. *)
+    [remove], [remove_at] or [reset] (a removal shifts later entries).
+    With {!value_at} / {!remove_at} this gives find-and-remove in one
+    probe sequence with zero allocation. *)
 
 val value_at : 'a t -> int -> 'a
 (** The value in a slot returned by {!index} (which must be [>= 0]). *)

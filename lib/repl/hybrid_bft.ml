@@ -154,7 +154,8 @@ module Agreement (H : HYBRID) = struct
          && continuity_ok a ~signer:src ~counter:(H.cert_counter cert)
       then begin
         List.iter
-          (fun req -> Hashtbl.replace a.core.pending (Types.request_digest req) req)
+          (fun (req : Types.request) ->
+            Digest_map.set a.core.pending (Types.request_digest req) req)
           requests;
         note_entry a ~counter:(H.cert_counter cert) ~requests ~voter:src;
         send_own_commit a ~view ~requests ~primary_cert:cert
@@ -165,7 +166,7 @@ module Agreement (H : HYBRID) = struct
         List.iter
           (fun req ->
             let digest = Types.request_digest req in
-            if Hashtbl.mem a.core.pending digest then Replica.watch a.core digest)
+            if Digest_map.mem a.core.pending digest then Replica.watch a.core digest)
           requests
     end
 

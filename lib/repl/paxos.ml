@@ -112,7 +112,7 @@ let on_accept r ~src ~term ~seq ~requests =
      && requests <> []
   then begin
     List.iter
-      (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+      (fun (req : Types.request) -> Digest_map.set r.core.pending (Types.request_digest req) req)
       requests;
     let e, fresh = Slot_ring.bind r.log.ring seq in
     if fresh then begin

@@ -217,7 +217,7 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
   then begin
     if Hash.equal digest (Types.batch_digest requests) then begin
       List.iter
-        (fun (req : Types.request) -> Hashtbl.replace r.core.pending (Types.request_digest req) req)
+        (fun (req : Types.request) -> Digest_map.set r.core.pending (Types.request_digest req) req)
         requests;
       let e = entry_for r ~view ~seq ~digest in
       if e != null_entry && Hash.equal e.digest digest then begin
@@ -235,7 +235,7 @@ let on_pre_prepare r ~src ~view ~seq ~digest ~requests =
          every carried request; the timers push a view change. *)
       List.iter
         (fun (req : Types.request) ->
-          Hashtbl.replace r.core.pending (Types.request_digest req) req;
+          Digest_map.set r.core.pending (Types.request_digest req) req;
           Replica.watch r.core (Types.request_digest req))
         requests
   end

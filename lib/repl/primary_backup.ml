@@ -43,7 +43,7 @@ type replica = {
   config : config;
   mutable seq : int;  (* primary: updates shipped; backup: updates applied *)
   mutable last_heartbeat : int;
-  buffered : (int * int, unit) Hashtbl.t;  (* (client, rid) parked in the batcher *)
+  buffered : unit Digest_map.t;  (* digests of the requests parked in the batcher *)
 }
 
 type t = {
@@ -102,7 +102,7 @@ let note_boundary r =
    primary has. *)
 let exec_batch r (requests : Types.request list) =
   List.iter
-    (fun (req : Types.request) -> Hashtbl.remove r.buffered (req.Types.client, req.Types.rid))
+    (fun (req : Types.request) -> Digest_map.remove r.buffered (Types.request_digest req))
     requests;
   if requests <> [] && Replica.is_primary r.core then begin
     let replies =
@@ -141,8 +141,9 @@ let on_request r (request : Types.request) =
       | Some b ->
         (* Retransmissions of a request already parked in the batcher must
            not enter a second batch. *)
-        if not (Hashtbl.mem r.buffered (client, rid)) then begin
-          Hashtbl.replace r.buffered (client, rid) ();
+        let digest = Types.request_digest request in
+        if not (Digest_map.mem r.buffered digest) then begin
+          Digest_map.set r.buffered digest ();
           Batcher.add b request
         end
       | None -> exec_batch r [ request ]
@@ -284,7 +285,7 @@ let spec (config : config) =
   }
 
 let make_replica config core =
-  { core; config; seq = 0; last_heartbeat = 0; buffered = Hashtbl.create 16 }
+  { core; config; seq = 0; last_heartbeat = 0; buffered = Digest_map.create () }
 
 (* Failover is heartbeat-driven: no request timer runs and no vote is
    ever cast or tallied, so [vote] and [take_over] are never called. *)
@@ -344,7 +345,7 @@ let set_replica_state t ~replica state = App.set_state t.replicas.(replica).core
 let set_offline t ~replica =
   let r = t.replicas.(replica) in
   Replica.set_offline r.core;
-  Hashtbl.reset r.buffered
+  Digest_map.reset r.buffered
 
 let set_online t ~replica =
   let r = t.replicas.(replica) in

@@ -55,7 +55,7 @@ type 'msg t = {
   all_ids : int array;
   peer_ids : int array;
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
-  pending : (Hash.t, Types.request) Hashtbl.t;
+  pending : Types.request Digest_map.t;
   timers : Engine.handle Digest_map.t;
   watch_delay : int;
   mutable rid_last : int array;
@@ -136,7 +136,7 @@ let create engine fabric kit (spec : spec) ~id ~behavior ~stats ~chk ~hooks =
     all_ids = Array.init n Fun.id;
     peer_ids = Array.init (n - 1) (fun i -> if i < id then i else i + 1);
     mcast = (if spec.multicast then fabric.Transport.multicast else None);
-    pending = Hashtbl.create 16;
+    pending = Digest_map.create ~capacity:16 ();
     timers = Digest_map.create ~capacity:16 ();
     watch_delay = spec.watch_delay;
     rid_last = Array.make (n + spec.n_clients) min_int;
@@ -343,21 +343,21 @@ let watch t digest =
     Digest_map.set t.timers digest
       (Engine.schedule t.engine ~delay:t.watch_delay (fun () ->
            Digest_map.remove t.timers digest;
-           if Hashtbl.mem t.pending digest then expire t))
+           if Digest_map.mem t.pending digest then expire t))
 
 (* Mark [request] pending; returns whether it already was. *)
 let admit t (request : Types.request) digest =
-  let was_pending = Hashtbl.mem t.pending digest in
+  let was_pending = Digest_map.mem t.pending digest in
   if t.spans && !Obs.trace_on && not was_pending then
     Ring.async_begin t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
       ~id:(Obs.repl_request_span ~replica:t.id ~client:request.Types.client ~rid:request.Types.rid)
       ~arg:0;
-  Hashtbl.replace t.pending digest request;
+  Digest_map.set t.pending digest request;
   was_pending
 
 (* Pending requests in (client, rid) order, for a new primary to re-propose. *)
 let pending_sorted t =
-  let pending = Hashtbl.fold (fun _ req acc -> req :: acc) t.pending [] in
+  let pending = Digest_map.fold (fun _ req acc -> req :: acc) t.pending [] in
   List.sort
     (fun (a : Types.request) b -> compare (a.Types.client, a.Types.rid) (b.Types.client, b.Types.rid))
     pending
@@ -367,7 +367,7 @@ let pending_sorted t =
 let execute t (request : Types.request) =
   let result = apply t request in
   let digest = Types.request_digest request in
-  Hashtbl.remove t.pending digest;
+  Digest_map.remove t.pending digest;
   cancel_timer t digest;
   if t.spans && !Obs.trace_on then
     Ring.async_end t.obs.Obs.ring ~time:(Engine.now t.engine) ~cat:Obs.Cat.repl
@@ -693,7 +693,7 @@ let adopt t ~view ~state ~rid_table ~seq =
     cancel_recover_timer t;
     Checkpoint.rebase cp ~seq
   | None -> ());
-  Hashtbl.iter (fun digest _ -> watch t digest) t.pending
+  List.iter (fun (req : Types.request) -> watch t (Types.request_digest req)) (pending_sorted t)
 
 let set_offline t =
   t.online <- false;
@@ -718,7 +718,7 @@ let set_online t =
       h.wipe ();
       App.set_state t.app 0L;
       rid_reset t;
-      Hashtbl.reset t.pending;
+      Digest_map.reset t.pending;
       Checkpoint.reset cp;
       start_recovery t cp
     | None -> (
@@ -733,7 +733,7 @@ let set_online t =
       | Some p ->
         App.set_state t.app (App.state p.app);
         copy_rids t ~from:p;
-        Hashtbl.reset t.pending;
+        Digest_map.reset t.pending;
         t.view <- p.view;
         t.voted <- max t.voted p.view;
         h.adopt_peer ~progress:((hooks p).progress ())

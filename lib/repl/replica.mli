@@ -85,7 +85,7 @@ type 'msg t = {
   peer_ids : int array;  (** 0 .. n-1 minus self *)
   mcast : (src:int -> dsts:int array -> n:int -> 'msg -> unit) option;
       (** Fabric multicast, resolved once; [None] = per-destination sends. *)
-  pending : (Hash.t, Types.request) Hashtbl.t;  (** Seen, not yet executed. *)
+  pending : Types.request Digest_map.t;  (** Seen, not yet executed, by digest. *)
   timers : Engine.handle Digest_map.t;  (** Request timers by digest. *)
   watch_delay : int;
   mutable rid_last : int array;  (** client -> last rid, [min_int] = none *)

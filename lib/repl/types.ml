@@ -1,18 +1,20 @@
 module Hash = Resoc_crypto.Hash
 
-type request = { client : int; rid : int; payload : int64 }
+type request = { client : int; rid : int; payload : int64; digest : Hash.t }
 
 type reply = { client : int; rid : int; result : int64; replica : int }
 
-let make_request ~client ~rid ~payload = { client; rid; payload }
-
-(* The tag hash is a constant; folding it at module init keeps
-   [request_digest] — called several times per request across the
-   replica group — down to two inlined combines. *)
+(* The tag hash is a constant, folded once at module init. *)
 let request_tag = Hash.of_string "request"
 
-let request_digest r =
-  Hash.combine_int (Hash.combine request_tag r.payload) ((r.client * 1_000_003) + r.rid)
+(* The digest is computed once, here: every replica touches it several
+   times per request (pending, timers, ordered, batch digests), and
+   recomputing it would box a fresh int64 each time. *)
+let make_request ~client ~rid ~payload =
+  let digest = Hash.combine_int (Hash.combine request_tag payload) ((client * 1_000_003) + rid) in
+  { client; rid; payload; digest }
+
+let request_digest (r : request) = r.digest
 
 (* Config for the shared request-batching / agreement-pipelining layer
    (Batcher). [None] on a protocol config only means no batcher is built:

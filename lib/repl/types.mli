@@ -8,15 +8,17 @@
 
 module Hash = Resoc_crypto.Hash
 
-type request = { client : int; rid : int; payload : int64 }
+type request = private { client : int; rid : int; payload : int64; digest : Hash.t }
 (** [rid] is a client-local sequence number; (client, rid) identifies the
-    request globally. *)
+    request globally. [digest] is {!request_digest}, computed once by
+    {!make_request}, the only constructor. *)
 
 type reply = { client : int; rid : int; result : int64; replica : int }
 
 val make_request : client:int -> rid:int -> payload:int64 -> request
 
 val request_digest : request -> Hash.t
+(** The request's digest, a function of all three fields. *)
 
 type batching = { window_cycles : int; max_batch : int; pipeline_depth : int }
 (** Shared batching/pipelining knob ([Batcher]): the primary buffers

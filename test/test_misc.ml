@@ -106,6 +106,84 @@ let test_client_retransmits_until_served () =
   Alcotest.(check int) "completed after retries" 1 stats.Stats.completed;
   Alcotest.(check int) "two retransmissions" 2 stats.Stats.retransmissions
 
+(* A stub fabric: the client's handler is captured so replies can be fed
+   synchronously from any replica id, and requests are only counted. *)
+let stub_client ~n_replicas ~quorum =
+  let engine = Engine.create () in
+  let handler = ref (fun ~src:_ _ -> ()) and sent = ref 0 in
+  let fabric =
+    {
+      Transport.n_endpoints = n_replicas + 1;
+      send = (fun ~src:_ ~dst:_ _ -> incr sent);
+      multicast = None;
+      set_handler = (fun _ h -> handler := h);
+      detach = (fun _ -> ());
+      messages_sent = (fun () -> !sent);
+      bytes_sent = (fun () -> 0);
+    }
+  in
+  let stats = Stats.create () in
+  let client =
+    Client.create engine fabric ~id:n_replicas ~n_replicas ~quorum ~retry_timeout:1_000 ~stats
+      ~to_msg:(fun r -> `Request r)
+      ~of_msg:(function `Reply r -> Some r | `Request _ -> None)
+      ()
+  in
+  let reply ~rid ~replica result =
+    !handler ~src:replica (`Reply { Types.client = n_replicas; rid; result; replica })
+  in
+  (client, stats, reply)
+
+let test_client_tally () =
+  let client, stats, reply = stub_client ~n_replicas:4 ~quorum:2 in
+  (* Completion at the quorum: one matching reply is not enough. *)
+  Client.submit client ~payload:1L;
+  reply ~rid:1 ~replica:0 7L;
+  Alcotest.(check int) "one reply short of the quorum" 0 stats.Stats.completed;
+  reply ~rid:1 ~replica:1 7L;
+  Alcotest.(check int) "complete at the quorum" 1 stats.Stats.completed;
+  Alcotest.(check int) "no dissent" 0 stats.Stats.wrong_replies;
+  (* One dissenting replica is counted once at completion. *)
+  Client.submit client ~payload:2L;
+  reply ~rid:2 ~replica:3 9L;
+  reply ~rid:2 ~replica:0 8L;
+  reply ~rid:2 ~replica:2 8L;
+  Alcotest.(check int) "second request complete" 2 stats.Stats.completed;
+  Alcotest.(check int) "one dissenting reply" 1 stats.Stats.wrong_replies;
+  (* A repeated reply overwrites the replica's result instead of voting
+     twice: replica 1's 5 is replaced, and its two 6s count once. *)
+  Client.submit client ~payload:3L;
+  reply ~rid:3 ~replica:1 5L;
+  reply ~rid:3 ~replica:1 6L;
+  reply ~rid:3 ~replica:1 6L;
+  Alcotest.(check int) "one replica is not a quorum" 2 stats.Stats.completed;
+  reply ~rid:3 ~replica:2 6L;
+  Alcotest.(check int) "third request complete" 3 stats.Stats.completed;
+  Alcotest.(check int) "the overwritten result is no dissent" 1 stats.Stats.wrong_replies;
+  (* Replies to an earlier request are ignored. *)
+  Client.submit client ~payload:4L;
+  reply ~rid:3 ~replica:0 6L;
+  reply ~rid:3 ~replica:3 6L;
+  Alcotest.(check int) "stale replies ignored" 3 stats.Stats.completed
+
+(* The digest [make_request] caches is the formula replicas always used. *)
+let test_request_digest_pinned () =
+  let tag = Hash.of_string "request" in
+  List.iter
+    (fun client ->
+      List.iter
+        (fun rid ->
+          List.iter
+            (fun payload ->
+              let r = Types.make_request ~client ~rid ~payload in
+              let expected = Hash.combine_int (Hash.combine tag payload) ((client * 1_000_003) + rid) in
+              let name = Printf.sprintf "c%d#%d:%Ld" client rid payload in
+              Alcotest.(check int64) name expected r.Types.digest;
+              Alcotest.(check int64) name expected (Types.request_digest r))
+            [ 0L; 1L; -1L; 0x0123_4567_89ab_cdefL; Int64.max_int; Int64.min_int ])
+        [ -1; 0; 1; 7; 1_000_000; 1 lsl 40; max_int ])
+    [ -1; 0; 3; 62; 1_000 ]
+
 (* --- trinc fail-stop accounting --- *)
 
 let test_trinc_register_fault_detected () =
@@ -222,6 +300,8 @@ let () =
         [
           Alcotest.test_case "queueing and shutdown" `Quick test_client_queueing_and_shutdown;
           Alcotest.test_case "retransmits until served" `Quick test_client_retransmits_until_served;
+          Alcotest.test_case "quorum, dissent and repeats" `Quick test_client_tally;
+          Alcotest.test_case "request digest pinned" `Quick test_request_digest_pinned;
         ] );
       ( "hybrids",
         [ Alcotest.test_case "trinc register fault" `Quick test_trinc_register_fault_detected ] );

@@ -217,6 +217,46 @@ let test_chrome_wellformed () =
   Alcotest.(check int) "nested spans close" 2 (count_substring s "\"ph\":\"E\"");
   Alcotest.(check int) "async pair" 2 (count_substring s "\"id\":\"0x8\"")
 
+(* A ring that wrapped says so in its export: one metadata record up
+   front with the lost count, in [Chrome.to_string] and in the file
+   [Obs.write_trace] writes, which also returns the count. A ring that
+   did not wrap exports no such record. *)
+let test_chrome_reports_wrap () =
+  let export ring =
+    Chrome.to_string ~rings:[ ring ] ~name:(fun ~cat:_ ~id:_ -> "ev") ~cat_label:(fun _ -> "c") ()
+  in
+  let ring = Ring.create ~capacity:4 in
+  for time = 0 to 9 do
+    Ring.instant ring ~time ~cat:1 ~id:5 ~arg:time
+  done;
+  let s = export ring in
+  let has sub = Check_fixture.contains ~sub s in
+  Alcotest.(check bool) "wrapped export parses" true (json_ok s);
+  Alcotest.(check bool) "metadata record first" true
+    (has {|{"traceEvents":[{"name":"ring_dropped","ph":"M"|});
+  Alcotest.(check bool) "lost count" true (has {|"args":{"dropped":6}|});
+  Alcotest.(check int) "retained records plus one" 5 (count_substring s "\"ph\":");
+  let whole = Ring.create ~capacity:4 in
+  Ring.instant whole ~time:0 ~cat:1 ~id:5 ~arg:0;
+  Alcotest.(check bool) "no record without loss" false
+    (Check_fixture.contains ~sub:"ring_dropped" (export whole));
+  let path = Filename.temp_file "resoc_obs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      with_flags ~metrics:false ~trace:true (fun () ->
+          Obs.enable_tracing ~capacity:8 ();
+          let inst = Obs.create () in
+          (* Only [create] reads the capacity: restore the default at once. *)
+          Obs.enable_tracing ~capacity:65536 ();
+          for time = 0 to 11 do
+            Ring.instant inst.Obs.ring ~time ~cat:Obs.Cat.repl ~id:0 ~arg:0
+          done;
+          Alcotest.(check int) "write_trace returns the loss" 4 (Obs.write_trace path);
+          let written = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check bool) "file notes the loss" true
+            (Check_fixture.contains ~sub:{|"args":{"dropped":4}|} written)))
+
 (* --- end-to-end wiring ------------------------------------------------- *)
 
 let test_disabled_registers_nothing () =
@@ -404,6 +444,7 @@ let () =
         [
           Alcotest.test_case "well-formed JSON" `Quick test_chrome_wellformed;
           Alcotest.test_case "link upset named fault.link" `Quick test_link_upset_exports_as_link;
+          Alcotest.test_case "wrapped rings noted" `Quick test_chrome_reports_wrap;
         ] );
       ( "wiring",
         [

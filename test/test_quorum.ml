@@ -115,25 +115,38 @@ let test_check_n () =
 
 type dm_op = Set of int64 * int | Remove of int64 | Reset
 
-let dm_op_gen =
-  (* A small key pool forces collisions, overwrites and tombstone reuse. *)
+let dm_ops_gen key =
   QCheck.Gen.(
-    let key = map (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) (int_bound 40) in
-    frequency
-      [
-        (6, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
-        (3, map (fun k -> Remove k) key);
-        (1, return Reset);
-      ])
+    list_size (int_bound 200)
+      (frequency
+         [
+           (6, map2 (fun k v -> Set (k, v)) key (int_bound 1000));
+           (3, map (fun k -> Remove k) key);
+           (1, return Reset);
+         ]))
+
+(* A small key pool forces collisions, overwrites and deletions inside
+   probe runs. *)
+let spread_key =
+  QCheck.Gen.map (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) (QCheck.Gen.int_bound 40)
+
+(* Keys whose low bits are all ones but for the last two: at every table
+   size up to 1024 slots their home buckets are the last three, so their
+   clusters run past the last slot and wrap to slot 0. Deleting inside
+   such a cluster must shift entries back across the end of the table. *)
+let wrapping_key =
+  QCheck.Gen.map2
+    (fun j d -> Int64.of_int ((j lsl 10) - 1 - d))
+    (QCheck.Gen.int_range 1 14) (QCheck.Gen.int_bound 2)
 
 let dm_print = function
   | Set (k, v) -> Printf.sprintf "set %Lx %d" k v
   | Remove k -> Printf.sprintf "del %Lx" k
   | Reset -> "reset"
 
-let prop_digest_map_model =
-  QCheck.Test.make ~name:"Digest_map = (int64, int) Hashtbl" ~count:300
-    QCheck.(make ~print:Print.(list dm_print) Gen.(list_size (int_bound 200) dm_op_gen))
+let digest_map_model ~name key =
+  QCheck.Test.make ~name ~count:300
+    QCheck.(make ~print:Print.(list dm_print) (dm_ops_gen key))
     (fun ops ->
       let dm = Digest_map.create ~capacity:8 () in
       let model : (int64, int) Hashtbl.t = Hashtbl.create 16 in
@@ -157,6 +170,32 @@ let prop_digest_map_model =
                model true
           && Digest_map.fold (fun k v ok -> ok && Hashtbl.find_opt model k = Some v) dm true)
         ops)
+
+let prop_digest_map_model = digest_map_model ~name:"Digest_map = (int64, int) Hashtbl" spread_key
+
+let prop_digest_map_wrapping =
+  digest_map_model ~name:"Digest_map = Hashtbl, clusters wrapping the table end" wrapping_key
+
+(* The replica's find-and-remove cycle on a warmed table, as in the
+   digest-map microkernel: once the table has grown to fit the live set,
+   [set], [index] and [remove_at] allocate nothing, beyond the boxed
+   float [Gc.minor_words] itself returns. *)
+let test_digest_map_allocation_free () =
+  let digests = Array.init 4096 (fun i -> Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) in
+  let m = Digest_map.create () in
+  let cycle from upto =
+    for i = from to upto do
+      Digest_map.set m digests.(i land 4095) i;
+      let j = Digest_map.index m digests.((i - 64) land 4095) in
+      if j >= 0 then Digest_map.remove_at m j
+    done
+  in
+  cycle 0 20_000;
+  let before = Gc.minor_words () in
+  cycle 20_001 40_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "steady live set" 64 (Digest_map.length m);
+  if words > 8.0 then Alcotest.failf "the digest map allocated %.0f minor words" words
 
 (* --- Slot_ring vs (seq, _) Hashtbl ------------------------------------ *)
 
@@ -273,12 +312,14 @@ let () =
             prop_threshold_crossing;
             prop_rounds_model;
             prop_digest_map_model;
+            prop_digest_map_wrapping;
             prop_slot_ring_model;
           ] );
       ( "units",
         [
           Alcotest.test_case "rounds reclaim stale slots" `Quick test_rounds_reclaim;
           Alcotest.test_case "check_n bounds" `Quick test_check_n;
+          Alcotest.test_case "digest map allocates nothing" `Quick test_digest_map_allocation_free;
           Alcotest.test_case "slot-ring outliers bounded" `Quick test_slot_ring_outlier_bounded;
           Alcotest.test_case "slot-ring records on first claim" `Quick test_slot_ring_lazy_records;
         ] );
